@@ -8,7 +8,7 @@
 //       operating SNR most blocks converge in 1-2 iterations, so
 //       early-termination saves most of the worst-case compute;
 //   (c) measured per-iteration decode time (google-benchmark), plus
-//       per-ISA (scalar/avx2/avx512) and per-batch-width variants of the
+//       per-ISA (scalar/avx2) and per-batch-width variants of the
 //       SIMD decode path, registered only for ISAs this CPU supports.
 //       Snapshot with --benchmark_out=BENCH_e17_simd.json; the acceptance
 //       bar is best-vectorized batched info_kbps >= 2x the scalar baseline
@@ -224,8 +224,7 @@ void BM_TurboDecodeBatch(benchmark::State& state, simd::Isa isa) {
 /// above (active-ISA, single block) keeps its name — CI's telemetry
 /// overhead guard filters on it.
 void register_simd_benchmarks() {
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     if (!simd::isa_available(isa)) continue;
     const std::string tier = simd::isa_name(isa);
     benchmark::RegisterBenchmark(
@@ -294,7 +293,7 @@ int main(int argc, char** argv) {
   std::printf("E17c: measured turbo decode throughput (google-benchmark, "
               "single thread)\n");
   std::printf(
-      "simd: active ISA %s (override with PRAN_SIMD=scalar|avx2|avx512); "
+      "simd: active ISA %s (override with PRAN_SIMD=scalar|avx2); "
       "per-ISA variants below cover every tier this CPU supports\n\n",
       pran::coding::simd::isa_name(pran::coding::simd::active_isa()));
   register_simd_benchmarks();

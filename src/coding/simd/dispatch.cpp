@@ -17,29 +17,12 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-bool cpu_has_avx512() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0 &&
-         __builtin_cpu_supports("avx512vl") != 0 &&
-         __builtin_cpu_supports("avx512dq") != 0;
-#else
-  return false;
-#endif
-}
-
 bool built_with(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return true;
     case Isa::kAvx2:
 #if defined(PRAN_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(PRAN_HAVE_AVX512)
       return true;
 #else
       return false;
@@ -53,7 +36,6 @@ bool built_with(Isa isa) noexcept {
 Isa detect_active() noexcept {
   Isa best = Isa::kScalar;
   if (isa_available(Isa::kAvx2)) best = Isa::kAvx2;
-  if (isa_available(Isa::kAvx512)) best = Isa::kAvx512;
   const char* env = std::getenv("PRAN_SIMD");
   Isa requested;
   if (env != nullptr && parse_isa(env, requested) &&
@@ -79,8 +61,6 @@ const char* isa_name(Isa isa) noexcept {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -92,8 +72,6 @@ bool isa_available(Isa isa) noexcept {
       return true;
     case Isa::kAvx2:
       return cpu_has_avx2();
-    case Isa::kAvx512:
-      return cpu_has_avx512();
   }
   return false;
 }
@@ -124,10 +102,6 @@ bool parse_isa(const char* text, Isa& out) noexcept {
   }
   if (std::strcmp(text, "avx2") == 0) {
     out = Isa::kAvx2;
-    return true;
-  }
-  if (std::strcmp(text, "avx512") == 0) {
-    out = Isa::kAvx512;
     return true;
   }
   return false;

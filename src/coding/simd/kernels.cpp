@@ -1,7 +1,7 @@
 // Kernel dispatch tables. Compiled with baseline flags — this TU only
 // takes addresses of the per-ISA entry points, it never executes vector
 // code, so it is safe on any CPU regardless of which kernel TUs were
-// built. The PRAN_HAVE_* macros mirror which kernel TUs exist.
+// built. PRAN_HAVE_AVX2 mirrors whether the AVX2 kernel TUs exist.
 
 #include "coding/simd/turbo_kernels.hpp"
 #include "coding/simd/viterbi_kernels.hpp"
@@ -23,16 +23,6 @@ constexpr TurboKernels kTurboAvx2{turbo_map_pass_avx2,
 constexpr ViterbiKernels kViterbiAvx2{viterbi_forward_avx2, "avx2"};
 #endif
 
-#if defined(PRAN_HAVE_AVX512) && defined(PRAN_HAVE_AVX2)
-// The trellis is only 8 states wide, so a single-block zmm state-axis
-// pass cannot fill the register — the AVX-512 tier pairs the AVX2
-// state-axis map_pass with the 16-lane AVX-512 batch pass.
-constexpr TurboKernels kTurboAvx512{turbo_map_pass_avx2,
-                                    turbo_batch_map_pass_avx512,
-                                    kTurboAvx512Lanes, "avx512"};
-constexpr ViterbiKernels kViterbiAvx512{viterbi_forward_avx512, "avx512"};
-#endif
-
 }  // namespace
 
 const TurboKernels& turbo_kernels(Isa isa) {
@@ -43,12 +33,6 @@ const TurboKernels& turbo_kernels(Isa isa) {
     case Isa::kAvx2:
 #if defined(PRAN_HAVE_AVX2)
       return kTurboAvx2;
-#else
-      break;
-#endif
-    case Isa::kAvx512:
-#if defined(PRAN_HAVE_AVX512) && defined(PRAN_HAVE_AVX2)
-      return kTurboAvx512;
 #else
       break;
 #endif
@@ -64,12 +48,6 @@ const ViterbiKernels& viterbi_kernels(Isa isa) {
     case Isa::kAvx2:
 #if defined(PRAN_HAVE_AVX2)
       return kViterbiAvx2;
-#else
-      break;
-#endif
-    case Isa::kAvx512:
-#if defined(PRAN_HAVE_AVX512) && defined(PRAN_HAVE_AVX2)
-      return kViterbiAvx512;
 #else
       break;
 #endif

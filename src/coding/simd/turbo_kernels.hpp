@@ -27,7 +27,7 @@
 ///
 /// Kernel TUs are compiled with per-file -m flags (see
 /// src/coding/CMakeLists.txt); callers must go through turbo_kernels()
-/// so a binary built with AVX-512 TUs still runs on a plain SSE machine.
+/// so a binary built with AVX2 TUs still runs on a plain SSE machine.
 
 #include <cstddef>
 
@@ -71,14 +71,6 @@ void turbo_batch_map_pass_avx2(const float* half_sys_apriori,
                                const float* apriori, std::size_t k,
                                float* beta, float* extrinsic);
 inline constexpr unsigned kTurboAvx2Lanes = 8;
-#endif
-
-#if defined(PRAN_HAVE_AVX512)
-void turbo_batch_map_pass_avx512(const float* half_sys_apriori,
-                                 const float* half_parity, const float* sys,
-                                 const float* apriori, std::size_t k,
-                                 float* beta, float* extrinsic);
-inline constexpr unsigned kTurboAvx512Lanes = 16;
 #endif
 
 }  // namespace pran::coding::simd

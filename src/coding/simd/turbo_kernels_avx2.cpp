@@ -9,12 +9,11 @@
 //    reductions only reassociate max, which is exact.
 //
 //  * turbo_batch_map_pass_avx2 — lane-axis vectorization: 8 same-K
-//    codeblocks in lockstep, one float lane per block (see
-//    turbo_batch_impl.hpp).
+//    codeblocks in lockstep, one float lane per block
+//    (turbo_batch_map_pass_impl below).
 
 #include <immintrin.h>
 
-#include "coding/simd/turbo_batch_impl.hpp"
 #include "coding/simd/turbo_kernels.hpp"
 #include "coding/simd/turbo_trellis.hpp"
 
@@ -78,6 +77,129 @@ struct OpsAvx2 {
   }
   static V broadcast(float x) { return _mm256_set1_ps(x); }
 };
+
+/// Lane-axis (cross-codeblock) max-log-MAP pass, written against a small
+/// vector-ops trait so the recursion reads like the scalar pass it mirrors.
+///
+/// The structure follows turbo_map_pass_scalar step for step; every lane
+/// performs exactly the scalar sequence of adds and maxes (same
+/// associativity, sign flips via XOR on the IEEE sign bit, no FMA), so
+/// lane l of the output is bit-identical to a scalar decode of lane l —
+/// the property the golden-equivalence suite asserts.
+///
+/// Trait contract:
+///   using V        — the vector register type (one float per lane)
+///   kLanes         — lane count W
+///   load/store     — unaligned W-float load/store
+///   add/sub/max    — element-wise
+///   neg            — flip the sign bit (XOR, exact)
+///   broadcast      — splat a float
+///
+/// Buffer layout (structure-of-arrays, lane minor): entry for (step t,
+/// lane l) at [t * W + l]; beta rows are 8 states by W lanes, so step t's
+/// row starts at beta + t * 8 * W.
+template <class Ops>
+void turbo_batch_map_pass_impl(const float* half_sys_apriori,
+                               const float* half_parity, const float* sys,
+                               const float* apriori, std::size_t k,
+                               float* beta, float* extrinsic) {
+  using V = typename Ops::V;
+  constexpr std::size_t W = Ops::kLanes;
+  constexpr std::size_t kRow = kTurboStates * W;
+  const std::size_t steps = k + kTurboTailSteps;
+  const V neg_inf = Ops::broadcast(-__builtin_inff());
+  const V zero = Ops::broadcast(0.0f);
+
+  // Terminal condition: every lane's trellis ends in state zero.
+  {
+    float* row = beta + steps * kRow;
+    Ops::store(row, zero);
+    for (int s = 1; s < kTurboStates; ++s) Ops::store(row + s * W, neg_inf);
+  }
+
+  // Backward recursion.
+  for (std::size_t t = steps; t-- > 0;) {
+    const V hs = Ops::load(half_sys_apriori + t * W);
+    const V hp = Ops::load(half_parity + t * W);
+    const V neg_hs = Ops::neg(hs);
+    const V neg_hp = Ops::neg(hp);
+    const float* next_row = beta + (t + 1) * kRow;
+    float* row = beta + t * kRow;
+    if (t >= k) {
+      for (int s = 0; s < kTurboStates; ++s) {
+        const unsigned u = kTurboTrellis.term[s];
+        const V g = Ops::add(u ? neg_hs : hs,
+                             kTurboTrellis.parity[s][u] ? neg_hp : hp);
+        Ops::store(row + s * W,
+                   Ops::add(Ops::load(next_row + kTurboTrellis.next[s][u] * W),
+                            g));
+      }
+    } else {
+#pragma GCC unroll 8
+      for (int s = 0; s < kTurboStates; ++s) {
+        const V m0 = Ops::add(
+            Ops::add(Ops::load(next_row + kTurboTrellis.next[s][0] * W), hs),
+            kTurboTrellis.parity[s][0] ? neg_hp : hp);
+        const V m1 = Ops::add(
+            Ops::add(Ops::load(next_row + kTurboTrellis.next[s][1] * W),
+                     neg_hs),
+            kTurboTrellis.parity[s][1] ? neg_hp : hp);
+        Ops::store(row + s * W, Ops::max(m0, m1));
+      }
+    }
+  }
+
+  // Forward recursion fused with the posterior/extrinsic pass.
+  V alpha[kTurboStates];
+  alpha[0] = zero;
+  for (int s = 1; s < kTurboStates; ++s) alpha[s] = neg_inf;
+  for (std::size_t t = 0; t < k; ++t) {
+    const V hs = Ops::load(half_sys_apriori + t * W);
+    const V hp = Ops::load(half_parity + t * W);
+    const V neg_hs = Ops::neg(hs);
+    const V neg_hp = Ops::neg(hp);
+    const float* next_row = beta + (t + 1) * kRow;
+    V best0 = neg_inf;
+    V best1 = neg_inf;
+    V m0v[kTurboStates];
+    V m1v[kTurboStates];
+#pragma GCC unroll 8
+    for (int s = 0; s < kTurboStates; ++s) {
+      const int n0 = kTurboTrellis.next[s][0];
+      const int n1 = kTurboTrellis.next[s][1];
+      const V m0 = Ops::add(Ops::add(alpha[s], hs),
+                            kTurboTrellis.parity[s][0] ? neg_hp : hp);
+      const V m1 = Ops::add(Ops::add(alpha[s], neg_hs),
+                            kTurboTrellis.parity[s][1] ? neg_hp : hp);
+      best0 = Ops::max(best0, Ops::add(m0, Ops::load(next_row + n0 * W)));
+      best1 = Ops::max(best1, Ops::add(m1, Ops::load(next_row + n1 * W)));
+      m0v[s] = m0;
+      m1v[s] = m1;
+    }
+    // The scalar code scatter-maxes m0/m1 into next_alpha; here we read
+    // the same two candidates per next-state through the predecessor
+    // view (max is commutative and starts from -inf, so the value is
+    // identical bit for bit).
+    V next_alpha[kTurboStates];
+#pragma GCC unroll 8
+    for (int ns = 0; ns < kTurboStates; ++ns) {
+      const int lo = kTurboTrellisPred.pred_lo[ns];
+      const int hi = kTurboTrellisPred.pred_hi[ns];
+      const V c_lo =
+          kTurboTrellisPred.pred_lo_input[ns] ? m1v[lo] : m0v[lo];
+      const V c_hi =
+          kTurboTrellisPred.pred_hi_input[ns] ? m1v[hi] : m0v[hi];
+      next_alpha[ns] = Ops::max(c_lo, c_hi);
+    }
+#pragma GCC unroll 8
+    for (int s = 0; s < kTurboStates; ++s) alpha[s] = next_alpha[s];
+    // extrinsic = (best0 - best1) - sys - apriori, in scalar order.
+    Ops::store(extrinsic + t * W,
+               Ops::sub(Ops::sub(Ops::sub(best0, best1),
+                                 Ops::load(sys + t * W)),
+                        Ops::load(apriori + t * W)));
+  }
+}
 
 }  // namespace
 

@@ -21,7 +21,7 @@
 ///
 /// The Viterbi batch API loops this kernel per block rather than running
 /// lanes in lockstep: with 64 trellis states the state axis already fills
-/// a ymm/zmm, so a lane axis would add bookkeeping without widening the
+/// a ymm, so a lane axis would add bookkeeping without widening the
 /// useful vector occupancy (unlike turbo, whose trellis is only 8 wide).
 
 #include <cstddef>
@@ -56,11 +56,6 @@ void viterbi_forward_scalar(const double* llrs, std::size_t total_steps,
 void viterbi_forward_avx2(const double* llrs, std::size_t total_steps,
                           float* metric, float* next_metric,
                           std::uint8_t* decisions);
-#endif
-#if defined(PRAN_HAVE_AVX512)
-void viterbi_forward_avx512(const double* llrs, std::size_t total_steps,
-                            float* metric, float* next_metric,
-                            std::uint8_t* decisions);
 #endif
 
 }  // namespace pran::coding::simd

@@ -19,7 +19,7 @@
 /// iterations-to-converge (CRC-gated early termination).
 ///
 /// The constituent max-log-MAP passes dispatch to the SIMD kernels in
-/// src/coding/simd/ (scalar / AVX2 / AVX-512, picked at runtime — see
+/// src/coding/simd/ (scalar / AVX2, picked at runtime — see
 /// simd/dispatch.hpp). Two vectorization axes: decode() runs the 8 trellis
 /// states of one codeblock across a vector register; decode_batch() runs
 /// `lane_width` same-K codeblocks in lockstep, one float lane per block,

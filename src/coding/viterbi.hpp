@@ -10,7 +10,7 @@
 /// special case LLR = ±1.
 ///
 /// The add-compare-select forward sweep dispatches to the SIMD kernels in
-/// src/coding/simd/ (scalar / AVX2 / AVX-512, picked at runtime),
+/// src/coding/simd/ (scalar / AVX2, picked at runtime),
 /// vectorized across the 64 trellis states. Every tier is bit-exact
 /// against the scalar reference. decode_batch() amortizes workspace and
 /// dispatch over a run of same-size blocks; unlike the turbo batch path it

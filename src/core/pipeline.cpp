@@ -5,19 +5,26 @@
 #include "common/check.hpp"
 
 namespace pran::core {
+namespace {
+
+/// The lte::Stage a standard stage (one without a cost_fn) stands for.
+lte::Stage standard_stage(const std::string& name) {
+  for (std::size_t i = 0; i < lte::kStageCount; ++i) {
+    const auto stage = static_cast<lte::Stage>(i);
+    if (name == lte::stage_name(stage)) return stage;
+  }
+  PRAN_CHECK(false, "stage without a cost function is not a standard stage");
+  return lte::Stage::kFft;
+}
+
+}  // namespace
 
 Pipeline Pipeline::standard_uplink(lte::CostModel model) {
   Pipeline p;
-  for (std::size_t i = 0; i < lte::kStageCount; ++i) {
-    const auto stage = static_cast<lte::Stage>(i);
-    p.append(StageSpec{
-        lte::stage_name(stage),
-        [model, stage](const lte::CellConfig& cell,
-                       std::span<const lte::Allocation> allocs) {
-          return model.subframe_cost(cell, allocs,
-                                     lte::Direction::kUplink)[stage];
-        }});
-  }
+  p.model_ = model;
+  for (std::size_t i = 0; i < lte::kStageCount; ++i)
+    p.stages_.push_back(
+        StageSpec{lte::stage_name(static_cast<lte::Stage>(i)), nullptr});
   return p;
 }
 
@@ -66,15 +73,22 @@ std::vector<std::string> Pipeline::stage_names() const {
 double Pipeline::subframe_gops(
     const lte::CellConfig& cell,
     std::span<const lte::Allocation> allocs) const {
+  const lte::StageCost standard =
+      model_.subframe_cost(cell, allocs, lte::Direction::kUplink);
   double total = 0.0;
-  for (const auto& s : stages_) total += s.cost_fn(cell, allocs);
+  for (const auto& s : stages_)
+    total += s.cost_fn ? s.cost_fn(cell, allocs)
+                       : standard[standard_stage(s.name)];
   return total;
 }
 
 double Pipeline::extra_gops(const lte::CellConfig& cell,
                             std::span<const lte::Allocation> allocs,
-                            double base_gops) const {
-  return std::max(0.0, subframe_gops(cell, allocs) - base_gops);
+                            double /*base_gops*/) const {
+  double extra = 0.0;
+  for (const auto& s : stages_)
+    if (s.cost_fn) extra += s.cost_fn(cell, allocs);
+  return extra;
 }
 
 namespace stages {

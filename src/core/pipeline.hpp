@@ -24,7 +24,10 @@ namespace pran::core {
 /// One stage of a programmable pipeline.
 struct StageSpec {
   std::string name;
-  /// Giga-operations this stage adds to one subframe.
+  /// Giga-operations this stage adds to one subframe. Empty only for the
+  /// six standard stages, which lte::CostModel prices (a deployment
+  /// charges them through SubframeJob::cost); append() and insert_after()
+  /// require it.
   std::function<double(const lte::CellConfig&,
                        std::span<const lte::Allocation>)>
       cost_fn;
@@ -34,9 +37,9 @@ struct StageSpec {
 /// independent (cells can run different programs).
 class Pipeline {
  public:
-  /// The standard uplink receive pipeline, with per-stage costs taken from
-  /// `model`. Stage names match lte::stage_name: fft, chest, equalize,
-  /// demod, decode, mac.
+  /// The standard uplink receive pipeline, whose stages `model` prices.
+  /// Stage names match lte::stage_name: fft, chest, equalize, demod,
+  /// decode, mac.
   static Pipeline standard_uplink(lte::CostModel model = lte::CostModel{});
 
   /// Appends a stage at the end.
@@ -45,7 +48,10 @@ class Pipeline {
   /// Inserts after the named stage; throws if absent.
   Pipeline& insert_after(const std::string& existing, StageSpec stage);
 
-  /// Removes the named stage; throws if absent.
+  /// Removes the named stage; throws if absent. Removing a standard stage
+  /// lowers subframe_gops() only: SubframeJob::cost still charges all six
+  /// standard stages, and the removal no longer offsets custom-stage cost
+  /// in extra_gops().
   Pipeline& remove(const std::string& name);
 
   bool contains(const std::string& name) const;
@@ -56,13 +62,17 @@ class Pipeline {
   double subframe_gops(const lte::CellConfig& cell,
                        std::span<const lte::Allocation> allocs) const;
 
-  /// Extra cost relative to the standard pipeline cost `base_gops`
-  /// (convenience for wiring custom stages into SubframeJob::extra_gops).
+  /// Giga-operations of the custom stages alone, for
+  /// SubframeJob::extra_gops: exactly 0.0 for the standard pipeline.
+  /// `base_gops` is not read, since SubframeJob::cost already holds the
+  /// standard stages' cost; the parameter stays so that existing callers,
+  /// such as the benchmark harness, build unchanged.
   double extra_gops(const lte::CellConfig& cell,
                     std::span<const lte::Allocation> allocs,
                     double base_gops) const;
 
  private:
+  lte::CostModel model_;  ///< Prices the standard stages in subframe_gops.
   std::vector<StageSpec> stages_;
 };
 

@@ -67,7 +67,7 @@ bool placement_fits(const PlacementProblem& problem,
                     const std::vector<int>& assignment) {
   const auto loads = server_loads(problem, assignment);
   for (std::size_t s = 0; s < loads.size(); ++s)
-    if (loads[s] > budget(problem, s) + 1e-9) return false;
+    if (loads[s] > budget(problem, s) + lp::kFeasibilityTol) return false;
   return true;
 }
 

@@ -79,7 +79,8 @@ struct PlacementResult {
   int migrations_from(const std::vector<int>& previous) const;
 };
 
-/// Validates that `assignment` respects the capacity constraints.
+/// Validates that `assignment` respects the capacity constraints, within
+/// the lp::kFeasibilityTol slack MilpPlacer's solver accepts.
 bool placement_fits(const PlacementProblem& problem,
                     const std::vector<int>& assignment);
 

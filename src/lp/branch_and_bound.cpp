@@ -156,7 +156,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
       for (int j : int_vars)
         x[static_cast<std::size_t>(j)] =
             std::round(x[static_cast<std::size_t>(j)]);
-      if (root.is_feasible(x, 1e-6)) try_incumbent(x);
+      if (root.is_feasible(x, kFeasibilityTol)) try_incumbent(x);
       continue;
     }
 
@@ -165,7 +165,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
       for (int j : int_vars)
         rounded[static_cast<std::size_t>(j)] =
             std::round(rounded[static_cast<std::size_t>(j)]);
-      if (root.is_feasible(rounded, 1e-6)) try_incumbent(rounded);
+      if (root.is_feasible(rounded, kFeasibilityTol)) try_incumbent(rounded);
     }
 
     // Branch on floor / ceil of the fractional value, keeping the scratch

@@ -19,6 +19,11 @@ enum class Sense { kMinimize, kMaximize };
 
 inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+/// Absolute slack within which a point meets a bound, a constraint or
+/// integrality. MilpSolver accepts incumbents at this tolerance, so code
+/// that re-checks a solver solution must allow it too.
+inline constexpr double kFeasibilityTol = 1e-6;
+
 struct VariableInfo {
   std::string name;
   double lower = 0.0;
@@ -78,7 +83,8 @@ class Model {
 
   /// True if `x` satisfies all constraints and bounds within `tol`
   /// (integrality of integer variables included).
-  bool is_feasible(const std::vector<double>& x, double tol = 1e-6) const;
+  bool is_feasible(const std::vector<double>& x,
+                   double tol = kFeasibilityTol) const;
 
   /// Human-readable dump (LP-format-like), for debugging formulations.
   std::string to_string() const;

@@ -105,6 +105,21 @@ TEST(Stages, SoundingIsLoadIndependent) {
   EXPECT_GT(stage.cost_fn(kCell, {}), 0.0);
 }
 
+TEST(Pipeline, CustomStageIsChargedExactlyItsOwnCost) {
+  const double base =
+      lte::CostModel{}.subframe_cost(kCell, kAllocs, lte::Direction::kUplink)
+          .total();
+  EXPECT_EQ(Pipeline::standard_uplink().extra_gops(kCell, kAllocs, base),
+            0.0);
+  const auto ic = stages::interference_cancellation();
+  auto p = Pipeline::standard_uplink();
+  p.insert_after("equalize", ic);
+  EXPECT_EQ(p.extra_gops(kCell, kAllocs, base), ic.cost_fn(kCell, kAllocs));
+  // A removed standard stage does not offset the custom stage's cost.
+  p.remove("decode");
+  EXPECT_EQ(p.extra_gops(kCell, kAllocs, base), ic.cost_fn(kCell, kAllocs));
+}
+
 TEST(Pipeline, ExtraGopsNeverNegative) {
   auto p = Pipeline::standard_uplink();
   p.remove("decode");  // cheaper than base

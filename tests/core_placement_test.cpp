@@ -69,6 +69,25 @@ TEST(MilpPlacer, ReportsInfeasible) {
   EXPECT_FALSE(r.feasible);
 }
 
+TEST(MilpPlacer, AcceptsLoadWithinSolverTolerance) {
+  // {0.6, 0.4 + delta} on two unit servers. Below lp::kFeasibilityTol the
+  // solver may pack both cells onto one server; placement_fits must accept
+  // what the solver accepts instead of failing MilpPlacer's capacity check.
+  for (const double delta : {5e-9, 5e-7, 9e-7, 2e-6}) {
+    PlacementProblem p;
+    p.headroom = 1.0;
+    p.cells = {{0, 0.6, 1.0}, {1, 0.4 + delta, 1.0}};
+    p.servers = {server(1.0), server(1.0)};
+    PlacementResult r;
+    ASSERT_NO_THROW(r = MilpPlacer{}.place(p)) << "delta=" << delta;
+    ASSERT_TRUE(r.feasible) << "delta=" << delta;
+    EXPECT_TRUE(placement_fits(p, r.server_of_cell)) << "delta=" << delta;
+    if (delta > lp::kFeasibilityTol) {
+      EXPECT_EQ(r.active_servers(), 2) << "delta=" << delta;
+    }
+  }
+}
+
 TEST(MilpPlacer, MigrationWeightPrefersStability) {
   auto p = small_problem();
   // Previous placement uses 2 servers in a specific pattern; an unweighted
