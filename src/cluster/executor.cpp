@@ -25,7 +25,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0});
   }
 }
 
@@ -113,13 +113,19 @@ void Executor::start_job(int server_id, const lte::SubframeJob& job) {
   const sim::Time start = engine_.now();
   const sim::Time duration = exec_time(s, job, width);
   const std::uint64_t token = next_token_++;
-  const sim::EventId ev = engine_.schedule_in(
-      duration, [this, server_id, token] { on_job_done(server_id, token); });
-  s.running.push_back(Running{job, start, ev, token, width});
+  engine_.schedule_in(duration,
+                      [this, server_id, token, gen = s.generation] {
+                        on_job_done(server_id, token, gen);
+                      });
+  s.running.push_back(Running{job, start, token, width});
 }
 
-void Executor::on_job_done(int server_id, std::uint64_t token) {
+void Executor::on_job_done(int server_id, std::uint64_t token,
+                           std::uint64_t generation) {
   Server& s = servers_[static_cast<std::size_t>(server_id)];
+  // The server crashed after this job started: fail_server() already
+  // recorded the job as dropped.
+  if (generation != s.generation) return;
   std::size_t slot = s.running.size();
   for (std::size_t i = 0; i < s.running.size(); ++i) {
     if (s.running[i].token == token) {
@@ -145,6 +151,7 @@ void Executor::fail_server(int server_id) {
   Server& s = server(server_id);
   PRAN_REQUIRE(!s.failed, "server is already failed");
   s.failed = true;
+  ++s.generation;  // strands the in-flight jobs' completion events
 
   // Drop the waiting queue.
   for (auto& [seq, job] : s.pending) {
@@ -161,7 +168,6 @@ void Executor::fail_server(int server_id) {
 
   // Abort in-flight jobs.
   for (auto& r : s.running) {
-    engine_.cancel(r.completion_event);
     JobOutcome outcome;
     outcome.job = r.job;
     outcome.server_id = server_id;

@@ -178,7 +178,6 @@ class Executor {
   struct Running {
     lte::SubframeJob job;
     sim::Time start;
-    sim::EventId completion_event;
     std::uint64_t token;  ///< Unique per started job; keys completions.
     int width = 1;        ///< Cores this job occupies.
   };
@@ -189,11 +188,15 @@ class Executor {
     double speed_factor = 1.0;
     std::deque<std::pair<std::uint64_t, lte::SubframeJob>> pending;
     std::vector<Running> running;  ///< size <= spec.cores
+    /// Crash generation: fail_server() bumps it, so a completion scheduled
+    /// before the crash recognises itself as stale and does nothing.
+    std::uint64_t generation = 0;
   };
 
   int free_cores(const Server& s) const;
   void start_job(int server_id, const lte::SubframeJob& job);
-  void on_job_done(int server_id, std::uint64_t token);
+  void on_job_done(int server_id, std::uint64_t token,
+                   std::uint64_t generation);
   void dispatch(int server_id);
   Server& server(int server_id);
   const Server& server(int server_id) const;

@@ -305,16 +305,10 @@ Deployment::Deployment(DeploymentConfig config)
         telemetry::registry(), rc);
     if (!config_.timeline.timeline_out.empty())
       recorder_->open_jsonl(config_.timeline.timeline_out);
-    std::vector<telemetry::SloSpec> slos = config_.timeline.slos;
-    if (slos.empty() && config_.timeline.include_default_slos)
-      slos = telemetry::default_deployment_slos();
-    if (!slos.empty())
-      slo_engine_ = std::make_unique<telemetry::SloEngine>(
-          telemetry::registry(), std::move(slos));
+    slo_engine_ = std::make_unique<telemetry::SloEngine>(
+        telemetry::registry(), telemetry::default_deployment_slos());
     telemetry::FlightRecorder::Config fc;
     fc.out_dir = config_.timeline.postmortem_dir;
-    fc.max_windows = config_.timeline.flight_windows;
-    fc.max_dumps = config_.timeline.max_postmortems;
     flight_ = std::make_unique<telemetry::FlightRecorder>(
         *recorder_, &telemetry::spans(), fc);
     engine_.schedule_at(config_.timeline.window, [this] {

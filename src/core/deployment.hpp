@@ -57,17 +57,9 @@ struct TimelineConfig {
   /// JSONL stream of closed windows ("" = in-memory only).
   std::string timeline_out;
   /// Directory for flight-recorder post-mortems ("" = no dumps). Dumps
-  /// fire on SLO burn-rate trips, ladder quarantines, and explicit
-  /// trigger_postmortem() calls (run aborts).
+  /// fire on SLO burn-rate trips of default_deployment_slos(), ladder
+  /// quarantines, and explicit trigger_postmortem() calls (run aborts).
   std::string postmortem_dir;
-  /// Windows included in each post-mortem.
-  std::size_t flight_windows = 32;
-  /// Post-mortem dump budget for the run.
-  std::size_t max_postmortems = 4;
-  /// Evaluate default_deployment_slos() when `slos` is empty.
-  bool include_default_slos = true;
-  /// Explicit objectives (overrides the defaults when non-empty).
-  std::vector<telemetry::SloSpec> slos;
 };
 
 struct DeploymentConfig {

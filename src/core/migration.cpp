@@ -141,9 +141,10 @@ MigrationManager::BeginResult MigrationManager::begin(int cell, int from,
 void MigrationManager::start_two_phase(Migration& m) {
   const int cell = m.cell;
   const std::uint64_t id = m.id;
-  m.deadline_event =
-      engine_.schedule_at(m.started_at + config_.deadline,
-                          [this, cell, id] { on_deadline(cell, id); });
+  // If the migration resolves first, on_deadline's find() no longer
+  // matches its id and this event fires as a no-op.
+  engine_.schedule_at(m.started_at + config_.deadline,
+                      [this, cell, id] { on_deadline(cell, id); });
   attempt_prepare(cell, id);
 }
 
@@ -302,8 +303,7 @@ void MigrationManager::on_commit_delivered(int cell, std::uint64_t id,
 
 void MigrationManager::on_deadline(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
-  if (m == nullptr) return;
-  m->deadline_event = 0;  // fired; nothing left to cancel
+  if (m == nullptr) return;  // resolved before its deadline
   switch (m->state) {
     case MigrationState::kPreparing:
       ++counters_.deadline_expired;
@@ -393,7 +393,6 @@ void MigrationManager::resolve(Migration& m, MigrationState final_state,
   rec.state = final_state;
   rec.resolved_at = engine_.now();
   rec.detail = std::string(detail);
-  if (m.deadline_event != 0) engine_.cancel(m.deadline_event);
   // A failed migration stops charging transfer bits; whatever was already
   // streamed stays spent (the fibre carried it either way).
   if (final_state == MigrationState::kAborted ||

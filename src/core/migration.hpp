@@ -246,7 +246,6 @@ class MigrationManager {
     int attempts = 0;             ///< Sends of the current phase's message.
     bool source_dead = false;
     std::size_t record_index = 0;
-    sim::EventId deadline_event = 0;
   };
 
   Migration* find(int cell, std::uint64_t id);

@@ -4,7 +4,7 @@
 #include <queue>
 
 #include "common/check.hpp"
-#include "lp/presolve.hpp"
+#include "lp/simplex.hpp"
 #include "telemetry/clock.hpp"
 
 namespace pran::lp {
@@ -16,6 +16,10 @@ double MilpResult::gap() const noexcept {
 }
 
 namespace {
+
+/// Fractionality below which a relaxation value counts as integral; also
+/// the margin by which a node's bound must beat the incumbent to be kept.
+constexpr double kIntegralityTol = 1e-6;
 
 /// Bound tightenings that define a node relative to the root model.
 struct BoundChange {
@@ -44,26 +48,7 @@ void apply_changes(Model& model, const std::vector<BoundChange>& changes) {
 
 }  // namespace
 
-MilpResult MilpSolver::solve(const Model& model) const {
-  PRAN_REQUIRE(model.num_variables() > 0, "model has no variables");
-  if (!options_.presolve) return solve_impl(model);
-
-  const PresolveResult pre = ::pran::lp::presolve(model);
-  if (pre.infeasible) {
-    MilpResult result;
-    result.status = MilpStatus::kInfeasible;
-    return result;
-  }
-  MilpResult result = solve_impl(*pre.model);
-  if (result.has_solution()) {
-    result.x = pre.restore(result.x);
-    // Objective/bound already include the substituted constants (the
-    // reduced model's objective carries them).
-  }
-  return result;
-}
-
-MilpResult MilpSolver::solve_impl(const Model& root) const {
+MilpResult MilpSolver::solve(const Model& root) const {
   PRAN_REQUIRE(root.num_variables() > 0, "model has no variables");
   const telemetry::Stopwatch stopwatch;
   auto elapsed = [&] { return stopwatch.elapsed_seconds(); };
@@ -73,7 +58,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
   auto to_internal = [&](double v) { return sense_sign * v; };
   auto to_model = [&](double v) { return sense_sign * v; };
 
-  SimplexSolver lp_solver(options_.lp);
+  const SimplexSolver lp_solver{};
   MilpResult result;
 
   std::vector<int> int_vars;
@@ -111,7 +96,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
 
     // Bound pruning against the incumbent (queue is bound-ordered, but
     // the incumbent may have improved since this node was pushed).
-    if (node.bound >= incumbent_internal - options_.int_tol) continue;
+    if (node.bound >= incumbent_internal - kIntegralityTol) continue;
 
     Model scratch = root;
     apply_changes(scratch, node.changes);
@@ -133,17 +118,17 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
     }
 
     const double node_bound = to_internal(relax.objective);
-    if (node_bound >= incumbent_internal - options_.int_tol) continue;
+    if (node_bound >= incumbent_internal - kIntegralityTol) continue;
 
     // Find the most fractional integer variable.
     int branch_var = -1;
     double branch_val = 0.0;
-    double best_frac_score = options_.int_tol;
+    double best_frac_score = kIntegralityTol;
     for (int j : int_vars) {
       const double v = relax.x[static_cast<std::size_t>(j)];
       const double frac = std::abs(v - std::round(v));
       const double score = std::min(frac, 1.0 - frac) + frac * 0.0;
-      if (frac > options_.int_tol && score > best_frac_score) {
+      if (frac > kIntegralityTol && score > best_frac_score) {
         best_frac_score = score;
         branch_var = j;
         branch_val = v;
@@ -160,13 +145,12 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
       continue;
     }
 
-    if (options_.rounding_heuristic) {
-      std::vector<double> rounded = relax.x;
-      for (int j : int_vars)
-        rounded[static_cast<std::size_t>(j)] =
-            std::round(rounded[static_cast<std::size_t>(j)]);
-      if (root.is_feasible(rounded, kFeasibilityTol)) try_incumbent(rounded);
-    }
+    // Round-and-check primal heuristic.
+    std::vector<double> rounded = relax.x;
+    for (int j : int_vars)
+      rounded[static_cast<std::size_t>(j)] =
+          std::round(rounded[static_cast<std::size_t>(j)]);
+    if (root.is_feasible(rounded, kFeasibilityTol)) try_incumbent(rounded);
 
     // Branch on floor / ceil of the fractional value, keeping the scratch
     // model's (possibly already tightened) bounds as the base.
@@ -175,7 +159,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
     const double floor_v = std::floor(branch_val);
     const double ceil_v = std::ceil(branch_val);
 
-    if (floor_v >= info.lower - options_.int_tol) {
+    if (floor_v >= info.lower - kIntegralityTol) {
       Node child = node;
       child.changes.push_back(
           BoundChange{Variable{branch_var}, info.lower, floor_v});
@@ -183,7 +167,7 @@ MilpResult MilpSolver::solve_impl(const Model& root) const {
       child.seq = seq++;
       open.push(std::move(child));
     }
-    if (ceil_v <= info.upper + options_.int_tol) {
+    if (ceil_v <= info.upper + kIntegralityTol) {
       Node child = node;
       child.changes.push_back(
           BoundChange{Variable{branch_var}, ceil_v, info.upper});

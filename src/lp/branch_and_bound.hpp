@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "lp/model.hpp"
-#include "lp/simplex.hpp"
 
 namespace pran::lp {
 
@@ -24,13 +23,8 @@ enum class MilpStatus {
 };
 
 struct MilpOptions {
-  double int_tol = 1e-6;
   long max_nodes = 200000;
   double time_limit_s = 60.0;
-  bool rounding_heuristic = true;
-  /// Run the lp/presolve.hpp reductions before branching.
-  bool presolve = true;
-  SimplexOptions lp;
 };
 
 struct MilpResult {
@@ -58,7 +52,6 @@ class MilpSolver {
   MilpResult solve(const Model& model) const;
 
  private:
-  MilpResult solve_impl(const Model& model) const;
   MilpOptions options_;
 };
 

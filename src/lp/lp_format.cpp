@@ -17,8 +17,15 @@ bool lp_name_char(char c) {
 std::string sanitise(const std::string& name, int index) {
   std::string out;
   for (char c : name) out += lp_name_char(c) ? c : '_';
-  if (out.empty() || std::isdigit(narrow_cast<unsigned char>(out[0])))
-    out = "x" + std::to_string(index) + "_" + out;
+  if (out.empty() || std::isdigit(narrow_cast<unsigned char>(out[0]))) {
+    // Appended piece by piece: GCC 12's -Wrestrict misfires on
+    // `const char* + std::string&&` in optimised builds.
+    std::string prefixed = "x";
+    prefixed += std::to_string(index);
+    prefixed += '_';
+    prefixed += out;
+    return prefixed;
+  }
   return out;
 }
 
@@ -55,7 +62,8 @@ LpExport write_lp_format(const Model& model) {
         model.variables()[static_cast<std::size_t>(i)].name, i);
     auto [it, inserted] = used.emplace(base, i);
     if (!inserted) {
-      base += "_" + std::to_string(i);
+      base += '_';
+      base += std::to_string(i);
       used.emplace(base, i);
     }
     names.push_back(base);

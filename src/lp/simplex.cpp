@@ -8,14 +8,21 @@
 namespace pran::lp {
 namespace {
 
+/// Pivot budget per solve (both phases).
+constexpr long kMaxPivots = 200000;
+/// Switch from Dantzig to Bland pricing after this many pivots in a phase
+/// (anti-cycling).
+constexpr long kBlandThreshold = 5000;
+/// Magnitude below which a tableau entry or reduced cost counts as zero.
+constexpr double kPivotEps = 1e-9;
+/// Phase-1 objective above this is declared infeasible.
+constexpr double kPhase1FeasTol = 1e-7;
+
 /// Dense two-phase tableau. Columns: structural (shifted model variables),
 /// then slack/surplus, then artificial; final column is the RHS.
 class Tableau {
  public:
-  Tableau(const Model& model, const SimplexOptions& options)
-      : options_(options) {
-    build(model);
-  }
+  explicit Tableau(const Model& model) { build(model); }
 
   LpResult run(const Model& model) {
     LpResult result;
@@ -30,7 +37,7 @@ class Tableau {
         result.status = status;
         return result;
       }
-      if (objective_value() > options_.feas_tol) {
+      if (objective_value() > kPhase1FeasTol) {
         result.status = LpStatus::kInfeasible;
         return result;
       }
@@ -177,7 +184,7 @@ class Tableau {
       if (basis_[i] < artificial_begin_) continue;
       std::size_t enter = num_cols_;
       for (std::size_t j = 0; j < artificial_begin_; ++j) {
-        if (std::abs(rows_[i][j]) > options_.eps && !banned_[j]) {
+        if (std::abs(rows_[i][j]) > kPivotEps && !banned_[j]) {
           enter = j;
           break;
         }
@@ -195,17 +202,17 @@ class Tableau {
     (void)phase1;
     long local = 0;
     for (;;) {
-      if (iterations >= options_.max_iterations)
+      if (iterations >= kMaxPivots)
         return LpStatus::kIterationLimit;
-      const bool bland = local >= options_.bland_threshold;
+      const bool bland = local >= kBlandThreshold;
 
       // Pricing: pick the entering column.
       std::size_t enter = num_cols_;
-      double best = -options_.eps;
+      double best = -kPivotEps;
       for (std::size_t j = 0; j < num_cols_; ++j) {
         if (banned_[j]) continue;
         const double rc = cost_row_[j];
-        if (rc < -options_.eps) {
+        if (rc < -kPivotEps) {
           if (bland) {
             enter = j;
             break;
@@ -223,10 +230,10 @@ class Tableau {
       double best_ratio = 0.0;
       for (std::size_t i = 0; i < rows_.size(); ++i) {
         const double a = rows_[i][enter];
-        if (a <= options_.eps) continue;
+        if (a <= kPivotEps) continue;
         const double ratio = rows_[i].back() / a;
-        if (leave == rows_.size() || ratio < best_ratio - options_.eps ||
-            (std::abs(ratio - best_ratio) <= options_.eps &&
+        if (leave == rows_.size() || ratio < best_ratio - kPivotEps ||
+            (std::abs(ratio - best_ratio) <= kPivotEps &&
              basis_[i] < basis_[leave])) {
           leave = i;
           best_ratio = ratio;
@@ -243,7 +250,7 @@ class Tableau {
   void pivot(std::size_t row, std::size_t col) {
     auto& prow = rows_[row];
     const double p = prow[col];
-    PRAN_CHECK(std::abs(p) > options_.eps, "pivot on a (near-)zero element");
+    PRAN_CHECK(std::abs(p) > kPivotEps, "pivot on a (near-)zero element");
     const double inv = 1.0 / p;
     for (auto& v : prow) v *= inv;
     prow[col] = 1.0;  // kill residual round-off
@@ -264,7 +271,6 @@ class Tableau {
     basis_[row] = col;
   }
 
-  SimplexOptions options_;
   std::vector<std::vector<double>> rows_;
   std::vector<double> cost_row_;
   std::vector<double> structural_cost_;
@@ -280,7 +286,7 @@ class Tableau {
 
 LpResult SimplexSolver::solve(const Model& model) const {
   PRAN_REQUIRE(model.num_variables() > 0, "model has no variables");
-  Tableau tableau(model, options_);
+  Tableau tableau(model);
   return tableau.run(model);
 }
 

@@ -6,8 +6,9 @@
 /// Solves the continuous (LP) relaxation of a Model: integer/binary types
 /// are ignored, bounds are honoured by variable shifting plus explicit
 /// upper-bound rows. Dantzig pricing with a Bland's-rule fallback after a
-/// configurable number of iterations guarantees termination on degenerate
-/// problems. Dense storage is deliberate — PRAN's placement instances are a
+/// fixed number of pivots in a phase guarantees termination on degenerate
+/// problems; a solve that exhausts its pivot budget reports
+/// kIterationLimit. Dense storage is deliberate — PRAN's placement instances are a
 /// few hundred variables, where dense pivoting is both simple and fast.
 
 #include <vector>
@@ -25,25 +26,10 @@ struct LpResult {
   long iterations = 0;       ///< Total simplex pivots (both phases).
 };
 
-struct SimplexOptions {
-  long max_iterations = 200000;
-  /// Switch from Dantzig to Bland pricing after this many pivots in a phase
-  /// (anti-cycling).
-  long bland_threshold = 5000;
-  double eps = 1e-9;
-  /// Phase-1 objective above this is declared infeasible.
-  double feas_tol = 1e-7;
-};
-
 class SimplexSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
   /// Solves the LP relaxation of `model`.
   LpResult solve(const Model& model) const;
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace pran::lp

@@ -1,48 +1,31 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace pran::sim {
 
-EventId Engine::schedule_at(Time at, Handler handler) {
+void Engine::schedule_at(Time at, Handler handler) {
   PRAN_REQUIRE(at >= now_, "cannot schedule an event in the past");
   PRAN_REQUIRE(handler != nullptr, "event handler must be callable");
-  const EventId id = next_id_++;
-  queue_.push(Event{at, id, std::move(handler)});
-  live_.insert(id);
-  return id;
+  heap_.push_back(Event{at, next_seq_++, std::move(handler)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-EventId Engine::schedule_in(Time delay, Handler handler) {
+void Engine::schedule_in(Time delay, Handler handler) {
   PRAN_REQUIRE(delay >= 0, "event delay must be non-negative");
-  return schedule_at(now_ + delay, std::move(handler));
-}
-
-bool Engine::cancel(EventId id) {
-  if (live_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  return true;
-}
-
-void Engine::skim_cancelled() {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
-    queue_.pop();
-  }
+  schedule_at(now_ + delay, std::move(handler));
 }
 
 bool Engine::step() {
-  skim_cancelled();
-  if (queue_.empty()) return false;
-  // Copy the event out before popping so the handler can schedule/cancel
-  // freely while it runs.
-  Event ev = queue_.top();
-  queue_.pop();
-  live_.erase(ev.id);
+  if (heap_.empty()) return false;
+  // Move the event out before running it so the handler can schedule
+  // freely (which may reallocate the heap) while it runs.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   PRAN_CHECK(ev.at >= now_, "event queue produced a time in the past");
   now_ = ev.at;
   ++executed_;
@@ -57,11 +40,7 @@ void Engine::run() {
 
 void Engine::run_until(Time deadline) {
   PRAN_REQUIRE(deadline >= now_, "deadline is in the past");
-  for (;;) {
-    skim_cancelled();
-    if (queue_.empty() || queue_.top().at > deadline) break;
-    step();
-  }
+  while (!heap_.empty() && heap_.front().at <= deadline) step();
   now_ = deadline;
 }
 

@@ -3,23 +3,20 @@
 /// \file engine.hpp
 /// Deterministic discrete-event simulation engine.
 ///
-/// The engine owns a priority queue of (time, sequence, callback) events.
+/// The engine owns a binary heap of (time, sequence, callback) events.
 /// Ties at the same timestamp are broken by insertion order, which makes
 /// whole-cluster simulations reproducible run to run. Handlers may schedule
-/// further events and cancel pending ones through the returned EventId.
+/// further events. Every scheduled event fires: a handler whose event has
+/// been overtaken (a crashed server's completion, a resolved migration's
+/// deadline) recognises that itself and returns without effect.
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace pran::sim {
-
-/// Identifies a scheduled event so it can be cancelled.
-using EventId = std::uint64_t;
 
 class Engine {
  public:
@@ -29,20 +26,10 @@ class Engine {
   Time now() const noexcept { return now_; }
 
   /// Schedules `handler` to fire at absolute time `at` (>= now()).
-  EventId schedule_at(Time at, Handler handler);
+  void schedule_at(Time at, Handler handler);
 
   /// Schedules `handler` to fire `delay` (>= 0) after now().
-  EventId schedule_in(Time delay, Handler handler);
-
-  /// Cancels a pending event. Returns false if the event already fired or
-  /// was already cancelled (cancel is idempotent).
-  bool cancel(EventId id);
-
-  /// True if any non-cancelled events remain.
-  bool has_pending() const noexcept { return !live_.empty(); }
-
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending_count() const noexcept { return live_.size(); }
+  void schedule_in(Time delay, Handler handler);
 
   /// Runs the next event; returns false when the queue is empty.
   bool step();
@@ -54,31 +41,28 @@ class Engine {
   /// `deadline` even if the queue drained earlier.
   void run_until(Time deadline);
 
-  /// Total events executed so far.
+  /// Total events executed so far, including handlers that found their
+  /// event overtaken and returned without effect.
   std::uint64_t executed_events() const noexcept { return executed_; }
 
  private:
   struct Event {
     Time at;
-    EventId id;
+    std::uint64_t seq;
     Handler handler;
   };
+  /// Heap order: the earliest event, FIFO among simultaneous ones, on top.
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among simultaneous events
+      return a.seq > b.seq;
     }
   };
 
-  /// Pops cancelled events off the queue head.
-  void skim_cancelled();
-
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> live_;       // scheduled, not fired or cancelled
-  std::unordered_set<EventId> cancelled_;  // cancelled, still in queue_
+  std::vector<Event> heap_;
 };
 
 }  // namespace pran::sim

@@ -40,7 +40,8 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
   sim::Engine engine;
   std::vector<ServerSpec> specs;
   for (int s = 0; s < servers; ++s) {
-    ServerSpec spec{"s" + std::to_string(s), cores, rng.uniform(50.0, 200.0)};
+    ServerSpec spec{std::string("s").append(std::to_string(s)), cores,
+                    rng.uniform(50.0, 200.0)};
     spec.max_job_parallelism = parallel ? cores : 1;
     specs.push_back(spec);
   }

@@ -137,6 +137,31 @@ TEST(Executor, RestoreAllowsNewWork) {
   EXPECT_THROW(ex.restore_server(0), pran::ContractViolation);
 }
 
+TEST(Executor, CrashedJobsCompletionIsIgnoredAfterRestore) {
+  sim::Engine engine;
+  Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
+  std::vector<int> outcomes_per_cell(2, 0);
+  ex.set_completion_callback(
+      [&](const JobOutcome& o) { ++outcomes_per_cell.at(o.job.cell_id); });
+  // Cell 0's job runs 0..10 ms but the server crashes at 2 ms; cell 1's
+  // job runs 4..14 ms on the restored server, across the 10 ms at which
+  // the aborted job would have finished.
+  ex.submit(0, make_job(0, 1.0, 0, 50 * sim::kMillisecond));
+  engine.schedule_at(2 * sim::kMillisecond, [&] { ex.fail_server(0); });
+  engine.schedule_at(3 * sim::kMillisecond, [&] { ex.restore_server(0); });
+  ex.submit(0, make_job(1, 1.0, 4 * sim::kMillisecond, 50 * sim::kMillisecond));
+  EXPECT_NO_THROW(engine.run());
+
+  EXPECT_EQ(outcomes_per_cell, (std::vector<int>{1, 1}));
+  ASSERT_EQ(ex.outcomes().size(), 2u);
+  EXPECT_EQ(ex.outcomes()[0].job.cell_id, 0);
+  EXPECT_TRUE(ex.outcomes()[0].dropped);
+  EXPECT_EQ(ex.outcomes()[1].job.cell_id, 1);
+  EXPECT_FALSE(ex.outcomes()[1].dropped);
+  EXPECT_EQ(ex.outcomes()[1].start, 4 * sim::kMillisecond);
+  EXPECT_EQ(ex.outcomes()[1].finish, 14 * sim::kMillisecond);
+}
+
 TEST(Executor, FailTwiceIsRejected) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);

@@ -102,6 +102,10 @@ TEST(Migration, HappyPathCommitsWithZeroBlackout) {
   const auto& c = h.mgr.counters();
   EXPECT_EQ(c.started, 1u);
   EXPECT_EQ(c.committed, 1u);
+  // The drain ran past the 200 ms deadline, whose event found the
+  // migration already committed and did nothing.
+  EXPECT_GE(h.engine.now(), 200 * sim::kMillisecond);
+  EXPECT_EQ(c.deadline_expired, 0u);
   EXPECT_EQ(c.blackout_ttis, 0u);
   EXPECT_EQ(c.dual_executions, 0u);
   EXPECT_EQ(h.blackouts, 0u);
@@ -281,7 +285,7 @@ TEST(Migration, SlowChannelDuplicatesAreFencedAsStale) {
   config.control_plane.base_delay = 10 * sim::kMillisecond;
   Harness h(config);
   ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
-  h.engine.run();
+  h.engine.run_until(100 * sim::kMillisecond);
 
   const auto& c = h.mgr.counters();
   EXPECT_EQ(c.committed, 1u);
@@ -290,9 +294,34 @@ TEST(Migration, SlowChannelDuplicatesAreFencedAsStale) {
   EXPECT_EQ(c.dual_executions, 0u);
   ASSERT_EQ(h.completions.size(), 1u);
   // The last stale duplicate lands before the lease fence: the target is
-  // still settling then, owned only once time crosses target_from.
-  h.engine.run_until(100 * sim::kMillisecond);
+  // still settling then, owned only once time crosses target_from — which
+  // is why the run goes on to 100 ms rather than stopping at the last
+  // protocol message.
   EXPECT_EQ(h.mgr.unresolved_cells(), 0);
+}
+
+TEST(Migration, StaleDeadlineSparesTheCellsNextMigration) {
+  Harness h(two_phase_config());
+  ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
+  h.tick_to(195, 0, 0);
+  ASSERT_EQ(h.mgr.history().size(), 1u);
+  ASSERT_EQ(h.mgr.history()[0].state, MigrationState::kCommitted);
+  // The second migration starts at 195 ms and is mid-transfer when the
+  // first one's deadline fires at 200 ms.
+  ASSERT_EQ(h.mgr.begin(0, 1, 2), MigrationManager::BeginResult::kStarted);
+  h.tick_to(201, 0, 1);
+  EXPECT_EQ(h.mgr.in_flight(), 1);
+  EXPECT_EQ(h.mgr.history()[1].resolved_at, -1);
+  h.tick_to(260, 0, 1);
+
+  const auto& c = h.mgr.counters();
+  EXPECT_EQ(c.deadline_expired, 0u);
+  EXPECT_EQ(c.aborted, 0u);
+  EXPECT_EQ(c.rolled_back, 0u);
+  EXPECT_EQ(c.committed, 2u);
+  ASSERT_EQ(h.mgr.history().size(), 2u);
+  EXPECT_EQ(h.mgr.history()[1].state, MigrationState::kCommitted);
+  EXPECT_EQ(h.servers.back(), 2);
 }
 
 TEST(Migration, DualExecutionIsAContractViolation) {

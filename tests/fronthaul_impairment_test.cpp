@@ -71,10 +71,12 @@ TEST(FronthaulImpairments, LossRateNearStationaryAndClustered) {
       if (lost[i + 1]) ++after_loss;
     }
   }
-  const double rate = static_cast<double>(losses) / lost.size();
+  const double rate =
+      static_cast<double>(losses) / static_cast<double>(lost.size());
   EXPECT_NEAR(rate, config.loss.mean_loss_rate(), 0.01);
   // Gilbert–Elliott clusters: P(loss | previous loss) far above marginal.
-  const double conditional = static_cast<double>(after_loss) / pairs;
+  const double conditional =
+      static_cast<double>(after_loss) / static_cast<double>(pairs);
   EXPECT_GT(conditional, 3.0 * rate);
 }
 
@@ -98,7 +100,9 @@ TEST(FronthaulImpairments, BrownoutEpisodesAreLogged) {
   for (const auto& record : model.log()) {
     EXPECT_EQ(record.kind, FaultKind::kFronthaulBrownout);
     EXPECT_EQ(record.server_id, -1);
-    if (record.recovered_at >= 0) EXPECT_GT(record.recovered_at, record.at);
+    if (record.recovered_at >= 0) {
+      EXPECT_GT(record.recovered_at, record.at);
+    }
   }
 }
 

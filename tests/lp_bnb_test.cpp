@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "lp/branch_and_bound.hpp"
 
@@ -103,13 +104,101 @@ TEST(BranchAndBound, EqualityWithIntegers) {
   EXPECT_NEAR(r.x[1], 1.0, kTol);
 }
 
+// The next six tests give branch and bound structure a presolve pass would
+// strip (fixed columns, fractional integer boxes, singleton, redundant or
+// impossible rows) and check it solves them on its own.
+
+TEST(BranchAndBound, SolvesFixedColumn) {
+  Model m;
+  const auto x = m.add_continuous("x", 3.0, 3.0);
+  const auto y = m.add_continuous("y", 0.0, 10.0);
+  m.add_constraint("c", LinearExpr(x) + LinearExpr(y) <= 8.0);
+  m.set_objective(Sense::kMaximize, LinearExpr(x) + LinearExpr(y));
+  const auto r = MilpSolver{}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 8.0, kTol);
+  EXPECT_NEAR(r.x[0], 3.0, kTol);
+  EXPECT_NEAR(r.x[1], 5.0, kTol);
+  EXPECT_TRUE(m.is_feasible(r.x));
+}
+
+TEST(BranchAndBound, SolvesFractionalIntegerBox) {
+  // An integer in [0.4, 3.6], maximised: the best integer point is 3.
+  Model m;
+  const auto i = m.add_integer("i", 0.4, 3.6);
+  m.set_objective(Sense::kMaximize, LinearExpr(i));
+  const auto r = MilpSolver{}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 3.0, kTol);
+  EXPECT_NEAR(r.x[0], 3.0, kTol);
+  EXPECT_TRUE(m.is_feasible(r.x));
+}
+
+TEST(BranchAndBound, DetectsIntegerBoxWithoutIntegerPoint) {
+  Model m;
+  const auto i = m.add_integer("i", 0.4, 0.6);
+  m.set_objective(Sense::kMinimize, LinearExpr(i));
+  EXPECT_EQ(MilpSolver{}.solve(m).status, MilpStatus::kInfeasible);
+}
+
+TEST(BranchAndBound, SolvesSingletonRows) {
+  // 2x <= 10 and x >= 2 are bounds written as rows.
+  Model m;
+  const auto x = m.add_continuous("x", 0.0, 100.0);
+  m.add_constraint("ub", 2.0 * LinearExpr(x) <= 10.0);
+  m.add_constraint("lb", LinearExpr(x) >= 2.0);
+  m.set_objective(Sense::kMaximize, LinearExpr(x));
+  const auto r = MilpSolver{}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 5.0, kTol);
+  EXPECT_NEAR(r.x[0], 5.0, kTol);
+  EXPECT_TRUE(m.is_feasible(r.x));
+}
+
+TEST(BranchAndBound, HandlesRedundantAndImpossibleRows) {
+  {
+    // x + y <= 5 can never bind on two binaries.
+    Model m;
+    const auto x = m.add_binary("x");
+    const auto y = m.add_binary("y");
+    m.add_constraint("redundant", LinearExpr(x) + LinearExpr(y) <= 5.0);
+    m.set_objective(Sense::kMaximize, LinearExpr(x));
+    const auto r = MilpSolver{}.solve(m);
+    ASSERT_EQ(r.status, MilpStatus::kOptimal);
+    EXPECT_NEAR(r.objective, 1.0, kTol);
+    EXPECT_TRUE(m.is_feasible(r.x));
+  }
+  {
+    // a + b >= 3 can never hold on two binaries.
+    Model m;
+    const auto a = m.add_binary("a");
+    const auto b = m.add_binary("b");
+    m.add_constraint("impossible", LinearExpr(a) + LinearExpr(b) >= 3.0);
+    m.set_objective(Sense::kMaximize, LinearExpr(a));
+    EXPECT_EQ(MilpSolver{}.solve(m).status, MilpStatus::kInfeasible);
+  }
+}
+
+TEST(BranchAndBound, SolvesAllFixedModel) {
+  Model m;
+  const auto x = m.add_continuous("x", 2.0, 2.0);
+  m.set_objective(Sense::kMinimize, LinearExpr(x));
+  const auto r = MilpSolver{}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, kTol);
+  EXPECT_NEAR(r.x[0], 2.0, kTol);
+  EXPECT_TRUE(m.is_feasible(r.x));
+}
+
 TEST(BranchAndBound, NodeLimitReportsBoundAndIncumbent) {
   // A 12-item knapsack with the node budget strangled to the root: the
   // rounding heuristic should still produce an incumbent plus a bound.
   Model m;
   LinearExpr weight, value;
   for (int i = 0; i < 12; ++i) {
-    const auto v = m.add_binary("v" + std::to_string(i));
+    std::string name = "v";
+    name += std::to_string(i);
+    const auto v = m.add_binary(name);
     weight += (3.0 + (i * 7) % 5) * LinearExpr(v);
     value += (4.0 + (i * 11) % 7) * LinearExpr(v);
   }

@@ -16,6 +16,14 @@
 namespace pran::lp {
 namespace {
 
+/// "<prefix><i>", built by append: GCC 12's -Wrestrict misfires on
+/// `const char* + std::string&&` in optimised builds.
+std::string indexed(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 /// Random bounded MILP over binary variables with <= constraints; small
 /// enough for exhaustive enumeration (n <= 12).
 struct RandomBinaryInstance {
@@ -24,6 +32,7 @@ struct RandomBinaryInstance {
   std::vector<double> obj;                  // objective coefficients
   std::vector<std::vector<double>> rows;    // constraint coefficients
   std::vector<double> rhs;
+  std::vector<int> fixed;                   // per variable: -1 free, else 0/1
 };
 
 RandomBinaryInstance make_binary_instance(std::uint64_t seed, int n,
@@ -31,9 +40,10 @@ RandomBinaryInstance make_binary_instance(std::uint64_t seed, int n,
   pran::Rng rng(seed);
   RandomBinaryInstance inst;
   inst.n = n;
+  inst.fixed.assign(static_cast<std::size_t>(n), -1);
   std::vector<Variable> vars;
   for (int j = 0; j < n; ++j)
-    vars.push_back(inst.model.add_binary("b" + std::to_string(j)));
+    vars.push_back(inst.model.add_binary(indexed("b", j)));
 
   LinearExpr objective;
   for (int j = 0; j < n; ++j) {
@@ -55,16 +65,56 @@ RandomBinaryInstance make_binary_instance(std::uint64_t seed, int n,
     }
     const double b = rng.uniform(0.2, 0.8) * positive_sum;
     inst.rhs.push_back(b);
-    inst.model.add_constraint("r" + std::to_string(i), row <= b);
+    inst.model.add_constraint(indexed("r", i), row <= b);
   }
   return inst;
 }
 
-/// Exhaustive optimum over all 2^n assignments; nullopt when infeasible.
+/// Six binaries, about 30% of them pre-fixed to 0 or 1 as continuous
+/// columns with equal bounds, under one capacity row. Fixed columns can
+/// overfill the row on their own, so some instances are infeasible.
+RandomBinaryInstance make_prefixed_instance(std::uint64_t seed) {
+  pran::Rng rng(seed);
+  RandomBinaryInstance inst;
+  inst.n = 6;
+  std::vector<Variable> vars;
+  for (int j = 0; j < inst.n; ++j) {
+    if (rng.bernoulli(0.3)) {
+      const int v = rng.bernoulli(0.5) ? 1 : 0;
+      inst.fixed.push_back(v);
+      vars.push_back(inst.model.add_variable(indexed("f", j), v, v,
+                                             VarType::kContinuous));
+    } else {
+      inst.fixed.push_back(-1);
+      vars.push_back(inst.model.add_binary(indexed("b", j)));
+    }
+  }
+  LinearExpr cap, objective;
+  inst.rows.emplace_back();
+  for (const Variable v : vars) {
+    const double a = rng.uniform(0.5, 2.0);
+    const double c = rng.uniform(-1.0, 3.0);
+    inst.rows.back().push_back(a);
+    inst.obj.push_back(c);
+    cap += a * LinearExpr(v);
+    objective += c * LinearExpr(v);
+  }
+  inst.rhs.push_back(rng.uniform(2.0, 6.0));
+  inst.model.add_constraint("cap", cap <= inst.rhs.back());
+  inst.model.set_objective(Sense::kMaximize, objective);
+  return inst;
+}
+
+/// Exhaustive optimum over all 2^n assignments that respect the fixed
+/// columns; nullopt when infeasible.
 std::optional<double> brute_force(const RandomBinaryInstance& inst) {
   std::optional<double> best;
   for (unsigned mask = 0; mask < (1u << inst.n); ++mask) {
     bool ok = true;
+    for (int j = 0; j < inst.n && ok; ++j) {
+      const int f = inst.fixed[static_cast<std::size_t>(j)];
+      ok = f < 0 || static_cast<int>((mask >> j) & 1u) == f;
+    }
     for (std::size_t i = 0; i < inst.rows.size() && ok; ++i) {
       double lhs = 0.0;
       for (int j = 0; j < inst.n; ++j)
@@ -98,6 +148,22 @@ TEST_P(MilpVsBruteForce, BinaryKnapsackFamily) {
   EXPECT_TRUE(inst.model.is_feasible(milp.x));
 }
 
+TEST_P(MilpVsBruteForce, PreFixedBinaryFamily) {
+  const std::uint64_t seed = GetParam();
+  const auto inst = make_prefixed_instance(seed * 977 + 5);
+
+  const auto milp = MilpSolver{}.solve(inst.model);
+  const auto expected = brute_force(inst);
+
+  if (!expected) {
+    EXPECT_EQ(milp.status, MilpStatus::kInfeasible) << "seed=" << seed;
+    return;
+  }
+  ASSERT_EQ(milp.status, MilpStatus::kOptimal) << "seed=" << seed;
+  EXPECT_NEAR(milp.objective, *expected, 1e-5) << "seed=" << seed;
+  EXPECT_TRUE(inst.model.is_feasible(milp.x));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpVsBruteForce,
                          ::testing::Range<std::uint64_t>(0, 40));
 
@@ -116,7 +182,7 @@ TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
   std::vector<double> ub;
   for (int j = 0; j < n; ++j) {
     ub.push_back(rng.uniform(1.0, 10.0));
-    vars.push_back(m.add_continuous("x" + std::to_string(j), 0.0, ub.back()));
+    vars.push_back(m.add_continuous(indexed("x", j), 0.0, ub.back()));
   }
   std::vector<std::vector<double>> rows;
   std::vector<double> rhs;
@@ -131,7 +197,7 @@ TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
       row += a * LinearExpr(vars[j]);
     }
     rhs.push_back(rng.uniform(0.3, 0.9) * sum);
-    m.add_constraint("r" + std::to_string(i), row <= rhs.back());
+    m.add_constraint(indexed("r", i), row <= rhs.back());
   }
   LinearExpr objective;
   std::vector<double> c;

@@ -110,14 +110,16 @@ TEST(Simplex, HandlesDegenerateProblem) {
   std::vector<Variable> v;
   const int n = 6;
   for (int i = 0; i < n; ++i)
-    v.push_back(m.add_continuous("x" + std::to_string(i), 0, kInfinity));
+    v.push_back(m.add_continuous(std::string("x").append(std::to_string(i)),
+                                 0, kInfinity));
   LinearExpr obj;
   for (int i = 0; i < n; ++i) {
     LinearExpr row;
     for (int j = 0; j < i; ++j)
       row += std::pow(2.0, i - j + 1) * LinearExpr(v[j]);
     row += LinearExpr(v[i]);
-    m.add_constraint("c" + std::to_string(i), row <= std::pow(5.0, i + 1));
+    m.add_constraint(std::string("c").append(std::to_string(i)),
+                     row <= std::pow(5.0, i + 1));
     obj += std::pow(2.0, n - 1 - i) * LinearExpr(v[i]);
   }
   m.set_objective(Sense::kMaximize, obj);

@@ -64,7 +64,9 @@ TEST(TelemetryStress, ConcurrentRegistrationAndUpdates) {
   // All threads race to register a small set of names while updating:
   // registration must be idempotent and the updates must all land.
   pool.for_each(kItems, [&](unsigned, std::size_t i) {
-    const CounterId c = reg.counter("c" + std::to_string(i % 8));
+    std::string name = "c";
+    name += std::to_string(i % 8);
+    const CounterId c = reg.counter(name);
     reg.add(c);
   });
   const auto snap = reg.snapshot();

@@ -260,7 +260,8 @@ TEST(TelemetryGlobals, MacrosRecordIntoGlobalState) {
 TEST(TraceRework, CapacityCapDropsNewestAndCounts) {
   sim::Trace trace;
   trace.set_capacity(2);
-  for (int i = 0; i < 5; ++i) trace.emit(i, "cat", "m" + std::to_string(i));
+  for (int i = 0; i < 5; ++i)
+    trace.emit(i, "cat", std::string("m").append(std::to_string(i)));
   EXPECT_EQ(trace.records().size(), 2u);
   EXPECT_EQ(trace.dropped(), 3u);
   EXPECT_EQ(trace.records()[0].message, "m0");
