@@ -17,6 +17,24 @@ const char* sched_policy_name(SchedPolicy p) noexcept {
   return "?";
 }
 
+namespace {
+
+void tally(Executor::Stats& st, const JobOutcome& o) {
+  if (o.dropped) {
+    ++st.dropped;
+    return;
+  }
+  if (o.compute_outage) {
+    ++st.compute_outages;
+    return;
+  }
+  ++st.completed;
+  if (o.missed_deadline()) ++st.missed;
+  st.total_busy_seconds += sim::to_seconds(o.finish - o.start) * o.cores_used;
+}
+
+}  // namespace
+
 Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
                    SchedPolicy policy)
     : engine_(engine), policy_(policy) {
@@ -25,7 +43,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0, {}});
   }
 }
 
@@ -77,9 +95,9 @@ void Executor::submit(int server_id, const lte::SubframeJob& job) {
       outcome.job = job;
       outcome.server_id = server_id;
       outcome.dropped = true;
-      outcomes_.push_back(outcome);
+      record(outcome);
       if (on_drop_) on_drop_(job, server_id);
-      if (on_complete_) on_complete_(outcomes_.back());
+      if (on_complete_) on_complete_(outcome);
       return;
     }
     s.pending.emplace_back(seq, job);
@@ -142,8 +160,8 @@ void Executor::on_job_done(int server_id, std::uint64_t token,
   outcome.finish = engine_.now();
   outcome.cores_used = s.running[slot].width;
   s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(slot));
-  outcomes_.push_back(outcome);
-  if (on_complete_) on_complete_(outcomes_.back());
+  record(outcome);
+  if (on_complete_) on_complete_(outcome);
   dispatch(server_id);
 }
 
@@ -160,9 +178,9 @@ void Executor::fail_server(int server_id) {
     outcome.job = job;
     outcome.server_id = server_id;
     outcome.dropped = true;
-    outcomes_.push_back(outcome);
+    record(outcome);
     if (on_drop_) on_drop_(job, server_id);
-    if (on_complete_) on_complete_(outcomes_.back());
+    if (on_complete_) on_complete_(outcome);
   }
   s.pending.clear();
 
@@ -173,9 +191,9 @@ void Executor::fail_server(int server_id) {
     outcome.server_id = server_id;
     outcome.start = r.start;
     outcome.dropped = true;
-    outcomes_.push_back(outcome);
+    record(outcome);
     if (on_drop_) on_drop_(r.job, server_id);
-    if (on_complete_) on_complete_(outcomes_.back());
+    if (on_complete_) on_complete_(outcome);
   }
   s.running.clear();
 }
@@ -228,65 +246,27 @@ void Executor::record_compute_outage(int server_id,
   outcome.job = job;
   outcome.server_id = server_id;
   outcome.compute_outage = true;
-  outcomes_.push_back(outcome);
-  if (on_complete_) on_complete_(outcomes_.back());
+  record(outcome);
+  if (on_complete_) on_complete_(outcome);
 }
 
-Executor::Stats Executor::stats() const {
-  Stats st;
-  for (const auto& o : outcomes_) {
-    if (o.dropped) {
-      ++st.dropped;
-      continue;
-    }
-    if (o.compute_outage) {
-      ++st.compute_outages;
-      continue;
-    }
-    ++st.completed;
-    if (o.missed_deadline()) ++st.missed;
-    st.total_busy_seconds +=
-        sim::to_seconds(o.finish - o.start) * o.cores_used;
-  }
-  return st;
+void Executor::record(const JobOutcome& outcome) {
+  outcomes_.push_back(outcome);
+  tally(stats_, outcome);
+  tally(servers_[static_cast<std::size_t>(outcome.server_id)].stats, outcome);
 }
 
 Executor::Stats Executor::stats_for_server(int server_id) const {
-  (void)server(server_id);
-  Stats st;
-  for (const auto& o : outcomes_) {
-    if (o.server_id != server_id) continue;
-    if (o.dropped) {
-      ++st.dropped;
-      continue;
-    }
-    if (o.compute_outage) {
-      ++st.compute_outages;
-      continue;
-    }
-    ++st.completed;
-    if (o.missed_deadline()) ++st.missed;
-    st.total_busy_seconds +=
-        sim::to_seconds(o.finish - o.start) * o.cores_used;
-  }
-  return st;
+  return server(server_id).stats;
 }
 
 double Executor::utilization(int server_id, sim::Time window) const {
   PRAN_REQUIRE(window > 0, "window must be positive");
+  PRAN_REQUIRE(window >= engine_.now(), "window ends before now");
   const Server& s = server(server_id);
-  double busy = 0.0;
-  for (const auto& o : outcomes_) {
-    if (o.server_id != server_id || o.dropped || o.compute_outage) continue;
-    busy += sim::to_seconds(std::min(o.finish, window) -
-                            std::min(o.start, window)) *
-            o.cores_used;
-  }
-  // In-flight jobs also count up to the window edge.
+  double busy = s.stats.total_busy_seconds;
   for (const auto& r : s.running)
-    busy += sim::to_seconds(std::max<sim::Time>(
-               0, std::min(engine_.now(), window) - std::min(r.start, window))) *
-           r.width;
+    busy += sim::to_seconds(engine_.now() - r.start) * r.width;
   return busy /
          (sim::to_seconds(window) * static_cast<double>(s.spec.cores));
 }

@@ -145,7 +145,11 @@ class Executor {
     return outcomes_;
   }
 
-  /// Aggregate statistics derived from the outcome log.
+  /// Aggregate statistics of the recorded outcomes. The executor keeps
+  /// them as running tallies, one global and one per server, updated as
+  /// each outcome is recorded, so reading them costs O(1) at any run
+  /// length. They equal a rescan of outcomes() bit for bit: busy time is
+  /// summed per outcome, in completion order.
   struct Stats {
     std::uint64_t completed = 0;
     std::uint64_t missed = 0;
@@ -168,10 +172,13 @@ class Executor {
                    : 0.0;
     }
   };
-  Stats stats() const;
+  Stats stats() const noexcept { return stats_; }
   Stats stats_for_server(int server_id) const;
 
-  /// Busy fraction of a server's cores over [0, window].
+  /// Busy fraction of a server's cores over [0, window]: its tallied busy
+  /// time plus its in-flight jobs' time up to now(), over window × cores.
+  /// Requires window >= the engine's now(); every recorded job finished by
+  /// then, so the tally is exactly the busy time inside the window.
   double utilization(int server_id, sim::Time window) const;
 
  private:
@@ -191,8 +198,12 @@ class Executor {
     /// Crash generation: fail_server() bumps it, so a completion scheduled
     /// before the crash recognises itself as stale and does nothing.
     std::uint64_t generation = 0;
+    Stats stats;  ///< Tally of this server's recorded outcomes.
   };
 
+  /// Appends `outcome` to the log and tallies it. Callbacks then get the
+  /// caller's copy: a drop callback may record another outcome.
+  void record(const JobOutcome& outcome);
   int free_cores(const Server& s) const;
   void start_job(int server_id, const lte::SubframeJob& job);
   void on_job_done(int server_id, std::uint64_t token,
@@ -209,6 +220,7 @@ class Executor {
   std::uint64_t submit_seq_ = 0;
   std::uint64_t next_token_ = 0;
   std::vector<JobOutcome> outcomes_;
+  Stats stats_;  ///< Tally of every recorded outcome.
   CompletionCallback on_complete_;
   DropCallback on_drop_;
 };

@@ -902,11 +902,4 @@ DeploymentKpis Deployment::kpis() const {
   return k;
 }
 
-std::uint64_t Deployment::misses_for_cell(int cell_id) const {
-  std::uint64_t n = 0;
-  for (const auto& o : executor_->outcomes())
-    if (o.job.cell_id == cell_id && o.missed_deadline()) ++n;
-  return n;
-}
-
 }  // namespace pran::core

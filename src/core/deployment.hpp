@@ -305,9 +305,6 @@ class Deployment {
   const sim::Trace& trace() const noexcept { return trace_; }
   const DeploymentConfig& config() const noexcept { return config_; }
 
-  /// Per-cell outcome filter: count of deadline misses for one cell.
-  std::uint64_t misses_for_cell(int cell_id) const;
-
   /// Timeline machinery (nullptr unless config().timeline.enabled and the
   /// build has telemetry).
   const telemetry::TimeSeriesRecorder* timeline_recorder() const noexcept {

@@ -117,10 +117,12 @@ json::Value FlightRecorder::build_postmortem(sim::Time at,
 
 std::string FlightRecorder::trigger(sim::Time at, std::string_view reason,
                                     std::string_view detail) {
+  if (config_.out_dir.empty() || dumps_written_ >= config_.max_dumps) {
+    ++triggers_;
+    return std::string();
+  }
   const json::Value doc = build_postmortem(at, reason, detail);
   const std::size_t index = triggers_++;
-  if (config_.out_dir.empty() || dumps_written_ >= config_.max_dumps)
-    return std::string();
   const std::string path = config_.out_dir + "/postmortem_" +
                            std::to_string(index) + "_" + sanitize(reason) +
                            ".json";

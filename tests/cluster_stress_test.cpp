@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "cluster/executor.hpp"
@@ -53,7 +54,15 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
   std::size_t submitted = 0;
   for (std::size_t j = 0; j < n_jobs; ++j) {
     const int target = static_cast<int>(rng.uniform_int(0, servers - 1));
-    ex.submit(target, random_job(rng, static_cast<int>(j), horizon));
+    const auto job = random_job(rng, static_cast<int>(j), horizon);
+    // Some jobs are abandoned as compute outages at their release instead.
+    if (rng.bernoulli(0.1)) {
+      engine.schedule_at(job.release, [&ex, target, job] {
+        ex.record_compute_outage(target, job);
+      });
+    } else {
+      ex.submit(target, job);
+    }
     ++submitted;
   }
   // Maybe fail (and maybe restore) one server mid-run.
@@ -67,12 +76,13 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
   // Conservation: every submitted job has exactly one outcome.
   EXPECT_EQ(ex.outcomes().size(), submitted);
   const auto stats = ex.stats();
-  EXPECT_EQ(stats.completed + stats.dropped, submitted);
+  EXPECT_EQ(stats.completed + stats.dropped + stats.compute_outages,
+            submitted);
 
   std::map<int, int> per_cell;
   for (const auto& o : ex.outcomes()) {
     ++per_cell[o.job.cell_id];
-    if (o.dropped) continue;
+    if (o.dropped || o.compute_outage) continue;
     // Sanity: starts respect releases; finishes follow starts.
     EXPECT_GE(o.start, o.job.release);
     EXPECT_GE(o.finish, o.start);
@@ -84,10 +94,52 @@ TEST_P(ExecutorStress, ConservationAndOrderingInvariants) {
     EXPECT_EQ(count, 1);
   }
 
-  // Utilisation is a valid fraction.
+  // The running tallies equal a rescan of the outcome log, bit for bit.
+  const auto rescan = [&ex](int server_id) {
+    Executor::Stats st;
+    for (const auto& o : ex.outcomes()) {
+      if (server_id >= 0 && o.server_id != server_id) continue;
+      if (o.dropped) {
+        ++st.dropped;
+        continue;
+      }
+      if (o.compute_outage) {
+        ++st.compute_outages;
+        continue;
+      }
+      ++st.completed;
+      if (o.missed_deadline()) ++st.missed;
+      st.total_busy_seconds +=
+          sim::to_seconds(o.finish - o.start) * o.cores_used;
+    }
+    return st;
+  };
+  const auto expect_same = [](const Executor::Stats& got,
+                              const Executor::Stats& want) {
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(got.missed, want.missed);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.compute_outages, want.compute_outages);
+    EXPECT_EQ(got.total_busy_seconds, want.total_busy_seconds);
+  };
+  expect_same(stats, rescan(-1));
+
+  const sim::Time window =
+      engine.now() > 0 ? engine.now() : sim::kMillisecond;
   for (int s = 0; s < servers; ++s) {
-    const double u = ex.utilization(s, engine.now() > 0 ? engine.now()
-                                                        : sim::kMillisecond);
+    expect_same(ex.stats_for_server(s), rescan(s));
+    // Nothing is in flight after run(), so utilisation is the server's
+    // logged busy time clipped to the window.
+    double busy = 0.0;
+    for (const auto& o : ex.outcomes()) {
+      if (o.server_id != s || o.dropped || o.compute_outage) continue;
+      busy += sim::to_seconds(std::min(o.finish, window) -
+                              std::min(o.start, window)) *
+              o.cores_used;
+    }
+    const double u = ex.utilization(s, window);
+    EXPECT_EQ(u, busy / (sim::to_seconds(window) * static_cast<double>(cores)));
+    // Utilisation is a valid fraction.
     EXPECT_GE(u, 0.0);
     EXPECT_LE(u, 1.0 + 1e-9);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "cluster/executor.hpp"
 #include "common/check.hpp"
 
@@ -162,6 +164,36 @@ TEST(Executor, CrashedJobsCompletionIsIgnoredAfterRestore) {
   EXPECT_EQ(ex.outcomes()[1].finish, 14 * sim::kMillisecond);
 }
 
+TEST(Executor, DropThatSettlesAsOutageReportsBothOutcomes) {
+  // A drop callback may record an outcome of its own, as Deployment's does
+  // when a lost job settles as a compute outage. The completion callback
+  // must still see every outcome exactly once: each drop and each outage.
+  sim::Engine engine;
+  Executor ex(engine, {one_core(100.0), one_core(100.0)}, SchedPolicy::kEdf);
+  ex.set_drop_callback([&](const lte::SubframeJob& job, int) {
+    lte::SubframeJob outage = job;
+    outage.cell_id += 100;
+    ex.record_compute_outage(1, outage);
+  });
+  std::map<int, int> reports_per_cell;
+  ex.set_completion_callback([&](const JobOutcome& o) {
+    ++reports_per_cell[o.job.cell_id];
+    EXPECT_EQ(o.dropped, o.job.cell_id < 100);
+    EXPECT_EQ(o.compute_outage, o.job.cell_id >= 100);
+  });
+  ex.submit(0, make_job(7, 1.0, 0, 50 * sim::kMillisecond));  // running
+  ex.submit(0, make_job(8, 0.1, 0, 50 * sim::kMillisecond));  // queued
+  engine.schedule_at(2 * sim::kMillisecond, [&] { ex.fail_server(0); });
+  ex.submit(0, make_job(9, 0.1, 3 * sim::kMillisecond,  // after the crash
+                        50 * sim::kMillisecond));
+  engine.run();
+  EXPECT_EQ(reports_per_cell,
+            (std::map<int, int>{
+                {7, 1}, {8, 1}, {9, 1}, {107, 1}, {108, 1}, {109, 1}}));
+  EXPECT_EQ(ex.stats().dropped, 3u);
+  EXPECT_EQ(ex.stats().compute_outages, 3u);
+}
+
 TEST(Executor, FailTwiceIsRejected) {
   sim::Engine engine;
   Executor ex(engine, {one_core()}, SchedPolicy::kEdf);
@@ -190,6 +222,8 @@ TEST(Executor, UtilizationAccountsBusyTime) {
   engine.run();
   // 4 ms of core time over a 10 ms window on 2 cores = 0.2.
   EXPECT_NEAR(ex.utilization(0, 10 * sim::kMillisecond), 0.2, 1e-9);
+  // A window must reach now(): the busy tally has no finish times to clip.
+  EXPECT_THROW(ex.utilization(0, engine.now() - 1), pran::ContractViolation);
 }
 
 TEST(Executor, PerServerStats) {

@@ -145,14 +145,6 @@ TEST(Deployment, RejectsImpossibleConfigurations) {
   EXPECT_THROW(Deployment{config}, pran::ContractViolation);
 }
 
-TEST(Deployment, MissesForCellFilterWorks) {
-  Deployment d(small_config());
-  d.run_for(300 * sim::kMillisecond);
-  std::uint64_t total = 0;
-  for (int c = 0; c < 4; ++c) total += d.misses_for_cell(c);
-  EXPECT_EQ(total, d.kpis().deadline_misses);
-}
-
 // --- Compute-aware overload control. ---------------------------------------
 
 TEST(OverloadControl, EffortCapInterpolatesWithPressure) {
