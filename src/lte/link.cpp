@@ -1,7 +1,9 @@
 #include "lte/link.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -39,6 +41,50 @@ double spectral_efficiency(Db snr, const LinkBudget& budget) {
 
 int cqi_at_distance(double meters, const LinkBudget& budget) {
   return cqi_from_efficiency(spectral_efficiency(snr_db(meters, budget), budget));
+}
+
+namespace {
+
+constexpr double kOutOfRange = 1e6;  // 1000 km
+
+/// Farthest distance that still reaches `cqi` under the default budget.
+/// Non-negative doubles order like their bit patterns, so the bisection
+/// runs over those, from 0 m (CQI 15) to kOutOfRange (CQI 0): about 64
+/// steps pin the exact double after which the CQI falls below `cqi`.
+double farthest_distance_reaching(int cqi) {
+  std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(kOutOfRange);
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (cqi_at_distance(std::bit_cast<double>(mid)) >= cqi)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return std::bit_cast<double>(lo);
+}
+
+std::array<double, 15> make_cqi_step_distances() {
+  PRAN_CHECK(cqi_at_distance(0.0) == 15 && cqi_at_distance(kOutOfRange) == 0,
+             "default link budget must span CQI 15 down to out of range");
+  std::array<double, 15> steps{};
+  for (int k = 1; k <= 15; ++k)
+    steps[static_cast<std::size_t>(k - 1)] = farthest_distance_reaching(k);
+  return steps;
+}
+
+}  // namespace
+
+const std::array<double, 15>& cqi_step_distances() {
+  static const std::array<double, 15> steps = make_cqi_step_distances();
+  return steps;
+}
+
+int lookup_cqi_at_distance(double meters) {
+  PRAN_REQUIRE(meters >= 0.0, "distance must be non-negative");
+  int cqi = 0;
+  for (const double step : cqi_step_distances()) cqi += meters <= step;
+  return cqi;
 }
 
 BitRate prb_rate_bps(int mcs_index) {

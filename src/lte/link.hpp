@@ -12,6 +12,8 @@
 /// types (common/units.hpp): a path loss cannot be added to a linear
 /// power, and a byte-per-second rate cannot slip into `prbs_for_rate`.
 
+#include <array>
+
 #include "common/units.hpp"
 #include "lte/mcs.hpp"
 
@@ -46,6 +48,16 @@ double spectral_efficiency(units::Db snr, const LinkBudget& budget = {});
 
 /// End-to-end convenience: distance -> CQI (0..15).
 int cqi_at_distance(double meters, const LinkBudget& budget = {});
+
+/// Where `cqi_at_distance` steps down under the default LinkBudget: entry
+/// k - 1 is the farthest distance (m) that still reaches CQI k, k = 1..15.
+/// Found once per process, on first use, by bisection over the doubles
+/// that calls cqi_at_distance itself, which stays the definition.
+const std::array<double, 15>& cqi_step_distances();
+
+/// cqi_at_distance(meters) under the default LinkBudget, by at most 15
+/// compares against cqi_step_distances() instead of the log/pow chain.
+int lookup_cqi_at_distance(double meters);
 
 /// Achievable rate for one PRB at the given MCS (TTI = 1 ms).
 units::BitRate prb_rate_bps(int mcs_index);

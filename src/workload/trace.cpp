@@ -91,19 +91,27 @@ DayTrace DayTrace::from_csv(const std::string& csv) {
   PRAN_REQUIRE(rows.size() >= 2, "trace CSV has no data rows");
   PRAN_REQUIRE(rows.front().size() == 6, "trace CSV header mismatch");
 
+  const SiteKind kinds[] = {SiteKind::kOffice, SiteKind::kResidential,
+                            SiteKind::kMixed, SiteKind::kTransport};
   std::map<int, CellTrace> by_cell;
   int max_slot = -1;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const auto& r = rows[i];
     PRAN_REQUIRE(r.size() == 6, "trace CSV row width mismatch");
     const int slot = std::stoi(r[0]);
+    // Every slot needs at least one row, so a slot at or past the number of
+    // data rows can only mean missing slots.
+    PRAN_REQUIRE(slot >= 0 && static_cast<std::size_t>(slot) < rows.size() - 1,
+                 "trace CSV slot outside [0, number of data rows)");
     const int cell = std::stoi(r[2]);
+    const auto* kind =
+        std::find_if(std::begin(kinds), std::end(kinds),
+                     [&](SiteKind k) { return r[3] == site_kind_name(k); });
+    PRAN_REQUIRE(kind != std::end(kinds), "trace CSV has an unknown site kind");
     max_slot = std::max(max_slot, slot);
     auto& ct = by_cell[cell];
     ct.cell_id = cell;
-    for (SiteKind k : {SiteKind::kOffice, SiteKind::kResidential,
-                       SiteKind::kMixed, SiteKind::kTransport})
-      if (r[3] == site_kind_name(k)) ct.kind = k;
+    ct.kind = *kind;
     if (static_cast<std::size_t>(slot) >= ct.gops.size()) {
       ct.gops.resize(static_cast<std::size_t>(slot) + 1, 0.0);
       ct.utilization.resize(static_cast<std::size_t>(slot) + 1, 0.0);

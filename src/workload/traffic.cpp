@@ -1,6 +1,7 @@
 #include "workload/traffic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -26,17 +27,54 @@ int sample_turbo_iterations(double code_rate, Rng& rng) {
   return std::clamp(draw, lte::kMinTurboIterations, lte::kMaxTurboIterations);
 }
 
+/// Index into default_service_mix() of the class that the uniform draw `u`
+/// picks, walking the cumulative weights.
+std::size_t pick_service_class(double u) {
+  const auto& mix = default_service_mix();
+  double weight_total = 0.0;
+  for (const auto& c : mix) weight_total += c.weight;
+  double pick = u * weight_total;
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    pick -= mix[i].weight;
+    if (pick < 0.0) return i;
+  }
+  return mix.size() - 1;
+}
+
+/// What a UE of one service class at one CQI is granted.
+struct UeGrade {
+  int mcs = 0;
+  int prbs = 0;  ///< Unclipped PRBs for the class's rate at `mcs`.
+  double code_rate = 0.0;
+};
+
+/// [service class][CQI 0..15] -> grade, built once per process from the
+/// lte functions that define it.
+using GradeTable = std::vector<std::array<UeGrade, 16>>;
+
+const GradeTable& ue_grades() {
+  static const GradeTable table = [] {
+    GradeTable t;
+    for (const auto& c : default_service_mix()) {
+      std::array<UeGrade, 16> row{};
+      for (int cqi = 0; cqi <= 15; ++cqi) {
+        const int mcs = lte::mcs_from_cqi(cqi);
+        row[static_cast<std::size_t>(cqi)] =
+            UeGrade{mcs, lte::prbs_for_rate(c.rate_bps, mcs).count(),
+                    lte::mcs(mcs).code_rate};
+      }
+      t.push_back(row);
+    }
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace
 
 TrafficModel::TrafficModel(CellSite site, DiurnalProfile profile,
-                           lte::CostModel cost, std::uint64_t seed,
-                           std::vector<ServiceClass> mix)
-    : site_(site),
-      profile_(profile),
-      cost_(cost),
-      mix_(std::move(mix)),
-      rng_(seed) {
-  PRAN_REQUIRE(!mix_.empty(), "service mix must be non-empty");
+                           lte::CostModel cost, std::uint64_t seed)
+    : site_(site), profile_(profile), cost_(cost), rng_(seed) {
   PRAN_REQUIRE(site_.peak_prb_utilization > 0.0 &&
                    site_.peak_prb_utilization <= 1.0,
                "peak utilization outside (0, 1]");
@@ -45,28 +83,16 @@ TrafficModel::TrafficModel(CellSite site, DiurnalProfile profile,
 
   // Calibrate mean PRBs per UE by Monte Carlo so that the Poisson arrival
   // intensity can be set to hit the configured peak PRB utilisation.
+  const GradeTable& grades = ue_grades();
   Rng calib(seed ^ 0x5ca1ab1eULL);
   double total = 0.0;
   constexpr int kCalibrationDraws = 512;
   for (int i = 0; i < kCalibrationDraws; ++i) {
-    const double w_total = [&] {
-      double s = 0.0;
-      for (const auto& c : mix_) s += c.weight;
-      return s;
-    }();
-    double pick = calib.uniform() * w_total;
-    const ServiceClass* chosen = &mix_.back();
-    for (const auto& c : mix_) {
-      pick -= c.weight;
-      if (pick < 0.0) {
-        chosen = &c;
-        break;
-      }
-    }
+    const std::size_t service = pick_service_class(calib.uniform());
     const double d = std::sqrt(calib.uniform()) * site_.radius_m;
-    const double dist = std::max(d, site_.min_distance_m);
-    const int mcs = lte::mcs_from_cqi(std::max(1, lte::cqi_at_distance(dist)));
-    total += lte::prbs_for_rate(chosen->rate_bps, mcs).count();
+    const int cqi =
+        lte::lookup_cqi_at_distance(std::max(d, site_.min_distance_m));
+    total += grades[service][static_cast<std::size_t>(std::max(1, cqi))].prbs;
   }
   mean_prbs_per_ue_ = total / kCalibrationDraws;
   PRAN_CHECK(mean_prbs_per_ue_ > 0.0, "calibration produced zero PRBs/UE");
@@ -86,31 +112,20 @@ std::vector<lte::Allocation> TrafficModel::sample_subframe_with(
   std::vector<lte::Allocation> allocs;
   allocs.reserve(ue_count);
   int prbs_left = site_.config.n_prb;
-  double weight_total = 0.0;
-  for (const auto& c : mix_) weight_total += c.weight;
+  const GradeTable& grades = ue_grades();
 
   for (std::uint32_t u = 0; u < ue_count && prbs_left > 0; ++u) {
-    double pick = rng.uniform() * weight_total;
-    const ServiceClass* chosen = &mix_.back();
-    for (const auto& c : mix_) {
-      pick -= c.weight;
-      if (pick < 0.0) {
-        chosen = &c;
-        break;
-      }
-    }
+    const std::size_t service = pick_service_class(rng.uniform());
     // Uniform position in the disc (sqrt for area uniformity).
     const double dist = std::max(std::sqrt(rng.uniform()) * site_.radius_m,
                                  site_.min_distance_m);
-    const int cqi = lte::cqi_at_distance(dist);
+    const int cqi = lte::lookup_cqi_at_distance(dist);
     if (cqi == 0) continue;  // out of coverage this TTI
-    const int mcs = lte::mcs_from_cqi(cqi);
-    const int prbs =
-        std::min(lte::prbs_for_rate(chosen->rate_bps, mcs).count(), prbs_left);
+    const UeGrade& grade = grades[service][static_cast<std::size_t>(cqi)];
+    const int prbs = std::min(grade.prbs, prbs_left);
     if (prbs == 0) continue;
-    const double rate = lte::mcs(mcs).code_rate;
-    allocs.push_back(
-        lte::Allocation{prbs, mcs, sample_turbo_iterations(rate, rng)});
+    allocs.push_back(lte::Allocation{
+        prbs, grade.mcs, sample_turbo_iterations(grade.code_rate, rng)});
     prbs_left -= prbs;
   }
   return allocs;

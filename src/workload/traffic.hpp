@@ -10,6 +10,12 @@
 /// a 25/25/50 mix of rate demands), a random position that fixes its
 /// CQI/MCS through the link model, and a decoder-iteration count that grows
 /// with the code rate.
+///
+/// The link chain never changes during a run, so a UE's grade is looked
+/// up rather than computed: position -> CQI in lte::cqi_step_distances(),
+/// then (service class, CQI) -> MCS, PRBs and code rate in a per-process
+/// table built once from lte::mcs_from_cqi, lte::prbs_for_rate and
+/// lte::mcs. The draws are exactly those of evaluating the chain per UE.
 
 #include <vector>
 
@@ -28,7 +34,8 @@ struct ServiceClass {
   double weight;
 };
 
-/// Default 25/25/50 heavy/medium/light mix (20 / 5 / 1 Mb/s).
+/// The 25/25/50 heavy/medium/light mix (20 / 5 / 1 Mb/s) every cell draws
+/// from.
 const std::vector<ServiceClass>& default_service_mix();
 
 /// Static description of one cell site.
@@ -45,8 +52,7 @@ struct CellSite {
 class TrafficModel {
  public:
   TrafficModel(CellSite site, DiurnalProfile profile, lte::CostModel cost,
-               std::uint64_t seed,
-               std::vector<ServiceClass> mix = default_service_mix());
+               std::uint64_t seed);
 
   const CellSite& site() const noexcept { return site_; }
   const DiurnalProfile& profile() const noexcept { return profile_; }
@@ -74,7 +80,6 @@ class TrafficModel {
   CellSite site_;
   DiurnalProfile profile_;
   lte::CostModel cost_;
-  std::vector<ServiceClass> mix_;
   double mean_prbs_per_ue_ = 0.0;  ///< Calibrated at construction.
   Rng rng_;
 };

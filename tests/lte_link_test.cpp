@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "lte/link.hpp"
 
 namespace pran::lte {
@@ -63,6 +68,59 @@ TEST(CqiAtDistance, MonotoneNonIncreasing) {
 
 TEST(CqiAtDistance, NearCellIsTopCqi) {
   EXPECT_EQ(cqi_at_distance(30.0), 15);
+}
+
+TEST(CqiStepDistances, EachIsTheLastDistanceReachingItsCqi) {
+  const auto& steps = cqi_step_distances();
+  for (int k = 1; k <= 15; ++k) {
+    const double step = steps[static_cast<std::size_t>(k - 1)];
+    EXPECT_EQ(cqi_at_distance(step), k) << "CQI " << k;
+    EXPECT_EQ(cqi_at_distance(std::nextafter(step, 1e9)), k - 1)
+        << "CQI " << k;
+  }
+  // 15 near the site, 8 at the 800 m cell radius, out of range past ~2 km.
+  EXPECT_GT(steps[14], 30.0);
+  EXPECT_GT(steps[7], 800.0);
+  EXPECT_LT(steps[8], 800.0);
+  EXPECT_LT(steps[0], 2100.0);
+}
+
+TEST(CqiStepDistances, LookupMatchesCqiAtDistanceAroundEveryStep) {
+  constexpr std::int64_t kUlps = 100000;
+  long mismatches = 0;
+  for (const double step : cqi_step_distances()) {
+    const auto bits = std::bit_cast<std::int64_t>(step);
+    for (std::int64_t delta = -kUlps; delta <= kUlps; ++delta) {
+      const double d = std::bit_cast<double>(bits + delta);
+      if (lookup_cqi_at_distance(d) != cqi_at_distance(d)) {
+        ADD_FAILURE() << "distance " << d << " (" << delta << " ulps from "
+                      << step << ")";
+        if (++mismatches > 10) return;
+      }
+    }
+  }
+}
+
+TEST(CqiStepDistances, LookupMatchesCqiAtDistanceAtFixedPoints) {
+  // The site itself, the traffic model's 30 m minimum and 800 m radius,
+  // past the coverage edge, and far out of range.
+  for (const double d : {0.0, 0.5, 1.0, 30.0, 800.0, 2200.0, 5000.0, 1e6})
+    EXPECT_EQ(lookup_cqi_at_distance(d), cqi_at_distance(d)) << d;
+  EXPECT_EQ(lookup_cqi_at_distance(0.0), 15);
+  EXPECT_EQ(lookup_cqi_at_distance(2200.0), 0);
+  EXPECT_THROW(lookup_cqi_at_distance(-1.0), ContractViolation);
+}
+
+TEST(CqiStepDistances, LookupMatchesCqiAtDistanceAtRandomDistances) {
+  Rng rng(20140527);
+  long mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double d = rng.uniform(0.0, 3000.0);
+    if (lookup_cqi_at_distance(d) != cqi_at_distance(d)) {
+      ADD_FAILURE() << "distance " << d;
+      if (++mismatches > 10) return;
+    }
+  }
 }
 
 TEST(PrbRate, MatchesSpectralEfficiency) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
+#include "lte/link.hpp"
 #include "workload/diurnal.hpp"
 #include "workload/trace.hpp"
 #include "workload/traffic.hpp"
@@ -142,6 +145,127 @@ TEST(Traffic, SamplingIsReproducibleAcrossInstances) {
   }
 }
 
+/// The traffic sampler written out from its definition: Rng draws in the
+/// model's order, and every UE's CQI, MCS, PRBs and code rate computed
+/// afresh from lte::cqi_at_distance, mcs_from_cqi, prbs_for_rate and mcs(),
+/// the 512-draw calibration included. TrafficModel looks the same chain up
+/// in tables and must match this draw for draw.
+class ReferenceSampler {
+ public:
+  ReferenceSampler(const CellSite& site, const DiurnalProfile& profile,
+                   std::uint64_t seed)
+      : site_(site), profile_(profile), rng_(seed) {
+    Rng calib(seed ^ 0x5ca1ab1eULL);
+    double total = 0.0;
+    for (int i = 0; i < 512; ++i) {
+      const ServiceClass& service = pick_class(calib);
+      const double dist = std::max(
+          std::sqrt(calib.uniform()) * site_.radius_m, site_.min_distance_m);
+      const int mcs =
+          lte::mcs_from_cqi(std::max(1, lte::cqi_at_distance(dist)));
+      total += lte::prbs_for_rate(service.rate_bps, mcs).count();
+    }
+    mean_prbs_per_ue_ = total / 512;
+  }
+
+  std::vector<lte::Allocation> sample(double hour) {
+    return sample_with(hour, rng_);
+  }
+
+  double expected_gops(double hour, int samples) const {
+    Rng draws(rng_);  // copy: leaves the sampling stream alone
+    const lte::CostModel cost;
+    double total = 0.0;
+    for (int i = 0; i < samples; ++i)
+      total += cost.subframe_cost(site_.config, sample_with(hour, draws),
+                                  lte::Direction::kUplink)
+                   .total();
+    return total / static_cast<double>(samples);
+  }
+
+ private:
+  static const ServiceClass& pick_class(Rng& rng) {
+    const auto& mix = default_service_mix();
+    double weight_total = 0.0;
+    for (const auto& c : mix) weight_total += c.weight;
+    double pick = rng.uniform() * weight_total;
+    for (const auto& c : mix) {
+      pick -= c.weight;
+      if (pick < 0.0) return c;
+    }
+    return mix.back();
+  }
+
+  std::vector<lte::Allocation> sample_with(double hour, Rng& rng) const {
+    const double target_prbs = site_.peak_prb_utilization * profile_.at(hour) *
+                               static_cast<double>(site_.config.n_prb);
+    const std::uint32_t ue_count = rng.poisson(target_prbs / mean_prbs_per_ue_);
+    std::vector<lte::Allocation> allocs;
+    int prbs_left = site_.config.n_prb;
+    for (std::uint32_t u = 0; u < ue_count && prbs_left > 0; ++u) {
+      const ServiceClass& service = pick_class(rng);
+      const double dist = std::max(std::sqrt(rng.uniform()) * site_.radius_m,
+                                   site_.min_distance_m);
+      const int cqi = lte::cqi_at_distance(dist);
+      if (cqi == 0) continue;
+      const int mcs = lte::mcs_from_cqi(cqi);
+      const int prbs = std::min(
+          lte::prbs_for_rate(service.rate_bps, mcs).count(), prbs_left);
+      if (prbs == 0) continue;
+      const double mean = 3.0 + 4.0 * lte::mcs(mcs).code_rate;
+      const int iterations = std::clamp(
+          static_cast<int>(std::lround(rng.normal(mean, 0.8))),
+          lte::kMinTurboIterations, lte::kMaxTurboIterations);
+      allocs.push_back(lte::Allocation{prbs, mcs, iterations});
+      prbs_left -= prbs;
+    }
+    return allocs;
+  }
+
+  CellSite site_;
+  DiurnalProfile profile_;
+  double mean_prbs_per_ue_ = 0.0;
+  Rng rng_;
+};
+
+TEST(Traffic, TablesMatchTheLinkFunctionsDrawForDraw) {
+  const SiteKind kinds[] = {SiteKind::kOffice, SiteKind::kResidential,
+                            SiteKind::kMixed, SiteKind::kTransport};
+  long ues = 0;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    CellSite site;
+    site.kind = kinds[seed % 4];
+    // Every other cell reaches past the ~2 km coverage edge, so CQI 0 UEs
+    // (skipped, and counted as CQI 1 by the calibration) occur too.
+    site.radius_m = seed % 2 == 0 ? 800.0 : 2500.0;
+    const auto profile = DiurnalProfile::canonical(site.kind);
+    TrafficModel model(site, profile, lte::CostModel{}, seed);
+    ReferenceSampler reference(site, profile, seed);
+    const double night = 3.0;
+    const double ramp = 8.5;
+    const double peak = profile.peak_hour();
+    for (const double hour : {night, ramp, peak}) {
+      EXPECT_EQ(model.expected_subframe_gops(hour, 64),
+                reference.expected_gops(hour, 64))
+          << "seed " << seed << " hour " << hour;
+      for (int tti = 0; tti < 1000; ++tti) {
+        const auto got = model.sample_subframe(hour);
+        const auto want = reference.sample(hour);
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << seed << " hour " << hour << " tti " << tti;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].n_prb, want[i].n_prb) << "seed " << seed;
+          ASSERT_EQ(got[i].mcs, want[i].mcs) << "seed " << seed;
+          ASSERT_EQ(got[i].turbo_iterations, want[i].turbo_iterations)
+              << "seed " << seed;
+        }
+        ues += static_cast<long>(got.size());
+      }
+    }
+  }
+  EXPECT_GT(ues, 32 * 3 * 1000);  // more than one UE per TTI on average
+}
+
 TEST(Fleet, AssignsDistinctKindsAndSeeds) {
   const auto fleet = make_fleet(8, 99);
   ASSERT_EQ(fleet.cells.size(), 8u);
@@ -193,6 +317,23 @@ TEST(Trace, CsvRoundTrip) {
 TEST(Trace, FromCsvRejectsGarbage) {
   EXPECT_THROW(DayTrace::from_csv(""), pran::ContractViolation);
   EXPECT_THROW(DayTrace::from_csv("a,b\n1,2\n"), pran::ContractViolation);
+  const std::string header = "slot,hour,cell,kind,gops,utilization\n";
+  // A negative slot, and a slot past the number of data rows (the slots
+  // before it must be missing).
+  EXPECT_THROW(DayTrace::from_csv(header + "-1,0,0,office,1,0.5\n"),
+               pran::ContractViolation);
+  EXPECT_THROW(DayTrace::from_csv(header + "0,0,0,office,1,0.5\n"
+                                           "2,12,0,office,1,0.5\n"),
+               pran::ContractViolation);
+  // A misspelt kind is refused, not relabelled as mixed.
+  EXPECT_THROW(DayTrace::from_csv(header + "0,0,0,offfice,1,0.5\n"),
+               pran::ContractViolation);
+  // The same rows with valid fields parse.
+  const auto ok = DayTrace::from_csv(header + "0,0,0,office,1,0.5\n"
+                                              "1,12,0,office,2,0.25\n");
+  EXPECT_EQ(ok.slots_per_day(), 2);
+  ASSERT_EQ(ok.cells().size(), 1u);
+  EXPECT_EQ(ok.cells()[0].kind, SiteKind::kOffice);
 }
 
 }  // namespace
