@@ -3,8 +3,8 @@
 //
 //   $ ./failover_demo
 //
-// Prints a timeline of the failure, which cells moved where, the jobs lost
-// in flight, and the post-recovery steady state.
+// Prints which cells moved where, the jobs lost in flight, the
+// post-recovery steady state, and the injector's fault log.
 
 #include <cstdio>
 
@@ -60,6 +60,13 @@ int main() {
   kpis.row().cell("migrations").cell(final_kpis.migrations);
   std::printf("\n%s\n", kpis.render().c_str());
 
-  std::printf("event trace:\n%s", d.trace().render().c_str());
+  std::printf("fault log:\n");
+  for (const faults::FaultRecord& f : d.injector().log()) {
+    std::printf("  t=%.3fs server %d %s", sim::to_seconds(f.at), f.server_id,
+                faults::fault_kind_name(f.kind));
+    if (f.recovered_at >= 0)
+      std::printf(", recovered at t=%.3fs", sim::to_seconds(f.recovered_at));
+    std::printf("\n");
+  }
   return final_kpis.failover_outage_cells == 0 ? 0 : 1;
 }

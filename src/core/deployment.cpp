@@ -1,12 +1,10 @@
 #include "core/deployment.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "core/kpi_export.hpp"
 #include "fronthaul/codec.hpp"
-#include "telemetry/bridge.hpp"
 #include "telemetry/family.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -17,12 +15,7 @@ Deployment::Deployment(DeploymentConfig config)
     : config_(std::move(config)),
       pipeline_(config_.pipeline ? *config_.pipeline
                                  : Pipeline::standard_uplink()) {
-  // Mirror controller/fault/quarantine trace events into the global
-  // telemetry state (per-category counters + simulated-time markers).
   if (telemetry::enabled()) {
-    trace_bridge_ = std::make_unique<telemetry::SimTraceBridge>(
-        telemetry::registry(), telemetry::spans());
-    trace_.set_sink(trace_bridge_.get());
     // Per-cell outcome series (`deployment.cell_*{cell=N}`): one relaxed
     // fetch_add per completion on top of the scalar counters, giving the
     // timeline its dimensional deadline-miss trajectories.
@@ -159,11 +152,6 @@ Deployment::Deployment(DeploymentConfig config)
     });
     migration_->set_event_callback(
         [this](const MigrationRecord& rec, std::string_view event) {
-          std::ostringstream os;
-          os << "cell " << rec.cell << " " << rec.from << "->" << rec.to
-             << " " << event;
-          if (!rec.detail.empty()) os << " (" << rec.detail << ")";
-          trace_.emit(engine_.now(), "migration", os.str());
           if (!flight_) return;
           if (event != "committed")
             flight_->record_event(engine_.now(), "migration",
@@ -247,7 +235,7 @@ Deployment::Deployment(DeploymentConfig config)
   // at the fault instant (oracle) or from the health monitor.
   fault_time_.assign(static_cast<std::size_t>(config_.num_servers), 0);
   injector_ = std::make_unique<faults::FaultInjector>(
-      engine_, *executor_, &trace_, config_.seed * 0x9E3779B9u + 0xFA);
+      engine_, *executor_, config_.seed * 0x9E3779B9u + 0xFA);
   injector_->set_fault_callback([this](int server_id, faults::FaultKind kind) {
     on_server_fault(server_id, kind);
   });
@@ -264,7 +252,7 @@ Deployment::Deployment(DeploymentConfig config)
     faults::HealthMonitorConfig mc;
     mc.heartbeat_period = config_.heartbeat_period;
     mc.miss_threshold = config_.heartbeat_miss_threshold;
-    monitor_.emplace(engine_, *executor_, mc, &trace_);
+    monitor_.emplace(engine_, *executor_, mc);
     monitor_->set_down_callback([this](int server_id, sim::Time at) {
       const sim::Time latency =
           at - fault_time_[static_cast<std::size_t>(server_id)];
@@ -549,10 +537,6 @@ void Deployment::epoch_replan() {
       if (degradation_->update(engine_.now(), signals)) {
         PRAN_COUNTER_INC("fronthaul.ladder_transitions");
         apply_ladder_rung();
-        trace_.emit(engine_.now(), "degradation",
-                    std::string("rung ") +
-                        std::to_string(degradation_->rung()) + " (" +
-                        degradation_->rung_name() + ")");
         if (flight_) {
           flight_->record_transition(engine_.now(), rung_before,
                                      degradation_->rung(),
@@ -599,10 +583,7 @@ void Deployment::epoch_replan() {
   // Close the energy-accounting interval under the outgoing placement.
   close_energy_interval();
 
-  const int released = controller_->release_quarantines(engine_.now());
-  if (released > 0)
-    trace_.emit(engine_.now(), "quarantine",
-                std::to_string(released) + " server(s) released");
+  controller_->release_quarantines(engine_.now());
 
   // Degradation gate: while the ladder sheds or quarantines, the system
   // has no headroom for handoff blackouts and transfer traffic — new
@@ -623,11 +604,6 @@ void Deployment::epoch_replan() {
                    static_cast<std::uint64_t>(report.migrations));
   PRAN_HIST_OBSERVE("controller.solve_ms", 0.0, 50.0, 50,
                     report.solve_seconds * 1e3);
-  std::ostringstream os;
-  os << "epoch " << report.epoch << " feasible=" << report.feasible
-     << " active=" << report.active_servers
-     << " migrations=" << report.migrations;
-  trace_.emit(engine_.now(), "controller", os.str());
   engine_.schedule_in(config_.epoch, [this] { epoch_replan(); });
 }
 
@@ -640,13 +616,10 @@ void Deployment::timeline_sample() {
   export_kpis(kpis(), telemetry::registry());
   const telemetry::WindowSample& window = recorder_->sample(engine_.now());
   if (slo_engine_) {
-    for (const std::string& name : slo_engine_->on_window(window)) {
-      trace_.emit(engine_.now(), "slo",
-                  "burn-rate trip: " + name);
+    for (const std::string& name : slo_engine_->on_window(window))
       if (flight_)
         flight_->trigger(engine_.now(), "slo_" + name,
                          "multi-window burn-rate trip on " + name);
-    }
   }
   engine_.schedule_in(config_.timeline.window, [this] { timeline_sample(); });
 }
@@ -705,13 +678,6 @@ void Deployment::record_recovery_decision(int server_id, sim::Time now) {
   if (migration_) migration_->on_server_recovered(server_id);
   const auto decision = controller_->handle_recovery(server_id, now);
   if (!decision.accepted) PRAN_COUNTER_INC("controller.quarantine_events");
-  if (!decision.accepted)
-    trace_.emit(now, "quarantine",
-                "server " + std::to_string(server_id) +
-                    " quarantined until t=" +
-                    std::to_string(sim::to_seconds(
-                        decision.quarantined_until)) +
-                    "s");
 }
 
 sim::Time Deployment::admission_exec_estimate(int server,

@@ -30,12 +30,10 @@
 #include "fronthaul/link.hpp"
 #include "mac/cell_mac.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/slo.hpp"
 #include "workload/traffic.hpp"
 
 namespace pran::telemetry {
-class SimTraceBridge;
 class CounterFamily;
 class FlightRecorder;
 }
@@ -253,7 +251,7 @@ struct DeploymentKpis {
 class Deployment {
  public:
   explicit Deployment(DeploymentConfig config);
-  ~Deployment();  ///< Out-of-line: trace_bridge_ is incomplete here.
+  ~Deployment();  ///< Out-of-line: the telemetry members are incomplete here.
 
   /// Runs until `t` (absolute simulated time, monotone across calls).
   void run_until(sim::Time t);
@@ -265,10 +263,11 @@ class Deployment {
   double hour_at(sim::Time t) const;
 
   /// Injects a server crash at absolute time `t` (>= now). Delivered via
-  /// the fault injector: crashing an already-down server is a traced no-op.
+  /// the fault injector: crashing an already-down server is a no-op that
+  /// leaves no record in `injector().log()`.
   void fail_server_at(sim::Time t, int server_id);
   /// Restores a failed server at absolute time `t` (>= now). Restoring a
-  /// healthy server is a traced no-op.
+  /// healthy server is a no-op.
   void restore_server_at(sim::Time t, int server_id);
 
   DeploymentKpis kpis() const;
@@ -302,7 +301,6 @@ class Deployment {
   const MigrationManager* migration() const noexcept {
     return migration_.get();
   }
-  const sim::Trace& trace() const noexcept { return trace_; }
   const DeploymentConfig& config() const noexcept { return config_; }
 
   /// Timeline machinery (nullptr unless config().timeline.enabled and the
@@ -346,9 +344,6 @@ class Deployment {
 
   DeploymentConfig config_;
   sim::Engine engine_;
-  sim::Trace trace_;
-  /// Mirrors trace records into global telemetry (null when disabled).
-  std::unique_ptr<telemetry::SimTraceBridge> trace_bridge_;
   /// Per-cell outcome families (`deployment.cell_*{cell=N}` series; null
   /// when the build has telemetry off).
   std::unique_ptr<telemetry::CounterFamily> cell_subframes_;
@@ -394,7 +389,6 @@ class Deployment {
   std::uint64_t epoch_completed_mark_ = 0;
   std::uint64_t epoch_missed_mark_ = 0;
   Pipeline pipeline_;
-  double standard_gops_cache_ = 0.0;  // scratch, see tick()
   std::int64_t tti_counter_ = 0;
   int failover_outages_ = 0;
   std::uint64_t outage_cell_ttis_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "telemetry/family.hpp"
+
 namespace pran::core {
 
 namespace {
@@ -101,10 +103,22 @@ void export_deployment(const Deployment& deployment,
   set_gauge(registry, "executor.", "busy_seconds", stats.total_busy_seconds);
   const sim::Time window = deployment.now();
   if (window > 0) {
-    for (int s = 0; s < executor.num_servers(); ++s)
-      set_gauge(registry, "executor.",
-                "utilization.server-" + std::to_string(s),
-                executor.utilization(s, window));
+    // Servers past the family's series budget share `{server=other}`,
+    // written once with their mean utilisation (one write per server
+    // would leave only the last server's value there).
+    telemetry::GaugeFamily utilization(registry, "executor.utilization",
+                                       "server");
+    const std::size_t servers =
+        static_cast<std::size_t>(executor.num_servers());
+    const std::size_t named = std::min(servers, telemetry::kDefaultMaxSeries);
+    for (std::size_t s = 0; s < named; ++s)
+      utilization.set(s, executor.utilization(static_cast<int>(s), window));
+    if (servers > named) {
+      double folded = 0.0;
+      for (std::size_t s = named; s < servers; ++s)
+        folded += executor.utilization(static_cast<int>(s), window);
+      utilization.set(named, folded / static_cast<double>(servers - named));
+    }
   }
 
   const auto& reports = deployment.controller().reports();
@@ -129,14 +143,12 @@ void export_deployment(const Deployment& deployment,
   if (const DegradationController* ladder = deployment.degradation()) {
     // Per-rung dwell: how long the ladder sat on each rung (as of the
     // last epoch update) — the `pran-report --compute` dwell table.
+    telemetry::GaugeFamily dwell(registry, "compute.ladder_dwell_seconds",
+                                 "rung");
     for (int r = 0; r <= ladder->max_rung(); ++r)
-      set_gauge(registry, "compute.",
-                "ladder_dwell_seconds.rung-" + std::to_string(r),
+      dwell.set(static_cast<std::size_t>(r),
                 sim::to_seconds(ladder->dwell(r)));
   }
-
-  set_gauge(registry, "trace.", "dropped_records",
-            static_cast<double>(deployment.trace().dropped()));
 }
 
 }  // namespace pran::core

@@ -18,8 +18,10 @@ void export_kpis(const DeploymentKpis& kpis,
                  telemetry::MetricsRegistry& registry,
                  std::string_view prefix = "kpi.");
 
-/// export_kpis() plus executor totals ("executor.*", including per-server
-/// whole-run utilisation) and controller solver stats ("solver.*").
+/// export_kpis() plus executor totals ("executor.*", including whole-run
+/// utilisation per server as `executor.utilization{server=N}`), controller
+/// solver stats ("solver.*") and, with the ladder on, per-rung dwell
+/// (`compute.ladder_dwell_seconds{rung=N}`).
 void export_deployment(const Deployment& deployment,
                        telemetry::MetricsRegistry& registry);
 

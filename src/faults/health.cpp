@@ -1,15 +1,13 @@
 #include "faults/health.hpp"
 
-#include <string>
-
 #include "common/check.hpp"
 
 namespace pran::faults {
 
 HealthMonitor::HealthMonitor(sim::Engine& engine,
                              const cluster::Executor& executor,
-                             HealthMonitorConfig config, sim::Trace* trace)
-    : engine_(engine), executor_(executor), config_(config), trace_(trace) {
+                             HealthMonitorConfig config)
+    : engine_(engine), executor_(executor), config_(config) {
   PRAN_REQUIRE(config_.heartbeat_period > 0,
                "health monitor needs a positive heartbeat period");
   PRAN_REQUIRE(config_.miss_threshold >= 1,
@@ -43,11 +41,6 @@ void HealthMonitor::heartbeat() {
       missed_[i] = 0;
       healthy_[i] = 0;
       ++detections_;
-      if (trace_)
-        trace_->emit(engine_.now(), "health",
-                     "server " + std::to_string(s) + " declared down after " +
-                         std::to_string(config_.miss_threshold) +
-                         " missed heartbeats");
       if (on_down_) on_down_(s, engine_.now());
     } else {
       if (!answered) {
@@ -59,11 +52,6 @@ void HealthMonitor::heartbeat() {
       healthy_[i] = 0;
       missed_[i] = 0;
       ++recoveries_;
-      if (trace_)
-        trace_->emit(engine_.now(), "health",
-                     "server " + std::to_string(s) + " declared up after " +
-                         std::to_string(config_.recovery_threshold) +
-                         " healthy heartbeats");
       if (on_up_) on_up_(s, engine_.now());
     }
   }

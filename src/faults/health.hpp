@@ -23,7 +23,6 @@
 
 #include "cluster/executor.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace pran::faults {
 
@@ -40,10 +39,10 @@ class HealthMonitor {
   /// (server, declared_at). Fired once per down/up transition.
   using TransitionCallback = std::function<void(int, sim::Time)>;
 
-  /// `trace` may be null. Polling starts at the first heartbeat after
-  /// construction (t = now + heartbeat_period).
+  /// Polling starts at the first heartbeat after construction
+  /// (t = now + heartbeat_period).
   HealthMonitor(sim::Engine& engine, const cluster::Executor& executor,
-                HealthMonitorConfig config, sim::Trace* trace);
+                HealthMonitorConfig config);
 
   void set_down_callback(TransitionCallback cb) { on_down_ = std::move(cb); }
   void set_up_callback(TransitionCallback cb) { on_up_ = std::move(cb); }
@@ -61,7 +60,6 @@ class HealthMonitor {
   sim::Engine& engine_;
   const cluster::Executor& executor_;
   HealthMonitorConfig config_;
-  sim::Trace* trace_;
   std::vector<int> missed_;        ///< Consecutive missed beats per server.
   std::vector<int> healthy_;       ///< Consecutive good beats while believed down.
   std::vector<bool> believed_down_;

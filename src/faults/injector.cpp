@@ -1,7 +1,6 @@
 #include "faults/injector.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.hpp"
 
@@ -28,8 +27,8 @@ const char* fault_kind_name(FaultKind kind) noexcept {
 }
 
 FaultInjector::FaultInjector(sim::Engine& engine, cluster::Executor& executor,
-                             sim::Trace* trace, std::uint64_t seed)
-    : engine_(engine), executor_(executor), trace_(trace), rng_root_(seed) {
+                             std::uint64_t seed)
+    : engine_(engine), executor_(executor), rng_root_(seed) {
   const std::size_t n = static_cast<std::size_t>(executor_.num_servers());
   states_.assign(n, State::kHealthy);
   open_record_.assign(n, -1);
@@ -53,10 +52,6 @@ bool FaultInjector::is_degraded(int server_id) const {
   PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
                "fault injector: unknown server id");
   return states_[static_cast<std::size_t>(server_id)] == State::kDegraded;
-}
-
-void FaultInjector::emit(const std::string& message) {
-  if (trace_) trace_->emit(engine_.now(), "fault", message);
 }
 
 void FaultInjector::schedule(const FaultEvent& event) {
@@ -93,18 +88,10 @@ void FaultInjector::schedule_restore(sim::Time at, int server_id) {
 void FaultInjector::deliver_fault(int server_id, FaultKind kind,
                                   double degrade_factor) {
   State& st = state(server_id);
-  if (st == State::kDown) {
-    emit("server " + std::to_string(server_id) + " already down; " +
-         fault_kind_name(kind) + " fault ignored");
-    return;
-  }
+  if (st == State::kDown) return;  // already down: idempotent no-op
   switch (kind) {
     case FaultKind::kDegrade:
-      if (st == State::kDegraded) {
-        emit("server " + std::to_string(server_id) +
-             " already degraded; degrade fault ignored");
-        return;
-      }
+      if (st == State::kDegraded) return;  // already degraded
       if (on_fault_) on_fault_(server_id, kind);
       executor_.degrade_server(server_id, degrade_factor);
       st = State::kDegraded;
@@ -138,19 +125,11 @@ void FaultInjector::deliver_fault(int server_id, FaultKind kind,
   open_record_[static_cast<std::size_t>(server_id)] =
       static_cast<int>(log_.size());
   log_.push_back(FaultRecord{kind, server_id, engine_.now(), -1});
-  emit("server " + std::to_string(server_id) + " " + fault_kind_name(kind) +
-       (kind == FaultKind::kDegrade
-            ? " (x" + std::to_string(degrade_factor) + " speed)"
-            : ""));
 }
 
 void FaultInjector::deliver_restore(int server_id) {
   State& st = state(server_id);
-  if (st == State::kHealthy) {
-    emit("server " + std::to_string(server_id) +
-         " already healthy; restore ignored");
-    return;
-  }
+  if (st == State::kHealthy) return;  // already healthy: idempotent no-op
   const int rec = open_record_[static_cast<std::size_t>(server_id)];
   PRAN_CHECK(rec >= 0 && rec < static_cast<int>(log_.size()),
              "faulted server has no open fault record");
@@ -168,8 +147,6 @@ void FaultInjector::deliver_restore(int server_id) {
   log_[static_cast<std::size_t>(rec)].recovered_at = engine_.now();
   open_record_[static_cast<std::size_t>(server_id)] = -1;
   st = State::kHealthy;
-  emit("server " + std::to_string(server_id) + " restored (" +
-       fault_kind_name(kind) + " over)");
   if (on_recovery_) on_recovery_(server_id, kind);
 }
 

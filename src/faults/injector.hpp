@@ -3,7 +3,7 @@
 /// \file injector.hpp
 /// FaultInjector: the single authority for delivering faults to the
 /// compute cluster. Scripted plans and stochastic MTBF/MTTR processes both
-/// funnel through it, so every crash/degrade/restore is idempotent, traced
+/// funnel through it, so every crash/degrade/restore is idempotent, logged
 /// and counted in one place. Nothing else in the tree may call
 /// `Executor::fail_server` / `restore_server` / `degrade_server` directly
 /// (enforced by the pran-lint `fault-bypass` rule).
@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "faults/faults.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace pran::faults {
 
@@ -32,15 +31,15 @@ class FaultInjector {
   /// (server, kind of the fault that ended) after the executor is healthy.
   using RecoveryCallback = std::function<void(int, FaultKind)>;
 
-  /// `trace` may be null. All stochastic draws derive from `seed`.
+  /// All stochastic draws derive from `seed`.
   FaultInjector(sim::Engine& engine, cluster::Executor& executor,
-                sim::Trace* trace, std::uint64_t seed);
+                std::uint64_t seed);
 
   /// Schedules a scripted fault (and its recovery when duration > 0).
   void schedule(const FaultEvent& event);
 
   /// Schedules recovery of a crashed or degraded server at time `at`.
-  /// Restoring a healthy server is an idempotent no-op (traced).
+  /// Restoring a healthy server is an idempotent no-op.
   void schedule_restore(sim::Time at, int server_id);
 
   /// Arms the per-server exponential fault processes. Call at most once.
@@ -61,7 +60,8 @@ class FaultInjector {
   /// Servers lost to correlated-group escalation (subset of crash_faults).
   int correlated_faults() const noexcept { return correlated_faults_; }
 
-  /// Every delivered fault in delivery order.
+  /// Every delivered fault in delivery order (idempotent skips excluded).
+  /// A record's `recovered_at` is set when its restore is delivered.
   const std::vector<FaultRecord>& log() const noexcept { return log_; }
 
  private:
@@ -71,12 +71,10 @@ class FaultInjector {
   void deliver_restore(int server_id);
   void schedule_next_stochastic_fault(int server_id);
   void stochastic_fault(int server_id);
-  void emit(const std::string& message);
   State& state(int server_id);
 
   sim::Engine& engine_;
   cluster::Executor& executor_;
-  sim::Trace* trace_;
   Rng rng_root_;
   std::vector<Rng> streams_;  ///< One substream per server (stochastic).
   std::vector<State> states_;

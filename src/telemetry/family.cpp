@@ -138,36 +138,4 @@ double GaugeFamily::value(std::size_t label) const {
   return registry_.gauge_value(GaugeId{static_cast<std::uint32_t>(cached)});
 }
 
-// ------------------------------------------------------ HistogramFamily
-
-HistogramFamily::HistogramFamily(MetricsRegistry& registry,
-                                 std::string_view base,
-                                 std::string_view label_key, double lo,
-                                 double hi, std::size_t bins,
-                                 std::size_t max_series)
-    : registry_(registry),
-      index_(std::string(base), std::string(label_key), max_series),
-      overflow_counter_(registry.counter(kOverflowCounterName)),
-      lo_(lo),
-      hi_(hi),
-      bins_(bins) {
-  PRAN_REQUIRE(lo_ < hi_ && bins_ >= 1,
-               "histogram family needs lo < hi and bins >= 1");
-}
-
-HistogramId HistogramFamily::id_for(std::size_t slot) {
-  const std::int64_t cached = index_.load(slot);
-  if (cached >= 0) return HistogramId{static_cast<std::uint32_t>(cached)};
-  const HistogramId id =
-      registry_.histogram(index_.name_of_slot(slot), lo_, hi_, bins_);
-  index_.store(slot, static_cast<std::int64_t>(id.index));
-  return id;
-}
-
-void HistogramFamily::observe(std::size_t label, double value) {
-  const std::size_t slot = index_.slot_of(label);
-  if (slot == index_.max_series()) registry_.add(overflow_counter_);
-  registry_.observe(id_for(slot), value);
-}
-
 }  // namespace pran::telemetry

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file family.hpp
-/// Labelled metric families: a counter/gauge/histogram replicated across a
+/// Labelled metric families: a counter or gauge replicated across a
 /// small integer-keyed label dimension (`cell=`, `server=`, `rung=`, ...),
 /// layered on MetricsRegistry without touching its write path.
 ///
@@ -57,7 +57,7 @@ bool parse_series_name(std::string_view full, ParsedSeries& out);
 
 namespace detail {
 
-/// Id-cache shared by the three family kinds: a fixed array of atomic
+/// Id-cache shared by both family kinds: a fixed array of atomic
 /// slots (−1 = unregistered), one per label value plus one clamp slot.
 class SeriesIndex {
  public:
@@ -136,30 +136,6 @@ class GaugeFamily {
   MetricsRegistry& registry_;
   detail::SeriesIndex index_;
   CounterId overflow_counter_;
-};
-
-/// Histogram family: every series shares the family's fixed bounds.
-class HistogramFamily {
- public:
-  HistogramFamily(MetricsRegistry& registry, std::string_view base,
-                  std::string_view label_key, double lo, double hi,
-                  std::size_t bins,
-                  std::size_t max_series = kDefaultMaxSeries);
-
-  void observe(std::size_t label, double value);
-
-  const std::string& base() const noexcept { return index_.base(); }
-  const std::string& label_key() const noexcept { return index_.key(); }
-
- private:
-  HistogramId id_for(std::size_t slot);
-
-  MetricsRegistry& registry_;
-  detail::SeriesIndex index_;
-  CounterId overflow_counter_;
-  double lo_;
-  double hi_;
-  std::size_t bins_;
 };
 
 }  // namespace pran::telemetry

@@ -3,8 +3,9 @@
 /// \file flight_recorder.hpp
 /// Anomaly flight recorder: a bounded black box of recent system history
 /// — the last N closed KPI windows (from a TimeSeriesRecorder), recent
-/// degradation-ladder transitions, recent discrete events (quarantines,
-/// faults), and a tail of simulated-time spans — dumped as one
+/// degradation-ladder transitions, recent discrete events (migrations
+/// that end other than in a clean commit, ladder steps into the
+/// quarantine rung), and a tail of simulated-time spans — dumped as one
 /// self-contained JSON post-mortem when something goes wrong: an SLO
 /// burn-rate trips, a quarantine fires, or the run aborts.
 ///
@@ -52,7 +53,8 @@ class FlightRecorder {
   /// Records one degradation-ladder transition.
   void record_transition(sim::Time at, int from_rung, int to_rung,
                          std::string_view rung_name);
-  /// Records a discrete anomaly-adjacent event (quarantine, fault...).
+  /// Records a discrete anomaly-adjacent event (an aborted, rolled-back or
+  /// taken-over migration, a ladder quarantine...).
   void record_event(sim::Time at, std::string_view kind,
                     std::string_view detail);
 

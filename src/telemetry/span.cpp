@@ -112,21 +112,6 @@ void SpanCollector::push(Lane* lane, const SpanRecord& record) noexcept {
   ++lane->count;
 }
 
-void SpanCollector::record_wall(std::uint32_t name_id, std::uint16_t depth,
-                                std::int64_t start_ns, std::int64_t end_ns,
-                                std::int64_t arg0,
-                                std::int64_t arg1) noexcept {
-  SpanRecord r;
-  r.name_id = name_id;
-  r.kind = SpanKind::kWall;
-  r.depth = depth;
-  r.start_ns = start_ns - epoch_ns_;
-  r.duration_ns = end_ns - start_ns;
-  r.arg0 = arg0;
-  r.arg1 = arg1;
-  push(lane(), r);
-}
-
 void SpanCollector::emit_sim(std::uint32_t name_id, std::int32_t track,
                              std::int64_t start_sim_ns,
                              std::int64_t duration_ns, std::int64_t arg0,
@@ -140,29 +125,6 @@ void SpanCollector::emit_sim(std::uint32_t name_id, std::int32_t track,
   r.arg0 = arg0;
   r.arg1 = arg1;
   push(lane(), r);
-}
-
-void SpanCollector::instant_sim(std::uint32_t name_id, std::int32_t track,
-                                std::int64_t at_sim_ns,
-                                std::int64_t arg0) noexcept {
-  SpanRecord r;
-  r.name_id = name_id;
-  r.kind = SpanKind::kInstantSim;
-  r.track = track;
-  r.start_ns = at_sim_ns;
-  r.arg0 = arg0;
-  push(lane(), r);
-}
-
-std::uint16_t SpanCollector::enter() noexcept {
-  Lane* l = lane();
-  if (l == nullptr) return 0;
-  return l->depth++;
-}
-
-void SpanCollector::leave() noexcept {
-  Lane* l = lane();
-  if (l != nullptr && l->depth > 0) --l->depth;
 }
 
 void* SpanCollector::begin_span() noexcept {
@@ -264,10 +226,7 @@ std::string SpanCollector::to_chrome_trace() const {
       const std::string& name =
           r.name_id < names.size() ? names[r.name_id] : names.emplace_back("?");
       os << ",\n{\"name\":\"" << json_escape(name) << "\",";
-      if (r.kind == SpanKind::kInstantSim) {
-        os << "\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSimPid
-           << ",\"tid\":" << r.track;
-      } else if (r.kind == SpanKind::kSim) {
+      if (r.kind == SpanKind::kSim) {
         os << "\"ph\":\"X\",\"dur\":" << us_from_ns(r.duration_ns)
            << ",\"pid\":" << kSimPid << ",\"tid\":" << r.track;
       } else {
@@ -307,7 +266,6 @@ void SpanCollector::aggregate_into(MetricsRegistry& registry,
                                      config_.hist_lo_us, config_.hist_hi_us,
                                      config_.hist_bins));
   for (const SpanRecord& r : records()) {
-    if (r.kind == SpanKind::kInstantSim) continue;
     if (r.name_id >= ids.size()) continue;
     registry.observe(ids[r.name_id],
                      static_cast<double>(r.duration_ns) / 1e3);

@@ -38,16 +38,15 @@ namespace pran::telemetry {
 inline constexpr std::int64_t kNoArg = INT64_MIN;
 
 enum class SpanKind : std::uint8_t {
-  kWall,        ///< Duration measured with the steady clock.
-  kSim,         ///< Duration in simulated time on a virtual track.
-  kInstantSim,  ///< Zero-duration marker in simulated time.
+  kWall,  ///< Duration measured with the steady clock.
+  kSim,   ///< Duration in simulated time on a virtual track.
 };
 
 struct SpanRecord {
   std::uint32_t name_id = 0;
   SpanKind kind = SpanKind::kWall;
   std::uint16_t depth = 0;      ///< Nesting depth within the thread (wall).
-  std::int32_t track = 0;       ///< Sim kinds: virtual track (server id...).
+  std::int32_t track = 0;       ///< Sim spans: virtual track (server id...).
   std::int64_t start_ns = 0;    ///< Wall: ns since epoch_ns(); sim: sim ns.
   std::int64_t duration_ns = 0;
   std::int64_t arg0 = kNoArg;
@@ -79,34 +78,18 @@ class SpanCollector {
   std::uint32_t intern(std::string_view name);
   const std::string& name(std::uint32_t id) const;
 
-  /// Records a finished wall span on the calling thread's lane. `start_ns`
-  /// and `end_ns` are wall_now_ns() values; ScopedSpan is the normal way
-  /// to call this.
-  void record_wall(std::uint32_t name_id, std::uint16_t depth,
-                   std::int64_t start_ns, std::int64_t end_ns,
-                   std::int64_t arg0 = kNoArg,
-                   std::int64_t arg1 = kNoArg) noexcept;
-
   /// Records an interval in simulated time on virtual track `track`.
   void emit_sim(std::uint32_t name_id, std::int32_t track,
                 std::int64_t start_sim_ns, std::int64_t duration_ns,
                 std::int64_t arg0 = kNoArg,
                 std::int64_t arg1 = kNoArg) noexcept;
 
-  /// Zero-duration marker in simulated time (trace events, faults...).
-  void instant_sim(std::uint32_t name_id, std::int32_t track,
-                   std::int64_t at_sim_ns,
-                   std::int64_t arg0 = kNoArg) noexcept;
-
-  /// Nesting-depth bookkeeping for ScopedSpan: returns the depth the new
-  /// span runs at and pushes one level on the calling thread's lane.
-  std::uint16_t enter() noexcept;
-  void leave() noexcept;
-
-  /// ScopedSpan fast path: one lane lookup for the whole span lifecycle.
-  /// begin_span() claims the calling thread's lane (nullptr on overflow)
-  /// and pushes one nesting level; end_span() pops it and records. The
-  /// opaque handle is only valid on the thread that called begin_span().
+  /// Wall-span recording, as ScopedSpan drives it: one lane lookup for
+  /// the whole span lifecycle. begin_span() claims the calling thread's
+  /// lane (nullptr on overflow) and pushes one nesting level; end_span()
+  /// pops it and records. `start_ns` and `end_ns` are wall_now_ns()
+  /// values. The opaque handle is only valid on the thread that called
+  /// begin_span().
   void* begin_span() noexcept;
   void end_span(void* lane, std::uint32_t name_id, std::int64_t start_ns,
                 std::int64_t end_ns, std::int64_t arg0,

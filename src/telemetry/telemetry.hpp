@@ -106,16 +106,6 @@ void write_chrome_trace_file(const std::string& path);
                                             __VA_ARGS__);                   \
   } while (false)
 
-/// Zero-duration marker in simulated time.
-#define PRAN_SIM_INSTANT(name_literal, track, at_sim_ns, ...)               \
-  do {                                                                      \
-    static const std::uint32_t pran_sim_instant_id =                        \
-        ::pran::telemetry::spans().intern(name_literal);                    \
-    ::pran::telemetry::spans().instant_sim(pran_sim_instant_id, (track),    \
-                                           (at_sim_ns)__VA_OPT__(, )        \
-                                               __VA_ARGS__);                \
-  } while (false)
-
 #else  // PRAN_TELEMETRY_ENABLED
 
 #define PRAN_SPAN(name_literal, ...) \
@@ -135,9 +125,6 @@ void write_chrome_trace_file(const std::string& path);
   } while (false)
 #define PRAN_SIM_SPAN(name_literal, track, start_sim_ns, duration_ns, ...) \
   do {                                                                     \
-  } while (false)
-#define PRAN_SIM_INSTANT(name_literal, track, at_sim_ns, ...) \
-  do {                                                        \
   } while (false)
 
 #endif  // PRAN_TELEMETRY_ENABLED

@@ -88,8 +88,9 @@ TEST(FullStack, TraceRecordsControllerAndFailures) {
   const int victim = d.controller().server_of(0);
   d.fail_server_at(d.now(), victim);
   d.run_for(100 * sim::kMillisecond);
-  EXPECT_GE(d.trace().count("controller"), 1u);
-  EXPECT_EQ(d.trace().count("fault"), 1u);
+  // The initial plan plus the epoch at 250 ms.
+  EXPECT_EQ(d.controller().reports().size(), 2u);
+  EXPECT_EQ(d.kpis().faults_injected, 1);
 }
 
 }  // namespace

@@ -1,0 +1,168 @@
+// Tests for the end-of-run export (core/kpi_export): a deployment of any
+// server count exports into a registry of default capacity, and every
+// control-plane event is counted once, in the counter that owns it.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "core/deployment.hpp"
+#include "core/kpi_export.hpp"
+#include "telemetry/family.hpp"
+#include "telemetry/telemetry.hpp"
+
+namespace pran::core {
+namespace {
+
+TEST(KpiExport, ServersPastTheBudgetFoldIntoTheirMean) {
+  // Two-core servers hold about two cells each, so 160 cells keep servers
+  // 0-84 busy: the folded servers 64-299 mix busy and idle ones, and the
+  // last of them (the one a plain last write would report) is idle.
+  DeploymentConfig config;
+  config.num_cells = 160;
+  config.num_servers = 300;
+  config.server.cores = 2;
+  config.seed = 11;
+  Deployment d(config);
+  d.run_for(5 * sim::kMillisecond);
+
+  telemetry::MetricsRegistry registry;  // default capacity: 256 gauges
+  ASSERT_NO_THROW(export_deployment(d, registry));
+
+  std::size_t series = 0;
+  bool has_other = false;
+  double other = 0.0;
+  telemetry::ParsedSeries parsed;
+  for (const auto& g : registry.snapshot().gauges) {
+    if (!telemetry::parse_series_name(g.name, parsed) ||
+        parsed.base != "executor.utilization")
+      continue;
+    ++series;
+    if (parsed.value == "other") {
+      has_other = true;
+      other = g.value;
+    }
+  }
+  EXPECT_LE(series, telemetry::kDefaultMaxSeries + 1);
+  ASSERT_TRUE(has_other);
+
+  double folded = 0.0;
+  for (int s = 64; s < config.num_servers; ++s)
+    folded += d.executor().utilization(s, d.now());
+  ASSERT_GT(folded, 0.0);
+  EXPECT_DOUBLE_EQ(other, folded / (config.num_servers - 64));
+}
+
+/// Faults with heartbeat detection and flap quarantine, the ladder on an
+/// impaired shared fronthaul, and two-phase migration under the fast
+/// morning ramp: every control-plane event kind fires.
+DeploymentConfig control_plane_config() {
+  DeploymentConfig config;
+  config.num_cells = 8;
+  config.num_servers = 5;
+  config.seed = 17;
+  config.epoch = 50 * sim::kMillisecond;
+  config.start_hour = 7.0;
+  config.day_compression = 7200;
+  config.placer = DeploymentConfig::PlacerKind::kFirstFitNoSticky;
+  config.harq_retransmissions = true;
+
+  config.heartbeat_period = 5 * sim::kMillisecond;
+  config.heartbeat_miss_threshold = 2;
+  config.controller.quarantine = true;
+  config.controller.flap_threshold = 2;
+  config.controller.flap_window = 5 * sim::kSecond;
+  config.controller.quarantine_base = 300 * sim::kMillisecond;
+
+  config.shared_fronthaul =
+      fronthaul::LinkParams{units::BitRate{40e9}, 25 * sim::kMicrosecond};
+  config.fronthaul_impairments.loss.p_good_to_bad = 0.02;
+  config.fronthaul_impairments.loss.p_bad_to_good = 0.3;
+  config.fronthaul_impairments.loss.loss_bad = 0.5;
+  config.fronthaul_impairments.jitter.max_jitter = 50 * sim::kMicrosecond;
+  config.fronthaul_impairments.brownout.mtbb_seconds = 0.3;
+  config.fronthaul_impairments.brownout.mean_duration_seconds = 0.3;
+  config.fronthaul_impairments.brownout.capacity_factor = 0.7;
+  config.degradation.enabled = true;
+  config.degradation.compression_ladder = {2.0};
+  config.degradation.up_epochs = 1;
+  config.degradation.down_epochs = 3;
+  config.degradation.queue_delay_up_us = 1500.0;
+  config.degradation.queue_delay_down_us = 1000.0;
+  config.degradation.loss_up = 0.25;
+  config.degradation.loss_down = 0.1;
+
+  config.migration.enabled = true;
+  config.migration.make_before_break = true;
+  config.migration.lease_ttl = 20 * sim::kMillisecond;
+  config.migration.transfer_ttis = 8;
+  config.migration.transfer_bits = 8.0e6;
+  config.migration.deadline = 100 * sim::kMillisecond;
+  return config;
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  telemetry::MetricsRegistry& reg = telemetry::registry();
+  return reg.counter_value(reg.counter(name));
+}
+
+bool names_trace_series(const telemetry::MetricsSnapshot& snap) {
+  const auto is_trace = [](const std::string& name) {
+    return name.rfind("trace.", 0) == 0 || name.find(".trace.") != name.npos;
+  };
+  for (const auto& c : snap.counters)
+    if (is_trace(c.name)) return true;
+  for (const auto& g : snap.gauges)
+    if (is_trace(g.name)) return true;
+  for (const auto& h : snap.histograms)
+    if (is_trace(h.name)) return true;
+  return false;
+}
+
+TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
+  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  // The global counters are process-wide, so measure this run's share as
+  // a difference. (Resetting the registry instead would leave the
+  // PRAN_COUNTER_* call sites holding ids of the old registry.)
+  const char* const kCounters[] = {
+      "controller.epochs", "fronthaul.ladder_transitions",
+      "migration.committed", "controller.quarantine_events"};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = counter_value(kCounters[i]);
+
+  Deployment d(control_plane_config());
+  // Three crash/restore cycles on one server: recoveries inside the flap
+  // window are quarantined.
+  for (int i = 0; i < 3; ++i) {
+    const sim::Time at = (200 + i * 250) * sim::kMillisecond;
+    d.fail_server_at(at, 4);
+    d.restore_server_at(at + 100 * sim::kMillisecond, 4);
+  }
+  d.run_for(2 * sim::kSecond);
+  const DeploymentKpis kpis = d.kpis();
+  export_deployment(d, telemetry::registry());
+  std::uint64_t delta[4];
+  for (int i = 0; i < 4; ++i)
+    delta[i] = counter_value(kCounters[i]) - before[i];
+
+  // The initial plan is a report but not an epoch.
+  const std::uint64_t epochs = d.controller().reports().size() - 1;
+  EXPECT_GT(epochs, 0u);
+  EXPECT_EQ(delta[0], epochs);
+  EXPECT_GT(kpis.ladder_transitions, 0u);
+  EXPECT_EQ(delta[1], kpis.ladder_transitions);
+  EXPECT_GT(kpis.migrations_committed, 0u);
+  EXPECT_EQ(delta[2], kpis.migrations_committed);
+  EXPECT_GT(kpis.quarantine_events, 0);
+  EXPECT_EQ(delta[3], static_cast<std::uint64_t>(kpis.quarantine_events));
+
+  // What --metrics-out would write: the registry plus the folded spans.
+  telemetry::MetricsRegistry folded;
+  telemetry::spans().aggregate_into(folded);
+  EXPECT_FALSE(names_trace_series(telemetry::registry().snapshot()));
+  EXPECT_FALSE(names_trace_series(folded.snapshot()));
+}
+
+}  // namespace
+}  // namespace pran::core

@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem: registry semantics (bucket edges,
 // shard merging, snapshot determinism, CSV round-trip), span recording
-// (nesting, ring overwrite, Chrome export, aggregation) and the
-// sim::Trace rework (interning, capacity cap, sink routing).
+// (nesting, ring overwrite, Chrome export, aggregation) and the global
+// instrumentation macros.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "sim/trace.hpp"
-#include "telemetry/bridge.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
@@ -193,13 +191,11 @@ TEST(SpanCollector, ChromeTraceExportsWallAndSimEvents) {
   }
   spans.emit_sim(sim_id, /*track=*/3, /*start=*/1'000'000, /*duration=*/500,
                  /*arg0=*/42);
-  spans.instant_sim(spans.intern("fault"), 3, 2'000'000);
   const std::string json = spans.to_chrome_trace();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("turbo_decode"), std::string::npos);
   EXPECT_NE(json.find("subframe_job"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("wall-clock"), std::string::npos);
   EXPECT_NE(json.find("simulated-time"), std::string::npos);
   EXPECT_NE(json.find("\"arg0\":42"), std::string::npos);
@@ -253,84 +249,6 @@ TEST(TelemetryGlobals, MacrosRecordIntoGlobalState) {
   reset_for_testing();
   EXPECT_EQ(registry().num_counters(), 0u);
   EXPECT_EQ(spans().recorded(), 0u);
-}
-
-// ----------------------------------------------------------------- trace
-
-TEST(TraceRework, CapacityCapDropsNewestAndCounts) {
-  sim::Trace trace;
-  trace.set_capacity(2);
-  for (int i = 0; i < 5; ++i)
-    trace.emit(i, "cat", std::string("m").append(std::to_string(i)));
-  EXPECT_EQ(trace.records().size(), 2u);
-  EXPECT_EQ(trace.dropped(), 3u);
-  EXPECT_EQ(trace.records()[0].message, "m0");
-  trace.clear();
-  EXPECT_EQ(trace.dropped(), 0u);
-  trace.emit(9, "cat", "after");
-  EXPECT_EQ(trace.records().size(), 1u);
-}
-
-TEST(TraceRework, CategoryIdsAreInterned) {
-  sim::Trace trace;
-  trace.emit(1, "a", "x");
-  trace.emit(2, "b", "y");
-  trace.emit(3, "a", "z");
-  EXPECT_EQ(trace.records()[0].category_id, trace.records()[2].category_id);
-  EXPECT_NE(trace.records()[0].category_id, trace.records()[1].category_id);
-  EXPECT_EQ(trace.count("a"), 2u);
-}
-
-TEST(TraceRework, EnableFilterAppliesToKnownAndNewCategories) {
-  sim::Trace trace;
-  trace.emit(1, "keep", "seen before gating");
-  trace.set_enabled_categories({"keep"});
-  trace.emit(2, "keep", "yes");
-  trace.emit(3, "drop", "no");  // first seen while disabled
-  EXPECT_EQ(trace.count("keep"), 2u);
-  EXPECT_EQ(trace.count("drop"), 0u);
-  trace.set_enabled_categories({});
-  trace.emit(4, "drop", "now kept");
-  EXPECT_EQ(trace.count("drop"), 1u);
-}
-
-struct RecordingSink : sim::TraceSink {
-  std::vector<sim::TraceRecord> seen;
-  void on_record(const sim::TraceRecord& record) override {
-    seen.push_back(record);
-  }
-};
-
-TEST(TraceRework, SinkSeesEnabledRecordsIncludingCapped) {
-  sim::Trace trace;
-  RecordingSink sink;
-  trace.set_sink(&sink);
-  trace.set_capacity(1);
-  trace.set_enabled_categories({"keep"});
-  trace.emit(1, "keep", "a");
-  trace.emit(2, "keep", "b");  // capacity-dropped, still hits the sink
-  trace.emit(3, "drop", "c");  // disabled, sink never sees it
-  ASSERT_EQ(sink.seen.size(), 2u);
-  EXPECT_EQ(sink.seen[1].message, "b");
-  EXPECT_EQ(trace.records().size(), 1u);
-}
-
-TEST(SimTraceBridge, RoutesRecordsToRegistryAndSpans) {
-  MetricsRegistry reg;
-  SpanCollector spans;
-  SimTraceBridge bridge(reg, spans, /*track=*/-1);
-  sim::Trace trace;
-  trace.set_sink(&bridge);
-  trace.emit(1'000'000, "controller", "replanned");
-  trace.emit(2'000'000, "controller", "replanned again");
-  trace.emit(3'000'000, "quarantine", "server 3 refused");
-  EXPECT_EQ(reg.counter_value(reg.counter("trace.controller")), 2u);
-  EXPECT_EQ(reg.counter_value(reg.counter("trace.quarantine")), 1u);
-  const auto records = spans.records();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].kind, SpanKind::kInstantSim);
-  EXPECT_EQ(records[0].track, -1);
-  EXPECT_EQ(records[0].start_ns, 1'000'000);
 }
 
 }  // namespace

@@ -216,7 +216,7 @@ void rule_fault_bypass(const std::string& path, const Toks& t,
     out.push_back({path, t[i].line, "fault-bypass",
                    t[i].text +
                        " called directly; deliver faults through "
-                       "faults::FaultInjector so they are traced, "
+                       "faults::FaultInjector so they are logged, "
                        "idempotent and monitor-visible"});
   }
 }
@@ -359,8 +359,8 @@ void rule_metric_name(const std::string& path, const Toks& t,
       "PRAN_HIST_OBSERVE"};
   static const std::set<std::string> kMembers{"counter", "gauge",
                                               "histogram"};
-  static const std::set<std::string> kFamilies{
-      "CounterFamily", "GaugeFamily", "HistogramFamily"};
+  static const std::set<std::string> kFamilies{"CounterFamily",
+                                               "GaugeFamily"};
   static const std::set<std::string> kLabelKeys{"cell", "server", "rung",
                                                 "slice"};
   for (std::size_t i = 0; i < t.size(); ++i) {

@@ -8,7 +8,7 @@ struct Executor {
 };
 
 void knock_one_out(Executor& executor, Executor* remote) {
-  // Direct executor mutation: bypasses the injector's trace + idempotence.
+  // Direct executor mutation: bypasses the injector's fault log + idempotence.
   executor.fail_server(3);
   executor.degrade_server(1, 0.5);
   remote->restore_server(3);

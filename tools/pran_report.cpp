@@ -28,6 +28,7 @@
 #include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
+#include "telemetry/family.hpp"
 #include "telemetry/registry.hpp"
 
 namespace {
@@ -130,14 +131,16 @@ void render_compute(const ReportContext& ctx) {
   }
   if (iter_rows > 0) ctx.print(iters, "decode effort (iterations per TB)");
 
-  // Per-rung dwell time, exported as compute.ladder_dwell_seconds.rung-N
-  // gauges by the KPI snapshot.
+  // Per-rung dwell time, exported as the compute.ladder_dwell_seconds
+  // {rung=N} gauge family by the KPI snapshot.
   Table dwell({"rung", "dwell_seconds"});
   std::size_t dwell_rows = 0;
-  const std::string dwell_prefix = "compute.ladder_dwell_seconds.";
+  telemetry::ParsedSeries series;
   for (const auto& g : ctx.snapshot.gauges) {
-    if (g.name.rfind(dwell_prefix, 0) != 0) continue;
-    dwell.row().cell(g.name.substr(dwell_prefix.size())).cell(g.value, 3);
+    if (!telemetry::parse_series_name(g.name, series) ||
+        series.base != "compute.ladder_dwell_seconds")
+      continue;
+    dwell.row().cell(series.value).cell(g.value, 3);
     ++dwell_rows;
   }
   if (dwell_rows > 0) ctx.print(dwell, "ladder dwell");
