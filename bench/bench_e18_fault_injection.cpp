@@ -51,6 +51,7 @@ struct DetectPoint {
 
 struct DetectResult {
   core::DeploymentKpis kpis;
+  telemetry::MetricsSnapshot metrics;
 };
 
 void run_detection_sweep(unsigned threads) {
@@ -78,7 +79,10 @@ void run_detection_sweep(unsigned threads) {
     core::Deployment d(config);
     d.run_for(3 * sim::kSecond);
     results[i].kpis = d.kpis();
+    results[i].metrics = d.metrics().snapshot();
   });
+  // Merged in grid order, so the exported gauges are --threads invariant.
+  for (const auto& r : results) telemetry::registry().merge(r.metrics);
 
   Table table({"mtbf_s", "detection", "faults", "detected", "mean_detect_ms",
                "blind_drops", "dropped", "lost_tbs", "miss_ratio"});
@@ -138,6 +142,7 @@ void run_survivability_table() {
         d.fail_server_at(d.now(), victim);
         d.run_for(1700 * sim::kMillisecond);
         const auto k = d.kpis();
+        telemetry::registry().merge(d.metrics().snapshot());
         row.cell(k.failover_outage_cells)
             .cell(static_cast<long long>(k.outage_cell_ttis))
             .cell(k.mean_active_servers, 2)
@@ -186,6 +191,7 @@ void run_quarantine_table() {
     }
     d.run_for(3800 * sim::kMillisecond);
     const auto k = d.kpis();
+    telemetry::registry().merge(d.metrics().snapshot());
     table.row()
         .cell(quarantine ? "on" : "off")
         .cell(k.migrations)

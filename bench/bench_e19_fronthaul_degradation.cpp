@@ -100,6 +100,7 @@ void run_severity_sweep(unsigned threads, sim::Time duration) {
   }
 
   std::vector<core::DeploymentKpis> results(grid.size());
+  std::vector<telemetry::MetricsSnapshot> metrics(grid.size());
   parallel_for_each(threads, grid.size(), [&](unsigned, std::size_t i) {
     auto config = base_config(grid[i].ladder);
     if (grid[i].mean_loss > 0.0) {
@@ -119,7 +120,10 @@ void run_severity_sweep(unsigned threads, sim::Time duration) {
     core::Deployment d(config);
     d.run_for(duration);
     results[i] = d.kpis();
+    metrics[i] = d.metrics().snapshot();
   });
+  // Merged in grid order, so the exported gauges are --threads invariant.
+  for (const auto& m : metrics) telemetry::registry().merge(m);
 
   Table table({"impairment", "ladder", "lost", "late", "brownouts", "shed",
                "tb_fail", "quar_ttis", "trans", "rung", "miss_ratio"});
@@ -158,14 +162,14 @@ void run_acceptance_check(sim::Time duration,
     config.fronthaul_impairments.brownout.mtbb_seconds = 0.3;
     config.fronthaul_impairments.brownout.mean_duration_seconds = 0.4;
     config.fronthaul_impairments.brownout.capacity_factor = 0.7;
-    // Timeline + SLO burn alerts ride on the ladder run only: these two
-    // runs are sequential (they share the global registry), and the
-    // ladder run is the one whose brownout response the flight recorder
-    // is meant to capture.
+    // Timeline + SLO burn alerts ride on the ladder run only: it is the
+    // one whose brownout response the flight recorder is meant to
+    // capture.
     if (ladder) config.timeline = timeline;
     core::Deployment d(config);
     d.run_for(duration);
     kpis[ladder ? 1 : 0] = d.kpis();
+    telemetry::registry().merge(d.metrics().snapshot());
   }
   Table table({"mode", "subframes", "misses", "miss_ratio", "verdict"});
   const double naive = kpis[0].miss_ratio, degraded = kpis[1].miss_ratio;

@@ -93,12 +93,16 @@ void run_severity_sweep(unsigned threads, sim::Time duration,
   }
 
   results.assign(grid.size(), {});
+  std::vector<telemetry::MetricsSnapshot> metrics(grid.size());
   parallel_for_each(threads, grid.size(), [&](unsigned, std::size_t i) {
     core::Deployment d(pool_config(grid[i].overload));
     schedule_compute_brownout(d, grid[i].factor);
     d.run_for(duration);
     results[i] = d.kpis();
+    metrics[i] = d.metrics().snapshot();
   });
+  // Merged in grid order, so the exported gauges are --threads invariant.
+  for (const auto& m : metrics) telemetry::registry().merge(m);
 
   Table table({"brownout", "overload", "misses", "miss_ratio", "outages",
                "outage_ratio", "capped_tbs", "iters_real/need",
@@ -206,9 +210,8 @@ int run_acceptance(sim::Time duration, const core::TimelineConfig& timeline) {
   core::DeploymentKpis kpis[2];
   for (const bool compute_rungs : {false, true}) {
     auto config = e19_config(compute_rungs);
-    // The timeline rides on the compute-rung run only — the two runs are
-    // sequential and share the global registry, and the headline run is
-    // the one whose outage budget the SLO engine should be watching.
+    // The timeline rides on the compute-rung run only: the headline run
+    // is the one whose outage budget the SLO engine should be watching.
     if (compute_rungs) config.timeline = timeline;
     core::Deployment d(config);
     d.run_for(duration);
@@ -218,6 +221,8 @@ int run_acceptance(sim::Time duration, const core::TimelineConfig& timeline) {
     // snapshot.
     if (compute_rungs)
       core::export_deployment(d, telemetry::registry());
+    else
+      telemetry::registry().merge(d.metrics().snapshot());
   }
   const auto& comp = kpis[0];
   const auto& full = kpis[1];

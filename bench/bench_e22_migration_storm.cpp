@@ -117,6 +117,7 @@ void schedule_crashes(core::Deployment& d) {
 
 struct RunResult {
   core::DeploymentKpis kpis;
+  telemetry::MetricsSnapshot metrics;
   std::uint64_t orphans = 0;      ///< Unresolved past deadline + grace.
   std::uint64_t msgs_lost = 0;    ///< Control-plane channel drops.
   int unresolved_at_end = 0;      ///< Active or settling when the run ended.
@@ -167,7 +168,10 @@ int run_grid(unsigned threads, sim::Time duration) {
     r.orphans = count_orphans(*m, d.now(), d.config().migration.deadline);
     r.msgs_lost = m->channel().messages_lost();
     r.unresolved_at_end = m->unresolved_cells();
+    r.metrics = d.metrics().snapshot();
   });
+  // Merged in grid order, so the exported gauges are --threads invariant.
+  for (const RunResult& r : results) telemetry::registry().merge(r.metrics);
 
   Table table({"severity", "mode", "planned", "started", "committed",
                "aborted", "rolled", "takeover", "retries", "stale",

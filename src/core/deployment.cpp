@@ -15,17 +15,15 @@ Deployment::Deployment(DeploymentConfig config)
     : config_(std::move(config)),
       pipeline_(config_.pipeline ? *config_.pipeline
                                  : Pipeline::standard_uplink()) {
-  if (telemetry::enabled()) {
-    // Per-cell outcome series (`deployment.cell_*{cell=N}`): one relaxed
-    // fetch_add per completion on top of the scalar counters, giving the
-    // timeline its dimensional deadline-miss trajectories.
-    cell_subframes_ = std::make_unique<telemetry::CounterFamily>(
-        telemetry::registry(), "deployment.cell_subframes", "cell");
-    cell_misses_ = std::make_unique<telemetry::CounterFamily>(
-        telemetry::registry(), "deployment.cell_misses", "cell");
-    cell_outages_ = std::make_unique<telemetry::CounterFamily>(
-        telemetry::registry(), "deployment.cell_outages", "cell");
-  }
+  // Per-cell outcome series (`deployment.cell_*{cell=N}`): one relaxed
+  // fetch_add per completion on top of the scalar counters, giving the
+  // timeline its dimensional deadline-miss trajectories.
+  cell_subframes_ = std::make_unique<telemetry::CounterFamily>(
+      metrics_, "deployment.cell_subframes", "cell");
+  cell_misses_ = std::make_unique<telemetry::CounterFamily>(
+      metrics_, "deployment.cell_misses", "cell");
+  cell_outages_ = std::make_unique<telemetry::CounterFamily>(
+      metrics_, "deployment.cell_outages", "cell");
   PRAN_REQUIRE(config_.num_cells >= 1, "deployment needs cells");
   PRAN_REQUIRE(config_.num_servers >= 1, "deployment needs servers");
   PRAN_REQUIRE(config_.epoch >= sim::kTti, "epoch must be at least one TTI");
@@ -145,8 +143,8 @@ Deployment::Deployment(DeploymentConfig config)
   // takeover instead of failover re-packing (the filter).
   if (config_.migration.enabled) {
     migration_ = std::make_unique<MigrationManager>(
-        config_.migration, engine_, config_.num_cells, config_.num_servers,
-        config_.seed * 0x9E3779B9u + 0xCE);
+        config_.migration, engine_, metrics_, config_.num_cells,
+        config_.num_servers, config_.seed * 0x9E3779B9u + 0xCE);
     migration_->set_complete_callback([this](int cell, int server) {
       controller_->complete_migration(cell, server);
     });
@@ -205,24 +203,22 @@ Deployment::Deployment(DeploymentConfig config)
     PRAN_SIM_SPAN("subframe_job", o.server_id, o.start, o.finish - o.start,
                   o.job.cell_id, o.job.tti);
     // Every terminal outcome counts one subframe (the SLO denominators).
-    PRAN_COUNTER_INC("deployment.subframes");
+    PRAN_COUNTER_INC(metrics_, "deployment.subframes");
     const auto cell = static_cast<std::size_t>(o.job.cell_id);
-    if (cell_subframes_) cell_subframes_->inc(cell);
+    cell_subframes_->inc(cell);
     if (o.compute_outage) {
       // Abandoned for lack of compute: the decode never ran, so the UE
       // hears no ACK and the HARQ debt comes due exactly as for a miss.
-      compute_outage_tbs_ +=
-          static_cast<std::uint64_t>(o.job.compute_outage_tbs);
-      PRAN_COUNTER_INC("compute.outage_jobs");
-      PRAN_COUNTER_ADD("compute.outage_tbs",
+      PRAN_COUNTER_INC(metrics_, "compute.outage_jobs");
+      PRAN_COUNTER_ADD(metrics_, "compute.outage_tbs",
                        static_cast<std::uint64_t>(o.job.compute_outage_tbs));
-      if (cell_outages_) cell_outages_->inc(cell);
+      cell_outages_->inc(cell);
       handle_harq_loss(o.job);
       return;
     }
     if (o.missed_deadline()) {
-      PRAN_COUNTER_INC("deployment.deadline_misses");
-      if (cell_misses_) cell_misses_->inc(cell);
+      PRAN_COUNTER_INC(metrics_, "deployment.deadline_misses");
+      cell_misses_->inc(cell);
     } else if (!o.dropped) {
       delivered_tb_bits_ += o.job.tb_bits;  // on-time: goodput numerator
     }
@@ -257,8 +253,8 @@ Deployment::Deployment(DeploymentConfig config)
       const sim::Time latency =
           at - fault_time_[static_cast<std::size_t>(server_id)];
       detection_latency_total_ += latency;
-      PRAN_HIST_OBSERVE("monitor.detection_latency_ms", 0.0, 1000.0, 50,
-                        sim::to_seconds(latency) * 1e3);
+      PRAN_HIST_OBSERVE(metrics_, "monitor.detection_latency_ms", 0.0,
+                        1000.0, 50, sim::to_seconds(latency) * 1e3);
       close_energy_interval();
       // Detection order matters: the migration manager first (it decides
       // which cells resolve by lease takeover), then the failover.
@@ -280,21 +276,19 @@ Deployment::Deployment(DeploymentConfig config)
   engine_.schedule_at(0, [this] { tick(); });
   engine_.schedule_at(config_.epoch, [this] { epoch_replan(); });
 
-  // KPI timeline: windowed snapshot diffs -> SLO burn-rate evaluation ->
-  // flight-recorder post-mortems. Rides the process-global registry, so
-  // it is only meaningful for runs that own it (see TimelineConfig).
-  if (config_.timeline.enabled && telemetry::enabled()) {
+  // KPI timeline: windowed diffs of this deployment's registry -> SLO
+  // burn-rate evaluation -> flight-recorder post-mortems.
+  if (config_.timeline.enabled) {
     PRAN_REQUIRE(config_.timeline.window >= sim::kTti,
                  "timeline window must be at least one TTI");
     telemetry::TimeSeriesRecorder::Config rc;
     rc.window = config_.timeline.window;
     rc.history = config_.timeline.history;
-    recorder_ = std::make_unique<telemetry::TimeSeriesRecorder>(
-        telemetry::registry(), rc);
+    recorder_ = std::make_unique<telemetry::TimeSeriesRecorder>(metrics_, rc);
     if (!config_.timeline.timeline_out.empty())
       recorder_->open_jsonl(config_.timeline.timeline_out);
     slo_engine_ = std::make_unique<telemetry::SloEngine>(
-        telemetry::registry(), telemetry::default_deployment_slos());
+        metrics_, telemetry::default_deployment_slos());
     telemetry::FlightRecorder::Config fc;
     fc.out_dir = config_.timeline.postmortem_dir;
     flight_ = std::make_unique<telemetry::FlightRecorder>(
@@ -345,7 +339,7 @@ void Deployment::tick() {
       for (auto& a : allocs) {
         if (a.mcs > degradation_->mcs_cap()) {
           a.mcs = degradation_->mcs_cap();
-          PRAN_COUNTER_INC("compute.mcs_capped_allocs");
+          PRAN_COUNTER_INC(metrics_, "compute.mcs_capped_allocs");
         }
       }
     }
@@ -382,7 +376,7 @@ void Deployment::tick() {
       const sim::Time ready = (tti_counter_ + 1) * sim::kTti;
       // Denominator for the fronthaul_late_rate SLO: every burst offered
       // to the fibre, lost or not.
-      PRAN_COUNTER_INC("fronthaul.bursts");
+      PRAN_COUNTER_INC(metrics_, "fronthaul.bursts");
       units::Bits burst_bits = fronthaul_bits_per_subframe_;
       if (mig.transfer_bits > 0.0)
         burst_bits += units::Bits{
@@ -390,6 +384,7 @@ void Deployment::tick() {
       const fronthaul::BurstOutcome outcome =
           fronthaul_link_->enqueue_burst(ready, burst_bits);
       burst_lost = outcome.lost;
+      if (outcome.late) PRAN_COUNTER_INC(metrics_, "fronthaul.late_bursts");
       if (!outcome.lost) job.release = std::max(job.release, outcome.arrival);
     }
     // Demand estimation sees the radio load regardless of transport fate:
@@ -399,7 +394,7 @@ void Deployment::tick() {
     if (burst_lost) {
       // The samples never reached the pool: no decode, no ACK, and the
       // UE's synchronous HARQ debt comes due like any missed deadline.
-      PRAN_COUNTER_INC("fronthaul.lost_bursts");
+      PRAN_COUNTER_INC(metrics_, "fronthaul.lost_bursts");
       handle_harq_loss(job);
       continue;
     }
@@ -427,8 +422,7 @@ void Deployment::tick() {
           (config_.server.gops_per_tti() * executor_->speed_factor(server)) *
           static_cast<double>(sim::kTti));
       if (job.release + estimated_exec > job.deadline) {
-        ++shed_subframes_;
-        PRAN_COUNTER_INC("fronthaul.shed_subframes");
+        PRAN_COUNTER_INC(metrics_, "fronthaul.shed_subframes");
         handle_harq_loss(job);
         continue;
       }
@@ -454,8 +448,7 @@ void Deployment::tick() {
         job.extra_gops = pipeline_.extra_gops(cells_[c].site().config,
                                               allocs, job.cost.total());
         job.decode_iterations_realized = capped.realized_iterations;
-        effort_capped_tbs_ += static_cast<std::uint64_t>(capped.capped_tbs);
-        PRAN_COUNTER_ADD("compute.capped_tbs",
+        PRAN_COUNTER_ADD(metrics_, "compute.capped_tbs",
                          static_cast<std::uint64_t>(capped.capped_tbs));
       }
     }
@@ -478,12 +471,12 @@ void Deployment::tick() {
         static_cast<std::uint64_t>(job.decode_iterations_realized);
     if ((degradation_ || config_.overload.enabled) && job.tb_count > 0) {
       const double tbs = static_cast<double>(job.tb_count);
-      PRAN_HIST_OBSERVE("compute.iterations_needed", 0.0,
+      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_needed", 0.0,
                         static_cast<double>(lte::kMaxTurboIterations),
                         lte::kMaxTurboIterations,
                         static_cast<double>(job.decode_iterations_needed) /
                             tbs);
-      PRAN_HIST_OBSERVE("compute.iterations_realized", 0.0,
+      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_realized", 0.0,
                         static_cast<double>(lte::kMaxTurboIterations),
                         lte::kMaxTurboIterations,
                         static_cast<double>(job.decode_iterations_realized) /
@@ -495,8 +488,7 @@ void Deployment::tick() {
     if (quality_draw < compression_penalty_) {
       // The decode will run, but the harder compression cost this
       // transport block its CRC: same HARQ consequence as a late decode.
-      ++compression_tb_failures_;
-      PRAN_COUNTER_INC("fronthaul.compression_tb_failures");
+      PRAN_COUNTER_INC(metrics_, "fronthaul.compression_tb_failures");
       handle_harq_loss(job);
     }
   }
@@ -518,7 +510,6 @@ void Deployment::epoch_replan() {
   if (fronthaul_link_) {
     const fronthaul::FronthaulLink::Window window =
         fronthaul_link_->take_window();
-    PRAN_COUNTER_ADD("fronthaul.late_bursts", window.late);
     if (degradation_) {
       // Telemetry-fed ladder signals: this epoch's fronthaul window plus
       // the executor's deadline-miss delta since the previous epoch.
@@ -535,7 +526,7 @@ void Deployment::epoch_replan() {
       signals.compute_pressure = epoch_peak_pressure_;
       const int rung_before = degradation_->rung();
       if (degradation_->update(engine_.now(), signals)) {
-        PRAN_COUNTER_INC("fronthaul.ladder_transitions");
+        PRAN_COUNTER_INC(metrics_, "fronthaul.ladder_transitions");
         apply_ladder_rung();
         if (flight_) {
           flight_->record_transition(engine_.now(), rung_before,
@@ -556,14 +547,14 @@ void Deployment::epoch_replan() {
           }
         }
       }
-      PRAN_GAUGE_SET("fronthaul.ladder_rung",
+      PRAN_GAUGE_SET(metrics_, "fronthaul.ladder_rung",
                      static_cast<double>(degradation_->rung()));
-      PRAN_GAUGE_SET("compute.ladder_effort_cap",
+      PRAN_GAUGE_SET(metrics_, "compute.ladder_effort_cap",
                      static_cast<double>(degradation_->effort_cap()));
     }
   }
   if (degradation_ || config_.overload.enabled) {
-    PRAN_GAUGE_SET("compute.pressure", epoch_peak_pressure_);
+    PRAN_GAUGE_SET(metrics_, "compute.pressure", epoch_peak_pressure_);
     epoch_peak_pressure_ = 0.0;
   }
   if (config_.forecast_horizon_hours > 0.0) {
@@ -598,11 +589,12 @@ void Deployment::epoch_replan() {
     return controller_->replan();
   }();
   if (report.feasible) current_active_servers_ = report.active_servers;
-  PRAN_COUNTER_INC("controller.epochs");
-  if (!report.feasible) PRAN_COUNTER_INC("controller.infeasible_epochs");
-  PRAN_COUNTER_ADD("controller.migrations",
+  PRAN_COUNTER_INC(metrics_, "controller.epochs");
+  if (!report.feasible)
+    PRAN_COUNTER_INC(metrics_, "controller.infeasible_epochs");
+  PRAN_COUNTER_ADD(metrics_, "controller.migrations",
                    static_cast<std::uint64_t>(report.migrations));
-  PRAN_HIST_OBSERVE("controller.solve_ms", 0.0, 50.0, 50,
+  PRAN_HIST_OBSERVE(metrics_, "controller.solve_ms", 0.0, 50.0, 50,
                     report.solve_seconds * 1e3);
   engine_.schedule_in(config_.epoch, [this] { epoch_replan(); });
 }
@@ -613,7 +605,7 @@ void Deployment::timeline_sample() {
   // Refresh the kpi.* gauges first so the closing window (and any
   // post-mortem it triggers) carries live KPI values, not end-of-run ones
   // — this is kpi_export's timeline mode.
-  export_kpis(kpis(), telemetry::registry());
+  export_kpis(kpis(), metrics_);
   const telemetry::WindowSample& window = recorder_->sample(engine_.now());
   if (slo_engine_) {
     for (const std::string& name : slo_engine_->on_window(window))
@@ -677,7 +669,8 @@ void Deployment::record_recovery_decision(int server_id, sim::Time now) {
   // it): leases may route to it once re-granted.
   if (migration_) migration_->on_server_recovered(server_id);
   const auto decision = controller_->handle_recovery(server_id, now);
-  if (!decision.accepted) PRAN_COUNTER_INC("controller.quarantine_events");
+  if (!decision.accepted)
+    PRAN_COUNTER_INC(metrics_, "controller.quarantine_events");
 }
 
 sim::Time Deployment::admission_exec_estimate(int server,
@@ -732,8 +725,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
         (config_.server.gops_per_tti() * executor_->speed_factor(target)) *
         static_cast<double>(sim::kTti));
     if (retx.release + estimated_exec > retx.deadline) {
-      ++shed_subframes_;
-      PRAN_COUNTER_INC("fronthaul.shed_subframes");
+      PRAN_COUNTER_INC(metrics_, "fronthaul.shed_subframes");
       handle_harq_loss(retx);
       return;
     }
@@ -791,17 +783,18 @@ DeploymentKpis Deployment::kpis() const {
     k.fronthaul_late_bursts = fronthaul_link_->late_bursts();
   }
   if (impairments_) k.fronthaul_brownouts = impairments_->brownouts();
-  k.shed_subframes = shed_subframes_;
-  k.compression_tb_failures = compression_tb_failures_;
+  k.shed_subframes = metrics_.counter_value("fronthaul.shed_subframes");
+  k.compression_tb_failures =
+      metrics_.counter_value("fronthaul.compression_tb_failures");
   k.quarantined_cell_ttis = quarantined_cell_ttis_;
   if (degradation_) {
     k.ladder_rung = degradation_->rung();
     k.ladder_transitions = degradation_->transitions();
   }
   k.compute_outage_jobs = stats.compute_outages;
-  k.compute_outage_tbs = compute_outage_tbs_;
+  k.compute_outage_tbs = metrics_.counter_value("compute.outage_tbs");
   k.compute_outage_ratio = stats.compute_outage_ratio();
-  k.effort_capped_tbs = effort_capped_tbs_;
+  k.effort_capped_tbs = metrics_.counter_value("compute.capped_tbs");
   k.decode_iterations_needed = decode_iterations_needed_;
   k.decode_iterations_realized = decode_iterations_realized_;
   k.offered_tb_bits = offered_tb_bits_;
@@ -809,7 +802,7 @@ DeploymentKpis Deployment::kpis() const {
   k.peak_compute_pressure = peak_compute_pressure_;
 
   if (migration_) {
-    const MigrationCounters& mc = migration_->counters();
+    const MigrationCounters mc = migration_->counters();
     k.migrations_started = mc.started;
     k.migrations_committed = mc.committed;
     k.migrations_aborted = mc.aborted;

@@ -31,6 +31,7 @@
 #include "mac/cell_mac.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/slo.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/traffic.hpp"
 
 namespace pran::telemetry {
@@ -40,10 +41,10 @@ class FlightRecorder;
 
 namespace pran::core {
 
-/// KPI time-series sampling on a sim-time cadence (DESIGN §14). Only
-/// valid for runs that own the process-global telemetry registry — sweeps
-/// that run many deployments in parallel against the shared registry must
-/// keep this off (their aggregate counters would alias across replicas).
+/// KPI time-series sampling on a sim-time cadence (DESIGN §14): windows
+/// diff snapshots of the deployment's own registry, so deployments may run
+/// timelines side by side. Post-mortem dumps read the process-global span
+/// collector, so `postmortem_dir` needs a single-threaded run.
 struct TimelineConfig {
   bool enabled = false;
   /// Window length in simulated time (each window closes with a registry
@@ -149,7 +150,7 @@ struct DeploymentConfig {
   PlacerKind placer = PlacerKind::kFirstFit;
 
   /// Windowed KPI time series + SLO burn-rate monitoring + anomaly flight
-  /// recorder (no-op unless enabled and the build has telemetry).
+  /// recorder (no-op unless enabled).
   TimelineConfig timeline;
 };
 
@@ -302,9 +303,14 @@ class Deployment {
     return migration_.get();
   }
   const DeploymentConfig& config() const noexcept { return config_; }
+  /// This deployment's metrics: every counter, gauge and histogram it
+  /// writes, and what kpis() reads its counted KPIs from. Sweeps merge a
+  /// snapshot of it into the registry they export.
+  const telemetry::MetricsRegistry& metrics() const noexcept {
+    return metrics_;
+  }
 
-  /// Timeline machinery (nullptr unless config().timeline.enabled and the
-  /// build has telemetry).
+  /// Timeline machinery (nullptr unless config().timeline.enabled).
   const telemetry::TimeSeriesRecorder* timeline_recorder() const noexcept {
     return recorder_.get();
   }
@@ -344,8 +350,9 @@ class Deployment {
 
   DeploymentConfig config_;
   sim::Engine engine_;
-  /// Per-cell outcome families (`deployment.cell_*{cell=N}` series; null
-  /// when the build has telemetry off).
+  /// Declared before every member that holds a reference to it.
+  telemetry::MetricsRegistry metrics_;
+  /// Per-cell outcome families (`deployment.cell_*{cell=N}` series).
   std::unique_ptr<telemetry::CounterFamily> cell_subframes_;
   std::unique_ptr<telemetry::CounterFamily> cell_misses_;
   std::unique_ptr<telemetry::CounterFamily> cell_outages_;
@@ -372,8 +379,6 @@ class Deployment {
   Rng quality_rng_;
   double compression_penalty_ = 0.0;
   /// Compute-aware overload accounting (see overload.hpp).
-  std::uint64_t compute_outage_tbs_ = 0;
-  std::uint64_t effort_capped_tbs_ = 0;
   std::uint64_t decode_iterations_needed_ = 0;
   std::uint64_t decode_iterations_realized_ = 0;
   double offered_tb_bits_ = 0.0;
@@ -382,8 +387,6 @@ class Deployment {
   /// compute-pressure signal) and over the whole run.
   double epoch_peak_pressure_ = 0.0;
   double peak_compute_pressure_ = 0.0;
-  std::uint64_t shed_subframes_ = 0;
-  std::uint64_t compression_tb_failures_ = 0;
   std::uint64_t quarantined_cell_ttis_ = 0;
   /// Executor-stat marks for per-epoch deadline-miss-rate deltas.
   std::uint64_t epoch_completed_mark_ = 0;

@@ -17,10 +17,9 @@ void set_gauge(telemetry::MetricsRegistry& registry, std::string_view prefix,
 }  // namespace
 
 void export_kpis(const DeploymentKpis& kpis,
-                 telemetry::MetricsRegistry& registry,
-                 std::string_view prefix) {
+                 telemetry::MetricsRegistry& registry) {
   const auto set = [&](std::string_view name, double value) {
-    set_gauge(registry, prefix, name, value);
+    set_gauge(registry, "kpi.", name, value);
   };
   set("subframes_processed", static_cast<double>(kpis.subframes_processed));
   set("deadline_misses", static_cast<double>(kpis.deadline_misses));
@@ -90,17 +89,12 @@ void export_kpis(const DeploymentKpis& kpis,
 
 void export_deployment(const Deployment& deployment,
                        telemetry::MetricsRegistry& registry) {
+  registry.merge(deployment.metrics().snapshot());
   export_kpis(deployment.kpis(), registry);
 
   const auto& executor = deployment.executor();
-  const auto stats = executor.stats();
-  set_gauge(registry, "executor.", "completed",
-            static_cast<double>(stats.completed));
-  set_gauge(registry, "executor.", "missed",
-            static_cast<double>(stats.missed));
-  set_gauge(registry, "executor.", "dropped",
-            static_cast<double>(stats.dropped));
-  set_gauge(registry, "executor.", "busy_seconds", stats.total_busy_seconds);
+  set_gauge(registry, "executor.", "busy_seconds",
+            executor.stats().total_busy_seconds);
   const sim::Time window = deployment.now();
   if (window > 0) {
     // Servers past the family's series budget share `{server=other}`,
@@ -134,11 +128,6 @@ void export_deployment(const Deployment& deployment,
               total / static_cast<double>(reports.size()));
     set_gauge(registry, "solver.", "max_solve_seconds", worst);
   }
-  set_gauge(registry, "solver.", "total_migrations",
-            deployment.controller().total_migrations());
-
-  set_gauge(registry, "executor.", "compute_outages",
-            static_cast<double>(stats.compute_outages));
 
   if (const DegradationController* ladder = deployment.degradation()) {
     // Per-rung dwell: how long the ladder sat on each rung (as of the

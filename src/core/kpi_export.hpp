@@ -1,27 +1,28 @@
 #pragma once
 
 /// \file kpi_export.hpp
-/// Publishes end-of-run deployment state into a telemetry registry, so
-/// one `--metrics-out` snapshot carries the deployment KPIs, fault and
-/// quarantine statistics, solver stats and executor utilisation next to
-/// the hot-path counters and span histograms.
-
-#include <string_view>
+/// Publishes a deployment's end-of-run state into an export registry, so
+/// one `--metrics-out` snapshot carries the run's counters and histograms
+/// (merged from `Deployment::metrics()`), its KPIs, solver stats and
+/// executor utilisation next to the span histograms.
 
 #include "core/deployment.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pran::core {
 
-/// Sets one gauge per DeploymentKpis field, named "<prefix><field>".
+/// Sets one `kpi.<field>` gauge per DeploymentKpis field. A deployment
+/// also calls it on its own registry at every timeline window, so a
+/// window (and any post-mortem it triggers) carries live KPI values.
 void export_kpis(const DeploymentKpis& kpis,
-                 telemetry::MetricsRegistry& registry,
-                 std::string_view prefix = "kpi.");
+                 telemetry::MetricsRegistry& registry);
 
-/// export_kpis() plus executor totals ("executor.*", including whole-run
-/// utilisation per server as `executor.utilization{server=N}`), controller
-/// solver stats ("solver.*") and, with the ladder on, per-rung dwell
-/// (`compute.ladder_dwell_seconds{rung=N}`).
+/// Merges `deployment.metrics()` into `registry`, then publishes the run's
+/// `kpi.*` view (export_kpis), executor busy time and whole-run
+/// utilisation per server (`executor.utilization{server=N}`), controller
+/// solver stats (`solver.*`) and, with the ladder on, per-rung dwell
+/// (`compute.ladder_dwell_seconds{rung=N}`). Sweeps call it for the run
+/// they export and merge the others' snapshots.
 void export_deployment(const Deployment& deployment,
                        telemetry::MetricsRegistry& registry);
 

@@ -39,10 +39,13 @@ void validate(const MigrationConfig& config) {
 }
 
 MigrationManager::MigrationManager(const MigrationConfig& config,
-                                   sim::Engine& engine, int num_cells,
-                                   int num_servers, std::uint64_t seed)
+                                   sim::Engine& engine,
+                                   telemetry::MetricsRegistry& metrics,
+                                   int num_cells, int num_servers,
+                                   std::uint64_t seed)
     : config_(config),
       engine_(engine),
+      metrics_(metrics),
       channel_(config.control_plane, seed),
       failed_(static_cast<std::size_t>(num_servers), false),
       last_exec_tti_(static_cast<std::size_t>(num_cells), -1),
@@ -50,6 +53,28 @@ MigrationManager::MigrationManager(const MigrationConfig& config,
   validate(config_);
   PRAN_REQUIRE(num_cells >= 1, "migration manager needs cells");
   PRAN_REQUIRE(num_servers >= 1, "migration manager needs servers");
+}
+
+MigrationCounters MigrationManager::counters() const {
+  const auto count = [this](std::string_view name) {
+    return metrics_.counter_value(name);
+  };
+  MigrationCounters c;
+  c.started = count("migration.started");
+  c.committed = count("migration.committed");
+  c.aborted = count("migration.aborted");
+  c.rolled_back = count("migration.rolled_back");
+  c.taken_over = count("migration.taken_over");
+  c.retries = count("migration.retried");
+  c.deferred = count("migration.deferred");
+  c.deadline_expired = count("migration.deadline_expired");
+  c.stale_messages = count("migration.stale_messages");
+  c.retry_exhaustions = count("migration.retry_exhausted");
+  c.blackout_ttis = count("migration.blackout_ttis");
+  c.dual_executions = count("migration.dual_execution");
+  c.handoff_latency_ms_sum = handoff_latency_ms_sum_;
+  c.handoffs = handoffs_;
+  return c;
 }
 
 MigrationManager::Migration* MigrationManager::find(int cell,
@@ -67,8 +92,7 @@ sim::Time MigrationManager::backoff_delay(int attempts_done) const {
 }
 
 void MigrationManager::count_stale() {
-  ++counters_.stale_messages;
-  PRAN_COUNTER_INC("migration.stale_messages");
+  PRAN_COUNTER_INC(metrics_, "migration.stale_messages");
 }
 
 MigrationManager::BeginResult MigrationManager::begin(int cell, int from,
@@ -96,8 +120,7 @@ MigrationManager::BeginResult MigrationManager::begin(int cell, int from,
       failed_[static_cast<std::size_t>(from)]) {
     // Migration storms wait out shed/quarantine rungs; moves touching a
     // crashed server are left to failover / the next replan.
-    ++counters_.deferred;
-    PRAN_COUNTER_INC("migration.deferred");
+    PRAN_COUNTER_INC(metrics_, "migration.deferred");
     return BeginResult::kDeferred;
   }
 
@@ -117,8 +140,7 @@ MigrationManager::BeginResult MigrationManager::begin(int cell, int from,
     rec.started_at = m.started_at;
     history_.push_back(rec);
   }
-  ++counters_.started;
-  PRAN_COUNTER_INC("migration.started");
+  PRAN_COUNTER_INC(metrics_, "migration.started");
 
   // The source holds the cell's lease (unbounded until a commit decision
   // fences it). The fencing token survives across migrations of the cell.
@@ -170,15 +192,13 @@ void MigrationManager::attempt_prepare(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
   if (m == nullptr || m->state != MigrationState::kPreparing) return;
   if (m->attempts > config_.max_retries) {
-    ++counters_.retry_exhaustions;
-    PRAN_COUNTER_INC("migration.retry_exhausted");
+    PRAN_COUNTER_INC(metrics_, "migration.retry_exhausted");
     resolve(*m, MigrationState::kAborted, "prepare retries exhausted",
             "retry_exhausted");
     return;
   }
   if (m->attempts > 0) {
-    ++counters_.retries;
-    PRAN_COUNTER_INC("migration.retried");
+    PRAN_COUNTER_INC(metrics_, "migration.retried");
     ++record_of(*m).retries;
   }
   const faults::ControlDelivery d = channel_.send(engine_.now());
@@ -246,8 +266,7 @@ void MigrationManager::attempt_commit(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
   if (m == nullptr || m->state != MigrationState::kCommitting) return;
   if (m->attempts > config_.max_retries) {
-    ++counters_.retry_exhaustions;
-    PRAN_COUNTER_INC("migration.retry_exhausted");
+    PRAN_COUNTER_INC(metrics_, "migration.retry_exhausted");
     if (m->source_dead) {
       // Lease-expiry takeover: the target holds the complete state and
       // the source can never come back inside its lease — ownership
@@ -266,8 +285,7 @@ void MigrationManager::attempt_commit(int cell, std::uint64_t id) {
     return;
   }
   if (m->attempts > 0) {
-    ++counters_.retries;
-    PRAN_COUNTER_INC("migration.retried");
+    PRAN_COUNTER_INC(metrics_, "migration.retried");
     ++record_of(*m).retries;
   }
   const std::uint64_t token = m->token;
@@ -306,8 +324,7 @@ void MigrationManager::on_deadline(int cell, std::uint64_t id) {
   if (m == nullptr) return;  // resolved before its deadline
   switch (m->state) {
     case MigrationState::kPreparing:
-      ++counters_.deadline_expired;
-      PRAN_COUNTER_INC("migration.deadline_expired");
+      PRAN_COUNTER_INC(metrics_, "migration.deadline_expired");
       resolve(*m, MigrationState::kAborted, "deadline expired before transfer",
               "aborted");
       return;
@@ -315,8 +332,7 @@ void MigrationManager::on_deadline(int cell, std::uint64_t id) {
       // Deadline-expiry rollback: discard the partial transfer. The
       // source was never fenced during the transfer, so it simply keeps
       // the cell — zero blackout.
-      ++counters_.deadline_expired;
-      PRAN_COUNTER_INC("migration.deadline_expired");
+      PRAN_COUNTER_INC(metrics_, "migration.deadline_expired");
       resolve(*m, MigrationState::kRolledBack,
               "deadline expired during transfer", "rolled_back");
       return;
@@ -350,9 +366,10 @@ void MigrationManager::grant_target(Migration& m, MigrationState final_state,
       complete_cb_(cell, to);
     });
   const double ms = sim::to_seconds(target_from - m.started_at) * 1e3;
-  counters_.handoff_latency_ms_sum += ms;
-  ++counters_.handoffs;
-  PRAN_HIST_OBSERVE("migration.handoff_latency_ms", 0.0, 500.0, 50, ms);
+  handoff_latency_ms_sum_ += ms;
+  ++handoffs_;
+  PRAN_HIST_OBSERVE(metrics_, "migration.handoff_latency_ms", 0.0, 500.0,
+                    50, ms);
   if (final_state == MigrationState::kCommitted)
     resolve(m, MigrationState::kCommitted, "", "committed");
   else
@@ -365,23 +382,19 @@ void MigrationManager::resolve(Migration& m, MigrationState final_state,
                                std::string_view event) {
   switch (final_state) {
     case MigrationState::kCommitted:
-      ++counters_.committed;
-      PRAN_COUNTER_INC("migration.committed");
+      PRAN_COUNTER_INC(metrics_, "migration.committed");
       break;
     case MigrationState::kAborted:
-      ++counters_.aborted;
-      PRAN_COUNTER_INC("migration.aborted");
+      PRAN_COUNTER_INC(metrics_, "migration.aborted");
       // An abort with a crashed source has no live claim to fall back to:
       // drop the lease authority so failover/replan placement governs.
       if (m.source_dead) leases_[m.cell].source = -1;
       break;
     case MigrationState::kRolledBack:
-      ++counters_.rolled_back;
-      PRAN_COUNTER_INC("migration.rolled_back");
+      PRAN_COUNTER_INC(metrics_, "migration.rolled_back");
       break;
     case MigrationState::kTakenOver:
-      ++counters_.taken_over;
-      PRAN_COUNTER_INC("migration.taken_over");
+      PRAN_COUNTER_INC(metrics_, "migration.taken_over");
       break;
     case MigrationState::kPreparing:
     case MigrationState::kTransferring:
@@ -431,8 +444,7 @@ MigrationManager::TickDecision MigrationManager::on_tick(
     // Unowned because of a migration window (fence gap, takeover wait or
     // the naive baseline's dark transfer) — not a placement outage.
     out.blackout = true;
-    ++counters_.blackout_ttis;
-    PRAN_COUNTER_INC("migration.blackout_ttis");
+    PRAN_COUNTER_INC(metrics_, "migration.blackout_ttis");
   }
   (void)tti;
   return out;
@@ -466,8 +478,7 @@ void MigrationManager::record_execution(int cell, std::int64_t tti,
   PRAN_REQUIRE(server >= 0, "execution grant needs a server");
   const auto c = static_cast<std::size_t>(cell);
   if (last_exec_tti_[c] == tti && last_exec_server_[c] != server) {
-    ++counters_.dual_executions;
-    PRAN_COUNTER_INC("migration.dual_execution");
+    PRAN_COUNTER_INC(metrics_, "migration.dual_execution");
     PRAN_CHECK(false, "dual execution: one cell-TTI granted to two servers");
   }
   last_exec_tti_[c] = tti;

@@ -55,6 +55,7 @@
 #include "faults/control_plane.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pran::core {
 
@@ -101,7 +102,8 @@ struct MigrationConfig {
 
 void validate(const MigrationConfig& config);
 
-/// Monotone counters for KPI export (`migration.*` telemetry mirrors).
+/// Protocol outcome counts: a view of the `migration.*` counters in the
+/// manager's registry, plus the handoff-latency sum behind the mean.
 struct MigrationCounters {
   std::uint64_t started = 0;
   std::uint64_t committed = 0;
@@ -154,8 +156,11 @@ class MigrationManager {
                                  ///< fronthaul with this TTI.
   };
 
+  /// Counts every protocol event into `metrics` (the deployment's
+  /// registry), which must outlive the manager.
   MigrationManager(const MigrationConfig& config, sim::Engine& engine,
-                   int num_cells, int num_servers, std::uint64_t seed);
+                   telemetry::MetricsRegistry& metrics, int num_cells,
+                   int num_servers, std::uint64_t seed);
 
   /// Called when a migration resolves with a new owner (commit, takeover,
   /// or instant flip): the deployment points the controller's placement
@@ -208,7 +213,7 @@ class MigrationManager {
   /// migration: must be zero once the system has drained (no orphans).
   int unresolved_cells() const noexcept;
 
-  const MigrationCounters& counters() const noexcept { return counters_; }
+  MigrationCounters counters() const;
   const std::vector<MigrationRecord>& history() const noexcept {
     return history_;
   }
@@ -270,6 +275,7 @@ class MigrationManager {
 
   MigrationConfig config_;
   sim::Engine& engine_;
+  telemetry::MetricsRegistry& metrics_;
   faults::ControlPlaneChannel channel_;
   std::function<void(int, int)> complete_cb_;
   std::function<void(const MigrationRecord&, std::string_view)> event_cb_;
@@ -290,7 +296,11 @@ class MigrationManager {
   /// Last execution grant per cell, for the dual-execution invariant.
   std::vector<std::int64_t> last_exec_tti_;
   std::vector<int> last_exec_server_;
-  MigrationCounters counters_;
+  /// Over committed + taken-over migrations. Kept here rather than
+  /// rebuilt from the `migration.handoff_latency_ms` histogram, whose
+  /// fixed-point sum rounds each observation to a microunit.
+  double handoff_latency_ms_sum_ = 0.0;
+  std::uint64_t handoffs_ = 0;
   std::vector<MigrationRecord> history_;
 };
 

@@ -59,13 +59,11 @@ BurstOutcome FronthaulLink::enqueue_burst(sim::Time ready, Bits bits) {
   window_.max_queue_delay = std::max(window_.max_queue_delay, queue_delay);
   bits_carried_ += bits;
   ++bursts_;
-  if (queue_delay + impairment.extra_delay > late_threshold_) {
-    ++late_bursts_;
-    ++window_.late;
-  }
+  const bool late = queue_delay + impairment.extra_delay > late_threshold_;
+  if (late) ++late_bursts_;
   return BurstOutcome{
       false, next_free_ + params_.propagation + impairment.extra_delay,
-      queue_delay};
+      queue_delay, late};
 }
 
 sim::Time FronthaulLink::enqueue(sim::Time ready, Bits bits) {

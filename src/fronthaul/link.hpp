@@ -56,6 +56,7 @@ struct BurstOutcome {
   bool lost = false;          ///< True: the burst never arrives.
   sim::Time arrival = 0;      ///< Last-bit arrival time; valid when !lost.
   sim::Time queue_delay = 0;  ///< Time the burst waited for the wire.
+  bool late = false;  ///< Queueing + jitter exceeded the late threshold.
 };
 
 class FronthaulLink {
@@ -71,7 +72,6 @@ class FronthaulLink {
   struct Window {
     std::uint64_t bursts = 0;          ///< Offered this window (incl. lost).
     std::uint64_t lost = 0;            ///< Dropped at ingress this window.
-    std::uint64_t late = 0;            ///< Over the late threshold.
     sim::Time max_queue_delay = 0;     ///< Worst wait this window.
 
     double loss_rate() const noexcept {

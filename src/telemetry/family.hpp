@@ -12,8 +12,8 @@
 /// The family caches the registered ids in a fixed atomic array indexed by
 /// label value: the hot path is one relaxed load plus the registry's own
 /// relaxed fetch_add (wait-free after a label's first touch; the first
-/// touch registers under the registry mutex, exactly like the static-local
-/// init in the PRAN_COUNTER_* macros).
+/// touch registers under the registry mutex, like the per-site id cache
+/// of the PRAN_COUNTER_* macros).
 ///
 /// Cardinality budget: a family holds at most `max_series` concrete label
 /// values. Writes with label >= max_series fold into one clamp series

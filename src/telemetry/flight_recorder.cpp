@@ -27,23 +27,22 @@ std::string sanitize(std::string_view s) {
 FlightRecorder::FlightRecorder(const TimeSeriesRecorder& recorder,
                                const SpanCollector* spans, Config config)
     : recorder_(recorder), spans_(spans), config_(std::move(config)) {
-  PRAN_REQUIRE(config_.max_windows >= 1 && config_.max_transitions >= 1 &&
-                   config_.max_events >= 1,
-               "flight recorder rings need capacity >= 1");
+  PRAN_REQUIRE(config_.max_windows >= 1,
+               "flight recorder needs max_windows >= 1");
 }
 
 void FlightRecorder::record_transition(sim::Time at, int from_rung,
                                        int to_rung,
                                        std::string_view rung_name) {
   transitions_.push_back({at, from_rung, to_rung, std::string(rung_name)});
-  while (transitions_.size() > config_.max_transitions)
+  while (transitions_.size() > kMaxTransitions)
     transitions_.pop_front();
 }
 
 void FlightRecorder::record_event(sim::Time at, std::string_view kind,
                                   std::string_view detail) {
   events_.push_back({at, std::string(kind), std::string(detail)});
-  while (events_.size() > config_.max_events) events_.pop_front();
+  while (events_.size() > kMaxEvents) events_.pop_front();
 }
 
 json::Value FlightRecorder::build_postmortem(sim::Time at,
@@ -94,7 +93,7 @@ json::Value FlightRecorder::build_postmortem(sim::Time at,
     sim_records.reserve(records.size());
     for (const auto& r : records)
       if (r.kind != SpanKind::kWall) sim_records.push_back(&r);
-    const std::size_t keep = std::min(config_.max_spans, sim_records.size());
+    const std::size_t keep = std::min(kMaxSpans, sim_records.size());
     for (std::size_t i = sim_records.size() - keep; i < sim_records.size();
          ++i) {
       const SpanRecord& r = *sim_records[i];

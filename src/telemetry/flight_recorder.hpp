@@ -15,9 +15,8 @@
 ///
 /// The span tail is read from the SpanCollector, which requires that no
 /// other thread is recording spans at trigger time — true for a
-/// single-threaded discrete-event run, which is the only mode the
-/// deployment timeline supports (sweeps that share the global registry
-/// across parallel deployments keep the timeline off).
+/// single-threaded discrete-event run. A deployment hands its recorder the
+/// process-global collector, so parallel sweeps keep post-mortems off.
 
 #include <cstdint>
 #include <deque>
@@ -32,16 +31,18 @@ namespace pran::telemetry {
 
 class FlightRecorder {
  public:
+  /// Ladder transitions and events kept, and sim-span tail records
+  /// included in a dump.
+  static constexpr std::size_t kMaxTransitions = 64;
+  static constexpr std::size_t kMaxEvents = 64;
+  static constexpr std::size_t kMaxSpans = 256;
+
   struct Config {
     /// Directory post-mortems are written into (must exist). Empty means
     /// record-only: rings stay queryable but trigger() writes nothing.
     std::string out_dir;
     /// KPI windows included in a dump (taken from the recorder's ring).
     std::size_t max_windows = 32;
-    std::size_t max_transitions = 64;
-    std::size_t max_events = 64;
-    /// Sim-span tail records included in a dump.
-    std::size_t max_spans = 256;
     /// Dump budget for the whole run.
     std::size_t max_dumps = 4;
   };

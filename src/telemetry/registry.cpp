@@ -8,21 +8,11 @@
 #include "common/check.hpp"
 #include "common/csv.hpp"
 #include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/narrow.hpp"
 #include "common/strings.hpp"
 
 namespace pran::telemetry {
-
-unsigned thread_index() noexcept {
-  // pran-lint: allow(determinism-hazard) -- assigns each thread a stable
-  // shard slot; which thread gets which slot varies, but snapshots sum
-  // across shards, so exported metrics stay thread-count invariant (the
-  // telemetry stress test pins this).
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned index =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return index;
-}
 
 namespace {
 
@@ -42,28 +32,12 @@ std::string format_double(double v) {
   return os.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
+std::uint64_t next_registry_uid() {
+  // pran-lint: allow(determinism-hazard) -- registry identity tag used
+  // only to invalidate the metric macros' per-site id caches; uids never
+  // appear in snapshots.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -78,7 +52,7 @@ std::uint64_t MetricsSnapshot::HistogramValue::total() const noexcept {
 
 double MetricsSnapshot::HistogramValue::mean() const noexcept {
   const std::uint64_t n = total();
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
 }
 
 double MetricsSnapshot::HistogramValue::bucket_lo(
@@ -103,23 +77,23 @@ std::string MetricsSnapshot::to_json() const {
   os.imbue(std::locale::classic());
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << '"' << json_escape(counters[i].name)
+    os << (i ? ",\n    " : "\n    ") << '"' << json::escape(counters[i].name)
        << "\": " << counters[i].value;
   }
   os << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ") << '"' << json_escape(gauges[i].name)
+    os << (i ? ",\n    " : "\n    ") << '"' << json::escape(gauges[i].name)
        << "\": " << format_double(gauges[i].value);
   }
   os << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const auto& h = histograms[i];
-    os << (i ? ",\n    " : "\n    ") << '"' << json_escape(h.name)
+    os << (i ? ",\n    " : "\n    ") << '"' << json::escape(h.name)
        << "\": {\"lo\": " << format_double(h.lo)
        << ", \"hi\": " << format_double(h.hi)
        << ", \"underflow\": " << h.underflow
        << ", \"overflow\": " << h.overflow
-       << ", \"sum\": " << format_double(h.sum) << ", \"buckets\": [";
+       << ", \"sum\": " << format_double(h.sum()) << ", \"buckets\": [";
     for (std::size_t b = 0; b < h.buckets.size(); ++b)
       os << (b ? "," : "") << h.buckets[b];
     os << "]}";
@@ -144,7 +118,7 @@ std::string MetricsSnapshot::to_csv() const {
     for (std::uint64_t b : h.buckets) buckets.push_back(std::to_string(b));
     rows.push_back({"histogram", h.name, "", format_double(h.lo),
                     format_double(h.hi), std::to_string(h.underflow),
-                    std::to_string(h.overflow), format_double(h.sum),
+                    std::to_string(h.overflow), format_double(h.sum()),
                     join(buckets, ";")});
   }
   return write_csv(rows);
@@ -169,7 +143,7 @@ MetricsSnapshot MetricsSnapshot::from_csv(const std::string& text) {
       h.hi = std::stod(row[4]);
       h.underflow = std::stoull(row[5]);
       h.overflow = std::stoull(row[6]);
-      h.sum = std::stod(row[7]);
+      h.sum_fixed = std::llround(std::stod(row[7]) * kSumScale);
       for (const auto& cell : split(row[8], ';'))
         if (!cell.empty()) h.buckets.push_back(std::stoull(cell));
       snap.histograms.push_back(std::move(h));
@@ -182,26 +156,19 @@ MetricsSnapshot MetricsSnapshot::from_csv(const std::string& text) {
 
 // ------------------------------------------------------------- registry
 
-MetricsRegistry::MetricsRegistry() : MetricsRegistry(Config()) {}
-
-MetricsRegistry::MetricsRegistry(Config config) : config_(config) {
-  PRAN_REQUIRE(config_.shards >= 1, "registry needs at least one shard");
-  PRAN_REQUIRE(config_.max_counters >= 1 && config_.max_gauges >= 1 &&
-                   config_.max_histograms >= 1,
-               "registry capacities must be positive");
-  PRAN_REQUIRE(config_.max_bins >= 1, "histogram bin capacity must be >= 1");
-  counter_names_ = std::make_unique<std::string[]>(config_.max_counters);
-  gauge_names_ = std::make_unique<std::string[]>(config_.max_gauges);
-  histogram_meta_ =
-      std::make_unique<HistogramMeta[]>(config_.max_histograms);
-  counter_cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      config_.shards * config_.max_counters);
-  gauge_cells_ = std::make_unique<std::atomic<double>[]>(config_.max_gauges);
-  hist_buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      config_.shards * config_.max_histograms * (config_.max_bins + 2));
-  hist_sums_ = std::make_unique<std::atomic<std::int64_t>[]>(
-      config_.shards * config_.max_histograms);
-  for (std::size_t i = 0; i < config_.max_gauges; ++i)
+MetricsRegistry::MetricsRegistry()
+    : uid_(next_registry_uid()),
+      counter_names_(std::make_unique<std::string[]>(kMaxCounters)),
+      gauge_names_(std::make_unique<std::string[]>(kMaxGauges)),
+      histogram_meta_(std::make_unique<HistogramMeta[]>(kMaxHistograms)),
+      counter_cells_(
+          std::make_unique<std::atomic<std::uint64_t>[]>(kMaxCounters)),
+      gauge_cells_(std::make_unique<std::atomic<double>[]>(kMaxGauges)),
+      hist_buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(
+          kMaxHistograms * (kMaxBins + 2))),
+      hist_sums_(
+          std::make_unique<std::atomic<std::int64_t>[]>(kMaxHistograms)) {
+  for (std::size_t i = 0; i < kMaxGauges; ++i)
     gauge_cells_[i].store(0.0, std::memory_order_relaxed);
 }
 
@@ -211,8 +178,8 @@ CounterId MetricsRegistry::counter(std::string_view name) {
   const auto it = counter_ids_.find(std::string(name));
   if (it != counter_ids_.end()) return CounterId{it->second};
   const std::uint32_t id = counter_count_.load(std::memory_order_relaxed);
-  PRAN_REQUIRE(id < config_.max_counters,
-               "registry counter capacity exhausted; raise max_counters");
+  PRAN_REQUIRE(id < kMaxCounters,
+               "registry counter capacity exhausted; raise kMaxCounters");
   counter_names_[id] = std::string(name);
   counter_ids_.emplace(std::string(name), id);
   counter_count_.store(id + 1, std::memory_order_release);
@@ -225,8 +192,8 @@ GaugeId MetricsRegistry::gauge(std::string_view name) {
   const auto it = gauge_ids_.find(std::string(name));
   if (it != gauge_ids_.end()) return GaugeId{it->second};
   const std::uint32_t id = gauge_count_.load(std::memory_order_relaxed);
-  PRAN_REQUIRE(id < config_.max_gauges,
-               "registry gauge capacity exhausted; raise max_gauges");
+  PRAN_REQUIRE(id < kMaxGauges,
+               "registry gauge capacity exhausted; raise kMaxGauges");
   gauge_names_[id] = std::string(name);
   gauge_ids_.emplace(std::string(name), id);
   gauge_count_.store(id + 1, std::memory_order_release);
@@ -237,8 +204,8 @@ HistogramId MetricsRegistry::histogram(std::string_view name, double lo,
                                        double hi, std::size_t bins) {
   PRAN_REQUIRE(!name.empty(), "metric name must be non-empty");
   PRAN_REQUIRE(lo < hi, "histogram needs lo < hi");
-  PRAN_REQUIRE(bins >= 1 && bins <= config_.max_bins,
-               "histogram bins outside [1, max_bins]");
+  PRAN_REQUIRE(bins >= 1 && bins <= kMaxBins,
+               "histogram bins outside [1, kMaxBins]");
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histogram_ids_.find(std::string(name));
   if (it != histogram_ids_.end()) {
@@ -248,8 +215,8 @@ HistogramId MetricsRegistry::histogram(std::string_view name, double lo,
     return HistogramId{it->second};
   }
   const std::uint32_t id = histogram_count_.load(std::memory_order_relaxed);
-  PRAN_REQUIRE(id < config_.max_histograms,
-               "registry histogram capacity exhausted; raise max_histograms");
+  PRAN_REQUIRE(id < kMaxHistograms,
+               "registry histogram capacity exhausted; raise kMaxHistograms");
   HistogramMeta& meta = histogram_meta_[id];
   meta.name = std::string(name);
   meta.lo = lo;
@@ -262,10 +229,7 @@ HistogramId MetricsRegistry::histogram(std::string_view name, double lo,
 }
 
 void MetricsRegistry::add(CounterId id, std::uint64_t n) noexcept {
-  const unsigned shard = thread_index() % config_.shards;
-  counter_cells_[static_cast<std::size_t>(shard) * config_.max_counters +
-                 id.index]
-      .fetch_add(n, std::memory_order_relaxed);
+  counter_cells_[id.index].fetch_add(n, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::set(GaugeId id, double value) noexcept {
@@ -276,29 +240,45 @@ void MetricsRegistry::observe(HistogramId id, double value) noexcept {
   const HistogramMeta& m = histogram_meta_[id.index];
   std::size_t bucket;
   if (value < m.lo) {
-    bucket = config_.max_bins;  // underflow slot
+    bucket = kMaxBins;  // underflow slot
   } else if (value >= m.hi) {
-    bucket = config_.max_bins + 1;  // overflow slot
+    bucket = kMaxBins + 1;  // overflow slot
   } else {
     bucket = static_cast<std::size_t>((value - m.lo) * m.inv_width);
     if (bucket >= m.bins) bucket = m.bins - 1;  // fp rounding at the edge
   }
-  const unsigned shard = thread_index() % config_.shards;
-  hist_buckets_[hist_cell(shard, id.index, bucket)].fetch_add(
+  hist_buckets_[hist_cell(id.index, bucket)].fetch_add(
       1, std::memory_order_relaxed);
-  hist_sums_[static_cast<std::size_t>(shard) * config_.max_histograms +
-             id.index]
-      .fetch_add(std::llround(value * kSumScale), std::memory_order_relaxed);
+  hist_sums_[id.index].fetch_add(std::llround(value * kSumScale),
+                                 std::memory_order_relaxed);
+}
+
+void MetricsRegistry::merge(const MetricsSnapshot& snapshot) {
+  for (const auto& c : snapshot.counters) add(counter(c.name), c.value);
+  for (const auto& g : snapshot.gauges) set(gauge(g.name), g.value);
+  for (const auto& h : snapshot.histograms) {
+    const HistogramId id = histogram(h.name, h.lo, h.hi, h.buckets.size());
+    const auto add_to = [&](std::size_t bucket, std::uint64_t n) {
+      if (n != 0)
+        hist_buckets_[hist_cell(id.index, bucket)].fetch_add(
+            n, std::memory_order_relaxed);
+    };
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) add_to(b, h.buckets[b]);
+    add_to(kMaxBins, h.underflow);
+    add_to(kMaxBins + 1, h.overflow);
+    hist_sums_[id.index].fetch_add(h.sum_fixed, std::memory_order_relaxed);
+  }
 }
 
 std::uint64_t MetricsRegistry::counter_value(CounterId id) const {
-  std::uint64_t total = 0;
-  for (unsigned s = 0; s < config_.shards; ++s)
-    total += counter_cells_[static_cast<std::size_t>(s) *
-                                config_.max_counters +
-                            id.index]
-                 .load(std::memory_order_relaxed);
-  return total;
+  return counter_cells_[id.index].load(std::memory_order_relaxed);
+}
+
+std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counter_ids_.find(std::string(name));
+  if (it == counter_ids_.end()) return 0;
+  return counter_cells_[it->second].load(std::memory_order_relaxed);
 }
 
 double MetricsRegistry::gauge_value(GaugeId id) const {
@@ -324,15 +304,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::uint32_t n_counters =
       counter_count_.load(std::memory_order_acquire);
   snap.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    std::uint64_t total = 0;
-    for (unsigned s = 0; s < config_.shards; ++s)
-      total +=
-          counter_cells_[static_cast<std::size_t>(s) * config_.max_counters +
-                         i]
-              .load(std::memory_order_relaxed);
-    snap.counters.push_back({counter_names_[i], total});
-  }
+  for (std::uint32_t i = 0; i < n_counters; ++i)
+    snap.counters.push_back(
+        {counter_names_[i], counter_cells_[i].load(std::memory_order_relaxed)});
 
   const std::uint32_t n_gauges = gauge_count_.load(std::memory_order_acquire);
   snap.gauges.reserve(n_gauges);
@@ -349,21 +323,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     h.name = m.name;
     h.lo = m.lo;
     h.hi = m.hi;
-    h.buckets.assign(m.bins, 0);
-    std::int64_t sum_fixed = 0;
-    for (unsigned s = 0; s < config_.shards; ++s) {
-      for (std::size_t b = 0; b < m.bins; ++b)
-        h.buckets[b] +=
-            hist_buckets_[hist_cell(s, i, b)].load(std::memory_order_relaxed);
-      h.underflow += hist_buckets_[hist_cell(s, i, config_.max_bins)].load(
-          std::memory_order_relaxed);
-      h.overflow += hist_buckets_[hist_cell(s, i, config_.max_bins + 1)].load(
-          std::memory_order_relaxed);
-      sum_fixed +=
-          hist_sums_[static_cast<std::size_t>(s) * config_.max_histograms + i]
-              .load(std::memory_order_relaxed);
-    }
-    h.sum = static_cast<double>(sum_fixed) / kSumScale;
+    h.buckets.resize(m.bins);
+    for (std::size_t b = 0; b < m.bins; ++b)
+      h.buckets[b] =
+          hist_buckets_[hist_cell(i, b)].load(std::memory_order_relaxed);
+    h.underflow =
+        hist_buckets_[hist_cell(i, kMaxBins)].load(std::memory_order_relaxed);
+    h.overflow = hist_buckets_[hist_cell(i, kMaxBins + 1)].load(
+        std::memory_order_relaxed);
+    h.sum_fixed = hist_sums_[i].load(std::memory_order_relaxed);
     snap.histograms.push_back(std::move(h));
   }
 

@@ -2,31 +2,27 @@
 
 /// \file registry.hpp
 /// Thread-safe metrics registry: counters, gauges and fixed-bucket
-/// histograms, sharded so hot-path updates are wait-free.
+/// histograms with wait-free updates.
 ///
-/// Sharding model: each thread owns a stable small index
-/// (`thread_index()`, handed out once per thread from a global counter)
-/// that selects one of `Config::shards` per-metric arenas. An update is a
-/// single relaxed `fetch_add` on the calling thread's arena slot — no
-/// locks, no CAS loops — and distinct threads touch distinct cache
-/// regions, so instrumented hot paths (the turbo decoder wrapper, the
-/// executor tick) pay a handful of nanoseconds. `snapshot()` merges the
-/// arenas.
+/// Scope: each `core::Deployment` owns one registry and is its only hot
+/// writer, so a metric is one slot of relaxed atomics — an update is a
+/// single relaxed `fetch_add` (or store), no locks, no CAS loops. Sweeps
+/// that run many deployments fold each one's `snapshot()` into an outer
+/// registry with `merge()`; the atomics keep concurrent merges exact.
 ///
 /// Determinism contract (the `--threads` invariance the parallel sweeps
 /// guarantee): counter adds and histogram observations are commutative
 /// integer sums — histogram value sums are accumulated in fixed-point
 /// (microunit) integers precisely so the merged snapshot is a pure
 /// function of the *multiset* of observations, independent of which
-/// thread recorded each one or of shard count. Gauges are last-write-wins
-/// and should be set from one logical owner (they carry end-of-run KPI
-/// values, not hot-path increments).
+/// thread recorded each one or in which order runs were merged. Gauges are
+/// last-write-wins and should be set from one logical owner (they carry
+/// end-of-run KPI values, not hot-path increments).
 ///
 /// Registration (`counter()` / `gauge()` / `histogram()`) takes a mutex
-/// and is idempotent per name; do it once at startup or via the
-/// static-local caching in the PRAN_COUNTER_* macros. Capacities are
-/// fixed at construction so arenas never reallocate under concurrent
-/// writers.
+/// and is idempotent per name; do it once at startup or via the per-site
+/// caching in the PRAN_COUNTER_* macros. Capacities are compile-time
+/// constants so arenas never reallocate under concurrent writers.
 
 #include <atomic>
 #include <cstdint>
@@ -39,15 +35,19 @@
 
 namespace pran::telemetry {
 
-/// Stable, dense per-thread index (first call on each thread claims the
-/// next value). Used to pick a metrics shard; also exported for span
-/// lanes and tests.
-unsigned thread_index() noexcept;
-
 /// Fixed-point scale for histogram value sums: 1e6 ticks per unit keeps
 /// the merge order-independent (integer adds commute exactly, double adds
 /// do not) at a precision of one microunit per observation.
 inline constexpr double kSumScale = 1e6;
+
+/// Registry capacities. Sized with labelled-family headroom: a deployment
+/// registers up to ~3 counter families x (kDefaultMaxSeries + 1) per-cell
+/// series on top of the ~60 scalar metrics (see telemetry/family.hpp on
+/// the cardinality budget).
+inline constexpr std::size_t kMaxCounters = 512;
+inline constexpr std::size_t kMaxGauges = 256;
+inline constexpr std::size_t kMaxHistograms = 48;
+inline constexpr std::size_t kMaxBins = 64;
 
 struct CounterId {
   std::uint32_t index = 0;
@@ -59,7 +59,7 @@ struct HistogramId {
   std::uint32_t index = 0;
 };
 
-/// Point-in-time merged view of a registry; the exportable artifact
+/// Point-in-time view of a registry; the exportable artifact
 /// behind `--metrics-out`. Entries are sorted by name so two snapshots of
 /// identical state serialise identically byte for byte.
 struct MetricsSnapshot {
@@ -78,9 +78,12 @@ struct MetricsSnapshot {
     std::vector<std::uint64_t> buckets;
     std::uint64_t underflow = 0;
     std::uint64_t overflow = 0;
-    /// Sum of observed values (fixed-point accumulated, microunit exact).
-    double sum = 0.0;
+    /// Sum of observed values in microunits (1 / kSumScale), exact.
+    std::int64_t sum_fixed = 0;
 
+    double sum() const noexcept {
+      return static_cast<double>(sum_fixed) / kSumScale;
+    }
     std::uint64_t total() const noexcept;
     double mean() const noexcept;
     /// Approximate quantile from the binned data. Identical to
@@ -106,23 +109,14 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  struct Config {
-    // Sized with labelled-family headroom: a deployment registers up to
-    // ~3 counter families x (kDefaultMaxSeries + 1) per-cell series on
-    // top of the ~60 scalar metrics (see telemetry/family.hpp on the
-    // cardinality budget).
-    std::size_t max_counters = 512;
-    std::size_t max_gauges = 256;
-    std::size_t max_histograms = 48;
-    std::size_t max_bins = 64;
-    unsigned shards = 16;
-  };
-
-  MetricsRegistry();  ///< Default Config.
-  explicit MetricsRegistry(Config config);
+  MetricsRegistry();
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Process-unique identity, never reused (not even after this registry
+  /// is destroyed): the metric macros key their per-site id caches on it.
+  std::uint64_t uid() const noexcept { return uid_; }
 
   /// Register-or-look-up by name. Re-registering an existing name returns
   /// the same id (histograms must repeat the same bounds).
@@ -131,21 +125,26 @@ class MetricsRegistry {
   HistogramId histogram(std::string_view name, double lo, double hi,
                         std::size_t bins);
 
-  /// Wait-free: one relaxed fetch_add on the calling thread's shard.
+  /// Wait-free: one relaxed fetch_add.
   void add(CounterId id, std::uint64_t n = 1) noexcept;
   /// Last-write-wins store; set from a single logical owner.
   void set(GaugeId id, double value) noexcept;
   /// Wait-free: bucket fetch_add plus a fixed-point sum fetch_add.
   void observe(HistogramId id, double value) noexcept;
 
-  /// Merged value across shards (tests and quick checks).
+  /// Folds a snapshot in: counters and histograms add (same bounds
+  /// required), gauges are set. Names not yet present are registered.
+  void merge(const MetricsSnapshot& snapshot);
+
   std::uint64_t counter_value(CounterId id) const;
+  /// Value of the counter named `name`, 0 when no such counter exists.
+  /// Never registers the name, so reads leave snapshots unchanged.
+  std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(GaugeId id) const;
 
   std::size_t num_counters() const;
   std::size_t num_gauges() const;
   std::size_t num_histograms() const;
-  const Config& config() const noexcept { return config_; }
 
   MetricsSnapshot snapshot() const;
 
@@ -158,14 +157,13 @@ class MetricsRegistry {
     std::size_t bins = 1;
   };
 
-  std::size_t hist_cell(unsigned shard, std::uint32_t id,
-                        std::size_t bucket) const noexcept {
-    return (static_cast<std::size_t>(shard) * config_.max_histograms + id) *
-               (config_.max_bins + 2) +
-           bucket;
+  /// Slot of bucket `bucket` of histogram `id`; buckets kMaxBins and
+  /// kMaxBins + 1 are the underflow and overflow slots.
+  static std::size_t hist_cell(std::uint32_t id, std::size_t bucket) noexcept {
+    return static_cast<std::size_t>(id) * (kMaxBins + 2) + bucket;
   }
 
-  Config config_;
+  std::uint64_t uid_;
 
   mutable std::mutex mutex_;  // guards registration state only
   std::unordered_map<std::string, std::uint32_t> counter_ids_;
@@ -180,8 +178,7 @@ class MetricsRegistry {
   std::atomic<std::uint32_t> gauge_count_{0};
   std::atomic<std::uint32_t> histogram_count_{0};
 
-  /// Arenas, shard-major: shard s's slots are contiguous, so one thread's
-  /// updates stay in its own cache lines.
+  /// Value arenas: one slot per metric (per bucket for histograms).
   std::unique_ptr<std::atomic<std::uint64_t>[]> counter_cells_;
   std::unique_ptr<std::atomic<double>[]> gauge_cells_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> hist_buckets_;

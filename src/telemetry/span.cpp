@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/narrow.hpp"
 
 namespace pran::telemetry {
@@ -32,16 +33,6 @@ std::uint64_t next_collector_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Chrome trace timestamps are microseconds; keep three decimals of ns.
 std::string us_from_ns(std::int64_t ns) {
   std::ostringstream os;
@@ -60,11 +51,7 @@ SpanCollector::SpanCollector(Config config)
       collector_id_(next_collector_id()),
       epoch_ns_(wall_now_ns()) {
   PRAN_REQUIRE(config_.ring_capacity >= 1, "ring capacity must be >= 1");
-  PRAN_REQUIRE(config_.max_lanes >= 1, "collector needs at least one lane");
-  PRAN_REQUIRE(config_.hist_lo_us < config_.hist_hi_us,
-               "aggregate histogram needs lo < hi");
-  PRAN_REQUIRE(config_.hist_bins >= 1, "aggregate histogram needs bins");
-  lanes_.resize(config_.max_lanes);
+  lanes_.resize(kMaxLanes);
   for (auto& lane : lanes_) lane.ring.reserve(config_.ring_capacity);
 }
 
@@ -90,12 +77,12 @@ const std::string& SpanCollector::name(std::uint32_t id) const {
 SpanCollector::Lane* SpanCollector::lane() noexcept {
   for (const LaneRef& ref : t_lane_cache)
     if (ref.collector_id == collector_id_) {
-      if (ref.lane >= config_.max_lanes) return nullptr;  // overflow thread
+      if (ref.lane >= kMaxLanes) return nullptr;  // overflow thread
       return &lanes_[ref.lane];
     }
   const unsigned claimed = lanes_used_.fetch_add(1, std::memory_order_relaxed);
   t_lane_cache.push_back(LaneRef{collector_id_, claimed});
-  if (claimed >= config_.max_lanes) return nullptr;
+  if (claimed >= kMaxLanes) return nullptr;
   return &lanes_[claimed];
 }
 
@@ -189,8 +176,7 @@ void SpanCollector::clear() {
 }
 
 unsigned SpanCollector::lanes_in_use() const {
-  return std::min(lanes_used_.load(std::memory_order_relaxed),
-                  config_.max_lanes);
+  return std::min(lanes_used_.load(std::memory_order_relaxed), kMaxLanes);
 }
 
 std::string SpanCollector::to_chrome_trace() const {
@@ -225,7 +211,7 @@ std::string SpanCollector::to_chrome_trace() const {
       const SpanRecord& r = lane.ring[(start + i) % config_.ring_capacity];
       const std::string& name =
           r.name_id < names.size() ? names[r.name_id] : names.emplace_back("?");
-      os << ",\n{\"name\":\"" << json_escape(name) << "\",";
+      os << ",\n{\"name\":\"" << json::escape(name) << "\",";
       if (r.kind == SpanKind::kSim) {
         os << "\"ph\":\"X\",\"dur\":" << us_from_ns(r.duration_ns)
            << ",\"pid\":" << kSimPid << ",\"tid\":" << r.track;
@@ -262,9 +248,8 @@ void SpanCollector::aggregate_into(MetricsRegistry& registry,
   std::vector<HistogramId> ids;
   ids.reserve(names.size());
   for (const std::string& n : names)
-    ids.push_back(registry.histogram(std::string(prefix) + n,
-                                     config_.hist_lo_us, config_.hist_hi_us,
-                                     config_.hist_bins));
+    ids.push_back(registry.histogram(std::string(prefix) + n, kHistLoUs,
+                                     kHistHiUs, kHistBins));
   for (const SpanRecord& r : records()) {
     if (r.name_id >= ids.size()) continue;
     registry.observe(ids[r.name_id],

@@ -55,15 +55,16 @@ struct SpanRecord {
 
 class SpanCollector {
  public:
+  /// Thread lanes; threads beyond this drop their spans (counted).
+  static constexpr unsigned kMaxLanes = 64;
+  /// Bucket range for aggregate_into()'s per-stage histograms, in µs.
+  static constexpr double kHistLoUs = 0.0;
+  static constexpr double kHistHiUs = 10'000.0;
+  static constexpr std::size_t kHistBins = 50;
+
   struct Config {
     /// Span records kept per thread lane (ring buffer).
     std::size_t ring_capacity = 1u << 15;
-    /// Thread lanes; threads beyond this drop their spans (counted).
-    unsigned max_lanes = 64;
-    /// Bucket range for aggregate_into()'s per-stage histograms, in µs.
-    double hist_lo_us = 0.0;
-    double hist_hi_us = 10'000.0;
-    std::size_t hist_bins = 50;
   };
 
   SpanCollector();  ///< Default Config.
@@ -109,7 +110,7 @@ class SpanCollector {
   std::string to_chrome_trace() const;
 
   /// Folds span durations into per-stage latency histograms
-  /// ("<prefix><name>", µs, bounds from Config) plus drop/total counters,
+  /// ("<prefix><name>", µs, kHistLoUs..kHistHiUs) plus drop/total gauges,
   /// so stage timings ride the same snapshot as every other metric.
   void aggregate_into(MetricsRegistry& registry,
                       std::string_view prefix = "span_us.") const;
@@ -133,7 +134,7 @@ class SpanCollector {
   Config config_;
   std::uint64_t collector_id_;  ///< Unique per collector, keys TLS lookup.
   std::int64_t epoch_ns_;
-  std::vector<Lane> lanes_;  ///< Sized max_lanes at construction, immutable.
+  std::vector<Lane> lanes_;  ///< Sized kMaxLanes at construction, immutable.
   std::atomic<unsigned> lanes_used_{0};
   std::atomic<std::uint64_t> overflow_dropped_{0};
 

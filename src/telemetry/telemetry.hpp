@@ -1,16 +1,18 @@
 #pragma once
 
 /// \file telemetry.hpp
-/// Process-global telemetry facade: one MetricsRegistry + one
-/// SpanCollector shared by every library, plus the instrumentation macros
-/// the hot paths use.
+/// Process-global telemetry facade — one MetricsRegistry that sweeps merge
+/// their runs into, one SpanCollector shared by every library — plus the
+/// instrumentation macros the hot paths use.
 ///
-/// The macros intern names once per call site (function-local static id)
-/// and compile to nothing when the library is configured with
-/// -DPRAN_TELEMETRY=OFF — the classes stay available either way, only the
-/// global instrumentation points vanish. Keep per-call overhead in mind:
-/// PRAN_SPAN is two clock reads plus a ring write; the counter/histogram
-/// macros are one relaxed fetch_add.
+/// The metric macros take the registry they write to as their first
+/// argument (a Deployment passes its own; see core/deployment.hpp). Each
+/// call site caches its metric id per thread, tagged with the registry's
+/// uid(): the hot path is one compare plus one relaxed atomic, and the
+/// site registers again whenever it meets a different registry. They
+/// carry KPI data, so they stay compiled in at -DPRAN_TELEMETRY=OFF; OFF
+/// removes only the span macros. PRAN_SPAN costs two clock reads plus a
+/// ring write.
 
 #include <string>
 #include <string_view>
@@ -24,11 +26,13 @@
 
 namespace pran::telemetry {
 
-/// True when the build has global instrumentation compiled in.
+/// True when the build has the span macros compiled in.
 constexpr bool enabled() noexcept { return PRAN_TELEMETRY_ENABLED != 0; }
 
 /// Process-global registry / collector (constructed on first use, never
-/// destroyed, so instrumented code may run during static teardown).
+/// destroyed, so instrumented code may run during static teardown). The
+/// registry holds what `write_metrics_file` exports: tools merge each
+/// run's registry into it.
 MetricsRegistry& registry();
 SpanCollector& spans();
 
@@ -46,7 +50,70 @@ void write_metrics_file(const std::string& path);
 /// or chrome://tracing).
 void write_chrome_trace_file(const std::string& path);
 
+namespace detail {
+
+/// A metric call site's id, tagged with the registry it was registered in.
+struct SiteId {
+  std::uint64_t registry_uid = 0;  ///< 0: not registered on this thread.
+  std::uint32_t index = 0;
+};
+
+/// The id of call site `Site` (a lambda type unique to each macro
+/// expansion) in `registry`; `register_id()` runs when the calling
+/// thread's cached id belongs to another registry.
+template <typename Site>
+std::uint32_t site_index(const MetricsRegistry& registry,
+                         const Site& register_id) {
+  // pran-lint: allow(determinism-hazard) -- per-thread memo of one call
+  // site's (registry uid -> metric id); a miss re-registers by name, so
+  // the cache never changes which series a write lands in.
+  thread_local SiteId cached;
+  if (cached.registry_uid != registry.uid())
+    cached = SiteId{registry.uid(), register_id()};
+  return cached.index;
+}
+
+}  // namespace detail
+
 }  // namespace pran::telemetry
+
+/// Id of the enclosing macro's metric in `pran_reg`, registered by
+/// `pran_reg.register_call` on a cache miss.
+#define PRAN_TELEMETRY_SITE_INDEX(pran_reg, register_call) \
+  ::pran::telemetry::detail::site_index(                   \
+      pran_reg, [&pran_reg] { return pran_reg.register_call.index; })
+
+/// Adds `n` to the named counter of registry `reg`.
+#define PRAN_COUNTER_ADD(reg, name_literal, n)                             \
+  do {                                                                     \
+    ::pran::telemetry::MetricsRegistry& pran_reg = (reg);                  \
+    pran_reg.add(::pran::telemetry::CounterId{PRAN_TELEMETRY_SITE_INDEX(   \
+                     pran_reg, counter(name_literal))},                    \
+                 (n));                                                     \
+  } while (false)
+
+#define PRAN_COUNTER_INC(reg, name_literal) \
+  PRAN_COUNTER_ADD(reg, name_literal, 1)
+
+/// Last-write-wins gauge store.
+#define PRAN_GAUGE_SET(reg, name_literal, value)                           \
+  do {                                                                     \
+    ::pran::telemetry::MetricsRegistry& pran_reg = (reg);                  \
+    pran_reg.set(::pran::telemetry::GaugeId{PRAN_TELEMETRY_SITE_INDEX(     \
+                     pran_reg, gauge(name_literal))},                      \
+                 (value));                                                 \
+  } while (false)
+
+/// Observes `value` into a named histogram with fixed bounds; bounds must
+/// match across call sites for the same name.
+#define PRAN_HIST_OBSERVE(reg, name_literal, lo, hi, bins, value)          \
+  do {                                                                     \
+    ::pran::telemetry::MetricsRegistry& pran_reg = (reg);                  \
+    pran_reg.observe(                                                      \
+        ::pran::telemetry::HistogramId{PRAN_TELEMETRY_SITE_INDEX(          \
+            pran_reg, histogram(name_literal, (lo), (hi), (bins)))},       \
+        (value));                                                          \
+  } while (false)
 
 #if PRAN_TELEMETRY_ENABLED
 
@@ -67,34 +134,6 @@ void write_chrome_trace_file(const std::string& path);
       PRAN_TELEMETRY_CONCAT(pran_span_id_, __LINE__) __VA_OPT__(, )         \
           __VA_ARGS__)
 
-/// Adds `n` (default 1) to the named global counter.
-#define PRAN_COUNTER_ADD(name_literal, n)                                   \
-  do {                                                                      \
-    static const ::pran::telemetry::CounterId pran_counter_id =             \
-        ::pran::telemetry::registry().counter(name_literal);                \
-    ::pran::telemetry::registry().add(pran_counter_id, (n));                \
-  } while (false)
-
-#define PRAN_COUNTER_INC(name_literal) PRAN_COUNTER_ADD(name_literal, 1)
-
-/// Last-write-wins gauge store (end-of-run KPI values).
-#define PRAN_GAUGE_SET(name_literal, value)                                 \
-  do {                                                                      \
-    static const ::pran::telemetry::GaugeId pran_gauge_id =                 \
-        ::pran::telemetry::registry().gauge(name_literal);                  \
-    ::pran::telemetry::registry().set(pran_gauge_id, (value));              \
-  } while (false)
-
-/// Observes `value` into a named histogram with fixed bounds; bounds must
-/// match across call sites for the same name.
-#define PRAN_HIST_OBSERVE(name_literal, lo, hi, bins, value)                \
-  do {                                                                      \
-    static const ::pran::telemetry::HistogramId pran_hist_id =              \
-        ::pran::telemetry::registry().histogram(name_literal, (lo), (hi),   \
-                                                (bins));                    \
-    ::pran::telemetry::registry().observe(pran_hist_id, (value));           \
-  } while (false)
-
 /// Interval on a simulated-time track (server lane, cell lane...).
 #define PRAN_SIM_SPAN(name_literal, track, start_sim_ns, duration_ns, ...)  \
   do {                                                                      \
@@ -110,18 +149,6 @@ void write_chrome_trace_file(const std::string& path);
 
 #define PRAN_SPAN(name_literal, ...) \
   do {                               \
-  } while (false)
-#define PRAN_COUNTER_ADD(name_literal, n) \
-  do {                                    \
-  } while (false)
-#define PRAN_COUNTER_INC(name_literal) \
-  do {                                 \
-  } while (false)
-#define PRAN_GAUGE_SET(name_literal, value) \
-  do {                                      \
-  } while (false)
-#define PRAN_HIST_OBSERVE(name_literal, lo, hi, bins, value) \
-  do {                                                       \
   } while (false)
 #define PRAN_SIM_SPAN(name_literal, track, start_sim_ns, duration_ns, ...) \
   do {                                                                     \

@@ -100,7 +100,7 @@ const WindowSample& TimeSeriesRecorder::sample(sim::Time now) {
           delta.buckets[b] -= before.buckets[b];
         delta.underflow -= before.underflow;
         delta.overflow -= before.overflow;
-        delta.sum -= before.sum;
+        delta.sum_fixed -= before.sum_fixed;
       }
       const std::uint64_t count = delta.total();
       if (count == 0) continue;

@@ -1,12 +1,15 @@
 // Tests for the end-of-run export (core/kpi_export): a deployment of any
-// server count exports into a registry of default capacity, and every
-// control-plane event is counted once, in the counter that owns it.
+// server count exports into a registry of default capacity, every
+// control-plane event is counted once, in the counter that owns it, and
+// deployments running side by side count into their own registries.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "core/deployment.hpp"
 #include "core/kpi_export.hpp"
 #include "telemetry/family.hpp"
@@ -102,11 +105,6 @@ DeploymentConfig control_plane_config() {
   return config;
 }
 
-std::uint64_t counter_value(const std::string& name) {
-  telemetry::MetricsRegistry& reg = telemetry::registry();
-  return reg.counter_value(reg.counter(name));
-}
-
 bool names_trace_series(const telemetry::MetricsSnapshot& snap) {
   const auto is_trace = [](const std::string& name) {
     return name.rfind("trace.", 0) == 0 || name.find(".trace.") != name.npos;
@@ -121,16 +119,6 @@ bool names_trace_series(const telemetry::MetricsSnapshot& snap) {
 }
 
 TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
-  // The global counters are process-wide, so measure this run's share as
-  // a difference. (Resetting the registry instead would leave the
-  // PRAN_COUNTER_* call sites holding ids of the old registry.)
-  const char* const kCounters[] = {
-      "controller.epochs", "fronthaul.ladder_transitions",
-      "migration.committed", "controller.quarantine_events"};
-  std::uint64_t before[4];
-  for (int i = 0; i < 4; ++i) before[i] = counter_value(kCounters[i]);
-
   Deployment d(control_plane_config());
   // Three crash/restore cycles on one server: recoveries inside the flap
   // window are quarantined.
@@ -141,27 +129,87 @@ TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
   }
   d.run_for(2 * sim::kSecond);
   const DeploymentKpis kpis = d.kpis();
-  export_deployment(d, telemetry::registry());
-  std::uint64_t delta[4];
-  for (int i = 0; i < 4; ++i)
-    delta[i] = counter_value(kCounters[i]) - before[i];
+  const telemetry::MetricsRegistry& metrics = d.metrics();
 
   // The initial plan is a report but not an epoch.
   const std::uint64_t epochs = d.controller().reports().size() - 1;
   EXPECT_GT(epochs, 0u);
-  EXPECT_EQ(delta[0], epochs);
+  EXPECT_EQ(metrics.counter_value("controller.epochs"), epochs);
   EXPECT_GT(kpis.ladder_transitions, 0u);
-  EXPECT_EQ(delta[1], kpis.ladder_transitions);
+  EXPECT_EQ(metrics.counter_value("fronthaul.ladder_transitions"),
+            kpis.ladder_transitions);
   EXPECT_GT(kpis.migrations_committed, 0u);
-  EXPECT_EQ(delta[2], kpis.migrations_committed);
+  EXPECT_EQ(metrics.counter_value("migration.committed"),
+            kpis.migrations_committed);
   EXPECT_GT(kpis.quarantine_events, 0);
-  EXPECT_EQ(delta[3], static_cast<std::uint64_t>(kpis.quarantine_events));
+  EXPECT_EQ(metrics.counter_value("controller.quarantine_events"),
+            static_cast<std::uint64_t>(kpis.quarantine_events));
 
-  // What --metrics-out would write: the registry plus the folded spans.
+  // What --metrics-out would write: the export plus the folded spans.
+  telemetry::MetricsRegistry exported;
+  export_deployment(d, exported);
+  EXPECT_EQ(exported.counter_value("controller.epochs"), epochs);
   telemetry::MetricsRegistry folded;
   telemetry::spans().aggregate_into(folded);
-  EXPECT_FALSE(names_trace_series(telemetry::registry().snapshot()));
+  EXPECT_FALSE(names_trace_series(exported.snapshot()));
   EXPECT_FALSE(names_trace_series(folded.snapshot()));
+}
+
+/// Five cells on a shared fibre that browns out to half capacity: the
+/// ladder caps decode effort and sheds, and decodes still miss.
+DeploymentConfig brownout_config() {
+  DeploymentConfig config;
+  config.num_cells = 5;
+  config.num_servers = 4;
+  config.seed = 19;
+  config.harq_retransmissions = true;
+  config.epoch = 10 * sim::kMillisecond;
+  config.shared_fronthaul =
+      fronthaul::LinkParams{units::BitRate{25e9}, 25 * sim::kMicrosecond};
+  config.fronthaul_impairments.brownout.mtbb_seconds = 0.3;
+  config.fronthaul_impairments.brownout.mean_duration_seconds = 0.4;
+  config.fronthaul_impairments.brownout.capacity_factor = 0.5;
+  config.degradation.enabled = true;
+  config.degradation.compression_ladder = {1.5, 2.0};
+  config.degradation.up_epochs = 1;
+  config.degradation.down_epochs = 10;
+  config.degradation.queue_delay_up_us = 1000.0;
+  config.degradation.queue_delay_down_us = 700.0;
+  config.degradation.loss_up = 0.2;
+  config.degradation.loss_down = 0.05;
+  config.degradation.effort_ladder = {6};
+  return config;
+}
+
+TEST(KpiExport, ParallelDeploymentsKeepTheirOwnCounters) {
+  // Two different runs on two threads: each run's counters match its own
+  // KPIs, and the runs disagree on every one of them.
+  const DeploymentConfig configs[2] = {brownout_config(),
+                                       control_plane_config()};
+  std::unique_ptr<Deployment> runs[2];
+  parallel_for_each(2, 2, [&](unsigned, std::size_t i) {
+    runs[i] = std::make_unique<Deployment>(configs[i]);
+    runs[i]->run_for(3 * sim::kSecond);
+  });
+
+  const char* const kNames[] = {"deployment.deadline_misses",
+                                "fronthaul.shed_subframes",
+                                "compute.capped_tbs", "migration.committed"};
+  for (const auto& run : runs) {
+    const DeploymentKpis kpis = run->kpis();
+    const std::uint64_t expected[4] = {kpis.deadline_misses,
+                                       kpis.shed_subframes,
+                                       kpis.effort_capped_tbs,
+                                       kpis.migrations_committed};
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(run->metrics().counter_value(kNames[i]), expected[i])
+          << kNames[i];
+  }
+  // A shared registry would show both runs the same sums.
+  for (const char* name : kNames)
+    EXPECT_NE(runs[0]->metrics().counter_value(name),
+              runs[1]->metrics().counter_value(name))
+        << name;
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ MigrationConfig two_phase_config() {
 /// One manager + the callback capture the deployment would normally own.
 struct Harness {
   explicit Harness(const MigrationConfig& config)
-      : mgr(config, engine, kCells, kServers, kSeed) {
+      : mgr(config, engine, metrics, kCells, kServers, kSeed) {
     mgr.set_complete_callback([this](int cell, int server) {
       completions.emplace_back(cell, server);
     });
@@ -72,6 +72,7 @@ struct Harness {
   }
 
   sim::Engine engine;
+  telemetry::MetricsRegistry metrics;
   MigrationManager mgr;
   std::vector<std::pair<int, int>> completions;
   std::vector<std::string> events;

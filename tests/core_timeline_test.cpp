@@ -32,7 +32,6 @@ DeploymentConfig timeline_config() {
 }
 
 TEST(DeploymentTimeline, SamplesWindowsWithPerCellSeries) {
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
   Deployment d(timeline_config());
   d.run_for(300 * sim::kMillisecond);
 
@@ -54,13 +53,12 @@ TEST(DeploymentTimeline, SamplesWindowsWithPerCellSeries) {
 }
 
 TEST(DeploymentTimeline, ExportsSloGaugesIntoTheRegistry) {
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
   Deployment d(timeline_config());
   d.run_for(100 * sim::kMillisecond);
   ASSERT_NE(d.slo_engine(), nullptr);
   EXPECT_NE(d.slo_engine()->find("deadline_miss_rate"), nullptr);
 
-  const telemetry::MetricsSnapshot snap = telemetry::registry().snapshot();
+  const telemetry::MetricsSnapshot snap = d.metrics().snapshot();
   bool objective_seen = false;
   bool burn_seen = false;
   for (const auto& g : snap.gauges) {
@@ -77,7 +75,6 @@ TEST(DeploymentTimeline, ExportsSloGaugesIntoTheRegistry) {
 }
 
 TEST(DeploymentTimeline, StreamsJsonlAndDumpsPostmortemOnDemand) {
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
   const std::string dir = testing::TempDir();
   const std::string jsonl = dir + "/pran_core_timeline_test.jsonl";
   DeploymentConfig config = timeline_config();
@@ -109,6 +106,38 @@ TEST(DeploymentTimeline, StreamsJsonlAndDumpsPostmortemOnDemand) {
   EXPECT_GE(lines, 9u);
   std::remove(dump.c_str());
   std::remove(jsonl.c_str());
+}
+
+TEST(DeploymentTimeline, EveryWindowSeesItsOwnLateBursts) {
+  // 16 cells on one 10 Gbit/s fibre: the queue never drains, so all but
+  // the first bursts are late, and each window must say so, not one
+  // window in five.
+  DeploymentConfig config;
+  config.num_cells = 16;
+  config.num_servers = 6;
+  config.shared_fronthaul =
+      fronthaul::LinkParams{units::BitRate{10e9}, 25 * sim::kMicrosecond};
+  config.timeline.enabled = true;
+  Deployment d(config);
+  d.run_for(sim::kSecond);
+
+  const telemetry::TimeSeriesRecorder* rec = d.timeline_recorder();
+  ASSERT_NE(rec, nullptr);
+  ASSERT_GE(rec->windows().size(), 9u);
+  for (const telemetry::WindowSample& w : rec->windows()) {
+    SCOPED_TRACE(w.index);
+    // Only the run's first two bursts find the fibre idle enough: cell
+    // 1 waits one 369 us burst, under the 500 us late threshold.
+    const std::uint64_t on_time = w.index == 0 ? 2 : 0;
+    EXPECT_GT(w.counter_delta("fronthaul.bursts"), 0u);
+    EXPECT_EQ(w.counter_delta("fronthaul.late_bursts") + on_time,
+              w.counter_delta("fronthaul.bursts"));
+  }
+  // A steady burn trips the lateness alert once, not once per epoch.
+  const telemetry::SloStatus* late =
+      d.slo_engine()->find("fronthaul_late_rate");
+  ASSERT_NE(late, nullptr);
+  EXPECT_EQ(late->trips, 1u);
 }
 
 TEST(DeploymentTimeline, OffByDefaultCostsNothing) {

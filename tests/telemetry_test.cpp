@@ -1,7 +1,7 @@
 // Tests for the telemetry subsystem: registry semantics (bucket edges,
-// shard merging, snapshot determinism, CSV round-trip), span recording
-// (nesting, ring overwrite, Chrome export, aggregation) and the global
-// instrumentation macros.
+// concurrent adds, snapshot merges, snapshot determinism, CSV round-trip),
+// span recording (nesting, ring overwrite, Chrome export, aggregation) and
+// the instrumentation macros.
 
 #include <gtest/gtest.h>
 
@@ -75,7 +75,7 @@ TEST(MetricsRegistry, FixedPointSumIsExact) {
   const HistogramId h = reg.histogram("h", 0.0, 1.0, 4);
   for (int i = 0; i < 3; ++i) reg.observe(h, 0.5);
   const auto snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, 1.5);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].sum(), 1.5);
   EXPECT_DOUBLE_EQ(snap.histograms[0].mean(), 0.5);
 }
 
@@ -101,6 +101,74 @@ TEST(MetricsRegistry, ShardMergeSumsAcrossThreads) {
   EXPECT_EQ(reg.counter_value(c), kItems);
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.histograms[0].total(), kItems);
+}
+
+TEST(MetricsRegistry, MergeIsExact) {
+  MetricsRegistry a;
+  a.add(a.counter("c.hits"), 7);
+  a.set(a.gauge("g.level"), 1.5);
+  const HistogramId ha = a.histogram("h.lat", 0.0, 10.0, 5);
+  a.observe(ha, -1.0);  // underflow
+  a.observe(ha, 3.0);   // bucket 1
+  a.observe(ha, 99.0);  // overflow
+  MetricsSnapshot from_a = a.snapshot();
+  // A sum near 2^50 microunits: one more microunit must survive the merge.
+  from_a.histograms[0].sum_fixed += std::int64_t{1} << 50;
+
+  MetricsRegistry merged;
+  merged.add(merged.counter("c.hits"), 5);
+  merged.set(merged.gauge("g.level"), 9.0);
+  const HistogramId hm = merged.histogram("h.lat", 0.0, 10.0, 5);
+  merged.observe(hm, 3.5);      // bucket 1
+  merged.observe(hm, 0.000001);  // bucket 0, one microunit
+  merged.merge(from_a);
+
+  const auto snap = merged.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].value, 12u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, 1.5);  // set, not added
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const auto& h = snap.histograms[0];
+  EXPECT_EQ(h.buckets, (std::vector<std::uint64_t>{1, 2, 0, 0, 0}));
+  EXPECT_EQ(h.underflow, 1u);
+  EXPECT_EQ(h.overflow, 1u);
+  EXPECT_EQ(h.sum_fixed, (std::int64_t{1} << 50) + 3'500'000 + 1 -
+                             1'000'000 + 3'000'000 + 99'000'000);
+}
+
+TEST(MetricsRegistry, MergeOrderDoesNotChangeCountersOrHistograms) {
+  auto fill = [](MetricsRegistry& reg, int salt) {
+    reg.add(reg.counter("c.shared"), 3 + static_cast<std::uint64_t>(salt));
+    reg.add(reg.counter(salt ? "c.only_b" : "c.only_a"), 1);
+    const HistogramId h = reg.histogram("h.lat", 0.0, 1.0, 8);
+    for (int i = 0; i < 50; ++i) reg.observe(h, 0.0173 * (i + salt));
+  };
+  MetricsRegistry a, b;
+  fill(a, 0);
+  fill(b, 1);
+  MetricsRegistry ab, ba;
+  ab.merge(a.snapshot());
+  ab.merge(b.snapshot());
+  ba.merge(b.snapshot());
+  ba.merge(a.snapshot());
+  EXPECT_EQ(ab.snapshot().to_csv(), ba.snapshot().to_csv());
+  EXPECT_EQ(ab.counter_value("c.shared"), 7u);
+}
+
+TEST(MetricsRegistry, CounterLookupByNameNeverRegisters) {
+  MetricsRegistry reg;
+  reg.add(reg.counter("c.present"), 4);
+  EXPECT_EQ(reg.counter_value("c.present"), 4u);
+  EXPECT_EQ(reg.counter_value("c.absent"), 0u);
+  EXPECT_EQ(reg.num_counters(), 1u);
+  EXPECT_EQ(reg.snapshot().counters.size(), 1u);
+}
+
+TEST(MetricsRegistry, UidIsUniquePerRegistry) {
+  MetricsRegistry a, b;
+  EXPECT_NE(a.uid(), b.uid());
+  EXPECT_NE(a.uid(), 0u);
 }
 
 TEST(MetricsRegistry, SnapshotSortedByNameAndDeterministic) {
@@ -212,7 +280,7 @@ TEST(SpanCollector, AggregateIntoFoldsDurations) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].name, "span_us.stage");
   EXPECT_EQ(snap.histograms[0].total(), 3u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].sum, 6.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].sum(), 6.0);
 }
 
 TEST(SpanCollector, ParallelRecordingKeepsEverySpan) {
@@ -234,21 +302,47 @@ TEST(TelemetryGlobals, MacrosRecordIntoGlobalState) {
   reset_for_testing();
   {
     PRAN_SPAN("global_stage");
-    PRAN_COUNTER_INC("global_counter");
-    PRAN_COUNTER_ADD("global_counter", 4);
-    PRAN_GAUGE_SET("global_gauge", 2.5);
-    PRAN_HIST_OBSERVE("global_hist", 0.0, 10.0, 10, 3.0);
+    PRAN_COUNTER_INC(registry(), "global_counter");
+    PRAN_COUNTER_ADD(registry(), "global_counter", 4);
+    PRAN_GAUGE_SET(registry(), "global_gauge", 2.5);
+    PRAN_HIST_OBSERVE(registry(), "global_hist", 0.0, 10.0, 10, 3.0);
     PRAN_SIM_SPAN("global_sim", 1, 0, 100);
   }
-  if (!enabled()) GTEST_SKIP() << "telemetry compiled out";
-  EXPECT_EQ(registry().counter_value(registry().counter("global_counter")),
-            5u);
+  // The metric macros stay compiled in at PRAN_TELEMETRY=OFF.
+  EXPECT_EQ(registry().counter_value("global_counter"), 5u);
   EXPECT_DOUBLE_EQ(registry().gauge_value(registry().gauge("global_gauge")),
                    2.5);
+  if (!enabled()) GTEST_SKIP() << "span macros compiled out";
   EXPECT_EQ(spans().recorded(), 2u);
   reset_for_testing();
   EXPECT_EQ(registry().num_counters(), 0u);
   EXPECT_EQ(spans().recorded(), 0u);
+}
+
+/// One macro call site, counting into whichever registry it is handed.
+void count_first(MetricsRegistry& reg) { PRAN_COUNTER_INC(reg, "t.first"); }
+
+TEST(TelemetryMacros, OneSiteCountsUnderItsOwnNameInEachRegistry) {
+  MetricsRegistry a, b;
+  b.add(b.counter("t.other"), 0);  // "t.first" gets a different id in b
+  for (int i = 0; i < 3; ++i) {
+    count_first(a);
+    count_first(b);
+  }
+  EXPECT_EQ(a.counter_value("t.first"), 3u);
+  EXPECT_EQ(b.counter_value("t.first"), 3u);
+  EXPECT_EQ(b.counter_value("t.other"), 0u);
+
+  // Across a reset the site re-registers instead of writing whichever
+  // name now holds its old slot.
+  reset_for_testing();
+  count_first(registry());
+  reset_for_testing();
+  (void)registry().counter("t.other");
+  count_first(registry());
+  EXPECT_EQ(registry().counter_value("t.first"), 1u);
+  EXPECT_EQ(registry().counter_value("t.other"), 0u);
+  reset_for_testing();
 }
 
 }  // namespace

@@ -421,7 +421,7 @@ void rule_metric_name(const std::string& path, const Toks& t,
     };
 
     std::size_t name_arg = 0;
-    if (family) {
+    if (family || macro) {
       // Skip the leading registry reference; the name is the first
       // string-literal argument.
       name_arg = args.size();

@@ -1,6 +1,6 @@
 // Lint fixture: must trip [metric-name] and nothing else.
-#define PRAN_COUNTER_INC(name)
-#define PRAN_GAUGE_SET(name, value)
+#define PRAN_COUNTER_INC(reg, name)
+#define PRAN_GAUGE_SET(reg, name, value)
 
 struct Registry {
   int counter(const char*) { return 0; }
@@ -11,9 +11,9 @@ struct CounterFamily {
 };
 
 inline void emit(Registry& r, const char* dynamic) {
-  PRAN_COUNTER_INC("deployment.subframes");  // ok: dotted lowercase
-  PRAN_COUNTER_INC("DeploymentSubframes");   // bad: camel case, no dot
-  PRAN_GAUGE_SET("kpi.", 1.0);               // bad: empty segment
+  PRAN_COUNTER_INC(r, "deployment.subframes");  // ok: dotted lowercase
+  PRAN_COUNTER_INC(r, "DeploymentSubframes");   // bad: camel case, no dot
+  PRAN_GAUGE_SET(r, "kpi.", 1.0);               // bad: empty segment
   r.counter("fronthaul.bursts");             // ok
   r.counter(dynamic);                        // ok: not a literal
   r.gauge("late");                           // bad: no subsystem dot

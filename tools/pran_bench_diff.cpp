@@ -86,7 +86,8 @@ void flatten_snapshot_json(const json::Value& doc, Flat& out) {
       h.buckets.push_back(static_cast<std::uint64_t>(b.as_number()));
     h.underflow = static_cast<std::uint64_t>(spec.at("underflow").as_number());
     h.overflow = static_cast<std::uint64_t>(spec.at("overflow").as_number());
-    h.sum = spec.at("sum").as_number();
+    h.sum_fixed =
+        std::llround(spec.at("sum").as_number() * telemetry::kSumScale);
     flatten_histogram(h, out);
   }
 }

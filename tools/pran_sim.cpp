@@ -146,10 +146,11 @@ int main(int argc, char** argv) {
   const std::string timeline_out = flags.get_string("timeline-out");
   const std::string postmortem_dir = flags.get_string("postmortem-dir");
   if (replicas > 1 && (!timeline_out.empty() || !postmortem_dir.empty())) {
-    // The timeline samples the process-global registry, which replicate
-    // sweeps share; a merged stream would interleave unrelated runs.
+    // Each replica samples its own registry, but these flags name one
+    // output path: replicas would overwrite each other's stream and dumps.
     std::fprintf(stderr,
-                 "--timeline-out/--postmortem-dir require --replicas 1\n");
+                 "--timeline-out/--postmortem-dir name one output path, so "
+                 "they require --replicas 1\n");
     return 2;
   }
   if (!timeline_out.empty() || !postmortem_dir.empty()) {
@@ -169,12 +170,14 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) telemetry::write_chrome_trace_file(trace_out);
   };
 
-  auto run_once = [&](const core::DeploymentConfig& run_config) {
+  auto run_once = [&](const core::DeploymentConfig& run_config,
+                      telemetry::MetricsSnapshot& metrics) {
     core::Deployment run(run_config);
     if (fail_server >= 0)
       run.fail_server_at(sim::from_seconds(seconds / 2.0),
                          static_cast<int>(fail_server));
     run.run_for(sim::from_seconds(seconds));
+    metrics = run.metrics().snapshot();
     return run.kpis();
   };
 
@@ -187,6 +190,8 @@ int main(int argc, char** argv) {
     std::vector<core::DeploymentKpis> kpis_by_replica(
         static_cast<std::size_t>(replicas));
     std::vector<std::uint64_t> seeds(static_cast<std::size_t>(replicas));
+    std::vector<telemetry::MetricsSnapshot> metrics(
+        static_cast<std::size_t>(replicas));
     parallel_for_each(
         static_cast<unsigned>(flags.get_int("threads")),
         static_cast<std::size_t>(replicas), [&](unsigned, std::size_t i) {
@@ -194,8 +199,10 @@ int main(int argc, char** argv) {
           Rng seeder = base.stream(i);
           run_config.seed = seeder();
           seeds[i] = run_config.seed;
-          kpis_by_replica[i] = run_once(run_config);
+          kpis_by_replica[i] = run_once(run_config, metrics[i]);
         });
+    // Merged in replica order, so the snapshot is --threads invariant.
+    for (const auto& m : metrics) telemetry::registry().merge(m);
 
     Table table({"replica", "seed", "miss_ratio", "deadline_misses",
                  "migrations", "mean_active_servers", "outage_cell_ttis",
@@ -244,6 +251,7 @@ int main(int argc, char** argv) {
     const std::string dump = deployment.trigger_postmortem("abort", e.what());
     if (!dump.empty())
       std::fprintf(stderr, "run aborted; post-mortem at %s\n", dump.c_str());
+    telemetry::registry().merge(deployment.metrics().snapshot());
     write_telemetry();
     throw;
   }
