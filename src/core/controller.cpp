@@ -81,19 +81,6 @@ bool Controller::cell_quarantined(int cell_index) const {
          cell_quarantined_[static_cast<std::size_t>(cell_index)];
 }
 
-PlacementProblem Controller::make_problem() const {
-  PlacementProblem problem;
-  problem.headroom = config_.headroom;
-  problem.migration_weight = config_.migration_weight;
-  problem.survivable = config_.survivable;
-  problem.cells = demand_;
-  for (std::size_t c = 0; c < problem.cells.size(); ++c)
-    problem.cells[c].gops_per_tti = estimated_demand(static_cast<int>(c));
-  for (std::size_t s = 0; s < servers_.size(); ++s)
-    if (available_[s]) problem.servers.push_back(servers_[s]);
-  return problem;
-}
-
 EpochReport Controller::replan() {
   // Map global server ids <-> compact available-only ids.
   std::vector<int> compact_to_global;

@@ -152,8 +152,6 @@ class Controller {
   int total_migrations() const noexcept { return total_migrations_; }
 
  private:
-  PlacementProblem make_problem() const;
-
   ControllerConfig config_;
   std::unique_ptr<Placer> placer_;
   std::vector<cluster::ServerSpec> servers_;

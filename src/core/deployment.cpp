@@ -11,6 +11,18 @@
 
 namespace pran::core {
 
+namespace {
+
+telemetry::FlightRecorder::JobOutcome flight_outcome(
+    const cluster::JobOutcome& o) {
+  using Outcome = telemetry::FlightRecorder::JobOutcome;
+  if (o.compute_outage) return Outcome::kOutage;
+  if (o.dropped) return Outcome::kDropped;
+  return o.missed_deadline() ? Outcome::kLate : Outcome::kOnTime;
+}
+
+}  // namespace
+
 Deployment::Deployment(DeploymentConfig config)
     : config_(std::move(config)),
       pipeline_(config_.pipeline ? *config_.pipeline
@@ -200,12 +212,23 @@ Deployment::Deployment(DeploymentConfig config)
   // the same transport block arrives again 8 TTIs later — real extra load.
   // Dropped jobs already settled their HARQ debt in the drop callback.
   executor_->set_completion_callback([this](const cluster::JobOutcome& o) {
-    PRAN_SIM_SPAN("subframe_job", o.server_id, o.start, o.finish - o.start,
-                  o.job.cell_id, o.job.tti);
     // Every terminal outcome counts one subframe (the SLO denominators).
     PRAN_COUNTER_INC(metrics_, "deployment.subframes");
     const auto cell = static_cast<std::size_t>(o.job.cell_id);
     cell_subframes_->inc(cell);
+    // Simulated service time of every job that ran: the distribution the
+    // HARQ deadline is judged against, complete and this run's own.
+    const bool ran = !o.dropped && !o.compute_outage;
+    if (ran)
+      PRAN_HIST_OBSERVE(metrics_, "deployment.job_service_us",
+                        telemetry::SpanCollector::kHistLoUs,
+                        telemetry::SpanCollector::kHistHiUs,
+                        telemetry::SpanCollector::kHistBins,
+                        sim::to_microseconds(o.finish - o.start));
+    if (flight_)
+      flight_->record_job(engine_.now(), o.server_id, o.job.cell_id,
+                          o.job.tti, ran ? o.finish - o.start : -1,
+                          flight_outcome(o));
     if (o.compute_outage) {
       // Abandoned for lack of compute: the decode never ran, so the UE
       // hears no ACK and the HARQ debt comes due exactly as for a miss.
@@ -291,8 +314,7 @@ Deployment::Deployment(DeploymentConfig config)
         metrics_, telemetry::default_deployment_slos());
     telemetry::FlightRecorder::Config fc;
     fc.out_dir = config_.timeline.postmortem_dir;
-    flight_ = std::make_unique<telemetry::FlightRecorder>(
-        *recorder_, &telemetry::spans(), fc);
+    flight_ = std::make_unique<telemetry::FlightRecorder>(*recorder_, fc);
     engine_.schedule_at(config_.timeline.window, [this] {
       timeline_sample();
     });
@@ -418,8 +440,7 @@ void Deployment::tick() {
       // the deadline, and settle its HARQ debt honestly instead of
       // letting it rot in a queue and spawn a retransmission storm.
       const auto estimated_exec = static_cast<sim::Time>(
-          (executor_->pending_gops(server) + job.total_gops()) /
-          (config_.server.gops_per_tti() * executor_->speed_factor(server)) *
+          drain_ttis(server, job.total_gops()) *
           static_cast<double>(sim::kTti));
       if (job.release + estimated_exec > job.deadline) {
         PRAN_COUNTER_INC(metrics_, "fronthaul.shed_subframes");
@@ -594,8 +615,6 @@ void Deployment::epoch_replan() {
     PRAN_COUNTER_INC(metrics_, "controller.infeasible_epochs");
   PRAN_COUNTER_ADD(metrics_, "controller.migrations",
                    static_cast<std::uint64_t>(report.migrations));
-  PRAN_HIST_OBSERVE(metrics_, "controller.solve_ms", 0.0, 50.0, 50,
-                    report.solve_seconds * 1e3);
   engine_.schedule_in(config_.epoch, [this] { epoch_replan(); });
 }
 
@@ -673,6 +692,11 @@ void Deployment::record_recovery_decision(int server_id, sim::Time now) {
     PRAN_COUNTER_INC(metrics_, "controller.quarantine_events");
 }
 
+double Deployment::drain_ttis(int server, double job_gops) const {
+  return (executor_->pending_gops(server) + job_gops) /
+         (config_.server.gops_per_tti() * executor_->speed_factor(server));
+}
+
 sim::Time Deployment::admission_exec_estimate(int server,
                                               double job_gops) const {
   // Two lower bounds on when the job could complete: draining the queued
@@ -681,9 +705,7 @@ sim::Time Deployment::admission_exec_estimate(int server,
   // divisible — max_job_parallelism caps its fan-out, so a single heavy
   // decode can be infeasible even on an idle server).
   const double speed = executor_->speed_factor(server);
-  const double drain =
-      (executor_->pending_gops(server) + job_gops) /
-      (config_.server.gops_per_tti() * speed);
+  const double drain = drain_ttis(server, job_gops);
   const auto width = static_cast<double>(std::min(
       config_.server.cores, std::max(1, config_.server.max_job_parallelism)));
   // gops_per_core is Gop/s; * 1e-3 converts to Gop per 1 ms TTI.
@@ -721,8 +743,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
     // breaks a retransmission storm: without it every miss re-enters the
     // saturated queue and the overload sustains itself.
     const auto estimated_exec = static_cast<sim::Time>(
-        (executor_->pending_gops(target) + retx.total_gops()) /
-        (config_.server.gops_per_tti() * executor_->speed_factor(target)) *
+        drain_ttis(target, retx.total_gops()) *
         static_cast<double>(sim::kTti));
     if (retx.release + estimated_exec > retx.deadline) {
       PRAN_COUNTER_INC(metrics_, "fronthaul.shed_subframes");

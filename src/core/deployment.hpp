@@ -42,9 +42,9 @@ class FlightRecorder;
 namespace pran::core {
 
 /// KPI time-series sampling on a sim-time cadence (DESIGN §14): windows
-/// diff snapshots of the deployment's own registry, so deployments may run
-/// timelines side by side. Post-mortem dumps read the process-global span
-/// collector, so `postmortem_dir` needs a single-threaded run.
+/// diff snapshots of the deployment's own registry, and the flight
+/// recorder keeps the deployment's own jobs, so deployments may run
+/// timelines and post-mortems side by side.
 struct TimelineConfig {
   bool enabled = false;
   /// Window length in simulated time (each window closes with a registry
@@ -337,11 +337,13 @@ class Deployment {
   /// HARQ consequence of an unrecoverable subframe (drop or missed
   /// deadline): retransmission 8 TTIs later, or a lost transport block.
   void handle_harq_loss(const lte::SubframeJob& job);
+  /// Backlog-drain bound, in TTIs, for submitting `job_gops` to `server`
+  /// now: its queued work plus this job at whole-server throughput.
+  double drain_ttis(int server, double job_gops) const;
   /// Overload-admission completion estimate for submitting `job_gops` to
-  /// `server` now: max of the backlog-drain bound (whole-server
-  /// throughput) and the solo-execution bound (the job's own fan-out
-  /// limit). Used by the computational-outage test in tick() and the
-  /// HARQ storm-breaker.
+  /// `server` now: max of the backlog-drain bound and the solo-execution
+  /// bound (the job's own fan-out limit). Used by the computational-outage
+  /// test in tick() and the HARQ storm-breaker.
   sim::Time admission_exec_estimate(int server, double job_gops) const;
   void close_energy_interval();
   void on_server_fault(int server_id, faults::FaultKind kind);

@@ -41,9 +41,6 @@ void FronthaulImpairments::advance_brownout_timeline(sim::Time now) {
   if (!config_.brownout.enabled()) return;
   while (now >= brownout_edge_) {
     if (in_brownout_) {
-      // Brownout ends at the edge; close its record.
-      log_.push_back(FaultRecord{FaultKind::kFronthaulBrownout, -1,
-                                 brownout_start_, brownout_edge_});
       in_brownout_ = false;
       brownout_edge_ += std::max<sim::Time>(
           sim::from_seconds(
@@ -52,7 +49,6 @@ void FronthaulImpairments::advance_brownout_timeline(sim::Time now) {
     } else {
       in_brownout_ = true;
       ++brownouts_;
-      brownout_start_ = brownout_edge_;
       brownout_edge_ += std::max<sim::Time>(
           sim::from_seconds(brownout_rng_.exponential(
               1.0 / config_.brownout.mean_duration_seconds)),
@@ -64,7 +60,6 @@ void FronthaulImpairments::advance_brownout_timeline(sim::Time now) {
 fronthaul::BurstImpairment FronthaulImpairments::apply(sim::Time ready,
                                                        units::Bits bits) {
   PRAN_REQUIRE(bits >= units::Bits{0}, "burst size must be non-negative");
-  ++bursts_seen_;
 
   fronthaul::BurstImpairment out;
 
@@ -73,25 +68,16 @@ fronthaul::BurstImpairment FronthaulImpairments::apply(sim::Time ready,
   if (config_.loss.enabled()) {
     const double transition_draw = loss_rng_.uniform();
     const double loss_draw = loss_rng_.uniform();
-    const bool was_bad = bad_state_;
     if (bad_state_) {
       if (transition_draw < config_.loss.p_bad_to_good) bad_state_ = false;
     } else {
       if (transition_draw < config_.loss.p_good_to_bad) bad_state_ = true;
-    }
-    if (was_bad && !bad_state_ && open_loss_episode_) {
-      log_.back().recovered_at = ready;
-      open_loss_episode_ = false;
     }
     const double p_loss =
         bad_state_ ? config_.loss.loss_bad : config_.loss.loss_good;
     if (loss_draw < p_loss) {
       out.lost = true;
       ++bursts_lost_;
-      if (bad_state_ && !open_loss_episode_) {
-        log_.push_back(FaultRecord{FaultKind::kFronthaulLoss, -1, ready, -1});
-        open_loss_episode_ = true;
-      }
     }
   }
 

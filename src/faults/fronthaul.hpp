@@ -32,10 +32,8 @@
 /// enforces the same FIFO ingress contract).
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "faults/faults.hpp"
 #include "fronthaul/link.hpp"
 #include "sim/time.hpp"
 
@@ -98,19 +96,9 @@ class FronthaulImpairments {
   /// nondecreasing across calls (the link's FIFO ingress order).
   fronthaul::BurstImpairment apply(sim::Time ready, units::Bits bits);
 
-  std::uint64_t bursts_seen() const noexcept { return bursts_seen_; }
   std::uint64_t bursts_lost() const noexcept { return bursts_lost_; }
   /// Completed + in-progress brownout episodes so far.
   std::uint64_t brownouts() const noexcept { return brownouts_; }
-  /// True when the loss chain currently sits in the Bad state.
-  bool in_bad_state() const noexcept { return bad_state_; }
-  /// True when `last applied` burst fell inside a brownout.
-  bool in_brownout() const noexcept { return in_brownout_; }
-
-  /// Every impairment episode delivered so far: one kFronthaulLoss record
-  /// per Bad-state excursion (at == first lost burst's ready time) and one
-  /// kFronthaulBrownout record per brownout (recovered_at == its end).
-  const std::vector<FaultRecord>& log() const noexcept { return log_; }
 
  private:
   void advance_brownout_timeline(sim::Time now);
@@ -120,14 +108,10 @@ class FronthaulImpairments {
   Rng jitter_rng_;
   Rng brownout_rng_;
   bool bad_state_ = false;
-  bool open_loss_episode_ = false;
   bool in_brownout_ = false;
-  sim::Time brownout_edge_ = 0;   ///< Next on/off transition time.
-  sim::Time brownout_start_ = 0;  ///< Start of the current brownout.
-  std::uint64_t bursts_seen_ = 0;
+  sim::Time brownout_edge_ = 0;  ///< Next on/off transition time.
   std::uint64_t bursts_lost_ = 0;
   std::uint64_t brownouts_ = 0;
-  std::vector<FaultRecord> log_;
 };
 
 }  // namespace pran::faults

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -22,11 +21,25 @@ std::string sanitize(std::string_view s) {
   return out;
 }
 
+const char* outcome_name(FlightRecorder::JobOutcome outcome) {
+  switch (outcome) {
+    case FlightRecorder::JobOutcome::kOnTime:
+      return "on_time";
+    case FlightRecorder::JobOutcome::kLate:
+      return "late";
+    case FlightRecorder::JobOutcome::kDropped:
+      return "dropped";
+    case FlightRecorder::JobOutcome::kOutage:
+      return "outage";
+  }
+  return "?";
+}
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(const TimeSeriesRecorder& recorder,
-                               const SpanCollector* spans, Config config)
-    : recorder_(recorder), spans_(spans), config_(std::move(config)) {
+                               Config config)
+    : recorder_(recorder), config_(std::move(config)) {
   PRAN_REQUIRE(config_.max_windows >= 1,
                "flight recorder needs max_windows >= 1");
 }
@@ -43,6 +56,14 @@ void FlightRecorder::record_event(sim::Time at, std::string_view kind,
                                   std::string_view detail) {
   events_.push_back({at, std::string(kind), std::string(detail)});
   while (events_.size() > kMaxEvents) events_.pop_front();
+}
+
+void FlightRecorder::record_job(sim::Time at, int server, int cell,
+                                std::int64_t tti, sim::Time duration,
+                                JobOutcome outcome) noexcept {
+  jobs_[jobs_recorded_ % kMaxJobs] = Job{at, duration, tti, server, cell,
+                                         outcome};
+  ++jobs_recorded_;
 }
 
 json::Value FlightRecorder::build_postmortem(sim::Time at,
@@ -85,32 +106,23 @@ json::Value FlightRecorder::build_postmortem(sim::Time at,
   }
   doc.set("events", std::move(events));
 
-  // Tail of simulated-time spans (the per-subframe execution record).
-  json::Value spans = json::Value::array();
-  if (spans_ != nullptr) {
-    std::vector<SpanRecord> records = spans_->records();
-    std::vector<const SpanRecord*> sim_records;
-    sim_records.reserve(records.size());
-    for (const auto& r : records)
-      if (r.kind != SpanKind::kWall) sim_records.push_back(&r);
-    const std::size_t keep = std::min(kMaxSpans, sim_records.size());
-    for (std::size_t i = sim_records.size() - keep; i < sim_records.size();
-         ++i) {
-      const SpanRecord& r = *sim_records[i];
-      json::Value obj = json::Value::object();
-      obj.set("name", json::Value(spans_->name(r.name_id)));
-      obj.set("track", json::Value(static_cast<double>(r.track)));
-      obj.set("t_ms", json::Value(static_cast<double>(r.start_ns) / 1e6));
-      obj.set("dur_ms",
-              json::Value(static_cast<double>(r.duration_ns) / 1e6));
-      if (r.arg0 != kNoArg)
-        obj.set("arg0", json::Value(static_cast<double>(r.arg0)));
-      if (r.arg1 != kNoArg)
-        obj.set("arg1", json::Value(static_cast<double>(r.arg1)));
-      spans.push_back(std::move(obj));
-    }
+  // The last subframe jobs, oldest first (t_ms is when each ended).
+  json::Value jobs = json::Value::array();
+  const std::uint64_t kept =
+      std::min<std::uint64_t>(jobs_recorded_, kMaxJobs);
+  for (std::uint64_t i = jobs_recorded_ - kept; i < jobs_recorded_; ++i) {
+    const Job& j = jobs_[i % kMaxJobs];
+    json::Value obj = json::Value::object();
+    obj.set("t_ms", json::Value(static_cast<double>(j.at) / 1e6));
+    obj.set("server", json::Value(static_cast<double>(j.server)));
+    obj.set("cell", json::Value(static_cast<double>(j.cell)));
+    obj.set("tti", json::Value(static_cast<double>(j.tti)));
+    obj.set("outcome", json::Value(outcome_name(j.outcome)));
+    if (j.duration >= 0)
+      obj.set("dur_ms", json::Value(static_cast<double>(j.duration) / 1e6));
+    jobs.push_back(std::move(obj));
   }
-  doc.set("spans", std::move(spans));
+  doc.set("jobs", std::move(jobs));
   return doc;
 }
 

@@ -5,37 +5,37 @@
 /// — the last N closed KPI windows (from a TimeSeriesRecorder), recent
 /// degradation-ladder transitions, recent discrete events (migrations
 /// that end other than in a clean commit, ladder steps into the
-/// quarantine rung), and a tail of simulated-time spans — dumped as one
-/// self-contained JSON post-mortem when something goes wrong: an SLO
-/// burn-rate trips, a quarantine fires, or the run aborts.
+/// quarantine rung), and the owning deployment's last subframe jobs —
+/// dumped as one self-contained JSON post-mortem when something goes
+/// wrong: an SLO burn-rate trips, a quarantine fires, or the run aborts.
 ///
-/// Recording is cheap (bounded deque pushes on the sim-event thread);
-/// dumping walks the rings once and writes a single file. Dumps are
-/// rate-limited (`max_dumps`) so a flapping alert cannot fill a disk.
-///
-/// The span tail is read from the SpanCollector, which requires that no
-/// other thread is recording spans at trigger time — true for a
-/// single-threaded discrete-event run. A deployment hands its recorder the
-/// process-global collector, so parallel sweeps keep post-mortems off.
+/// Recording is cheap (bounded deque pushes on the sim-event thread; a
+/// job is one write into a fixed ring); dumping walks the rings once and
+/// writes a single file. Dumps are rate-limited (`max_dumps`) so a
+/// flapping alert cannot fill a disk. Everything in a dump was recorded
+/// by the one deployment that owns the recorder, so deployments running
+/// side by side each dump only their own history.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
 
 #include "sim/time.hpp"
-#include "telemetry/span.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace pran::telemetry {
 
 class FlightRecorder {
  public:
-  /// Ladder transitions and events kept, and sim-span tail records
-  /// included in a dump.
+  /// Ladder transitions, events and subframe jobs kept.
   static constexpr std::size_t kMaxTransitions = 64;
   static constexpr std::size_t kMaxEvents = 64;
-  static constexpr std::size_t kMaxSpans = 256;
+  static constexpr std::size_t kMaxJobs = 256;
+
+  /// How a subframe job ended.
+  enum class JobOutcome : std::uint8_t { kOnTime, kLate, kDropped, kOutage };
 
   struct Config {
     /// Directory post-mortems are written into (must exist). Empty means
@@ -47,9 +47,14 @@ class FlightRecorder {
     std::size_t max_dumps = 4;
   };
 
-  /// `spans` may be null (no span tail in dumps).
-  FlightRecorder(const TimeSeriesRecorder& recorder,
-                 const SpanCollector* spans, Config config);
+  FlightRecorder(const TimeSeriesRecorder& recorder, Config config);
+
+  /// Records one subframe job ending at `at` on `server`. `duration` is
+  /// its simulated service time, or -1 for a job that never ran (dropped
+  /// or outage). Overwrites the oldest of the last kMaxJobs; never
+  /// allocates.
+  void record_job(sim::Time at, int server, int cell, std::int64_t tti,
+                  sim::Time duration, JobOutcome outcome) noexcept;
 
   /// Records one degradation-ladder transition.
   void record_transition(sim::Time at, int from_rung, int to_rung,
@@ -85,12 +90,21 @@ class FlightRecorder {
     std::string kind;
     std::string detail;
   };
+  struct Job {
+    sim::Time at = 0;
+    sim::Time duration = -1;
+    std::int64_t tti = 0;
+    int server = 0;
+    int cell = 0;
+    JobOutcome outcome = JobOutcome::kOnTime;
+  };
 
   const TimeSeriesRecorder& recorder_;
-  const SpanCollector* spans_;
   Config config_;
   std::deque<Transition> transitions_;
   std::deque<Event> events_;
+  std::array<Job, kMaxJobs> jobs_{};
+  std::uint64_t jobs_recorded_ = 0;  ///< Ring slot = count % kMaxJobs.
   std::size_t triggers_ = 0;
   std::size_t dumps_written_ = 0;
 };

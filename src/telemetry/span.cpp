@@ -99,40 +99,17 @@ void SpanCollector::push(Lane* lane, const SpanRecord& record) noexcept {
   ++lane->count;
 }
 
-void SpanCollector::emit_sim(std::uint32_t name_id, std::int32_t track,
-                             std::int64_t start_sim_ns,
-                             std::int64_t duration_ns, std::int64_t arg0,
-                             std::int64_t arg1) noexcept {
-  SpanRecord r;
-  r.name_id = name_id;
-  r.kind = SpanKind::kSim;
-  r.track = track;
-  r.start_ns = start_sim_ns;
-  r.duration_ns = duration_ns;
-  r.arg0 = arg0;
-  r.arg1 = arg1;
-  push(lane(), r);
-}
-
-void* SpanCollector::begin_span() noexcept {
-  Lane* l = lane();
-  if (l != nullptr) ++l->depth;
-  return l;
-}
+void* SpanCollector::begin_span() noexcept { return lane(); }
 
 void SpanCollector::end_span(void* lane, std::uint32_t name_id,
                              std::int64_t start_ns, std::int64_t end_ns,
-                             std::int64_t arg0, std::int64_t arg1) noexcept {
-  Lane* l = static_cast<Lane*>(lane);
+                             std::int64_t arg0) noexcept {
   SpanRecord r;
   r.name_id = name_id;
-  r.kind = SpanKind::kWall;
-  r.depth = l != nullptr && l->depth > 0 ? --l->depth : 0;
   r.start_ns = start_ns - epoch_ns_;
   r.duration_ns = end_ns - start_ns;
   r.arg0 = arg0;
-  r.arg1 = arg1;
-  push(l, r);
+  push(static_cast<Lane*>(lane), r);
 }
 
 std::vector<SpanRecord> SpanCollector::records() const {
@@ -170,7 +147,6 @@ void SpanCollector::clear() {
   for (Lane& lane : lanes_) {
     lane.ring.clear();
     lane.count = 0;
-    lane.depth = 0;
   }
   overflow_dropped_.store(0, std::memory_order_relaxed);
 }
@@ -187,14 +163,11 @@ std::string SpanCollector::to_chrome_trace() const {
     names = names_;
   }
   constexpr int kWallPid = 1;
-  constexpr int kSimPid = 2;
   std::ostringstream os;
   os.imbue(std::locale::classic());
   os << "{\"traceEvents\":[\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kWallPid
-     << ",\"args\":{\"name\":\"wall-clock\"}},\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kSimPid
-     << ",\"args\":{\"name\":\"simulated-time\"}}";
+     << ",\"args\":{\"name\":\"wall-clock\"}}";
   for (unsigned t = 0; t < lanes_in_use(); ++t)
     os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kWallPid
        << ",\"tid\":" << t << ",\"args\":{\"name\":\"thread-" << t << "\"}}";
@@ -211,25 +184,11 @@ std::string SpanCollector::to_chrome_trace() const {
       const SpanRecord& r = lane.ring[(start + i) % config_.ring_capacity];
       const std::string& name =
           r.name_id < names.size() ? names[r.name_id] : names.emplace_back("?");
-      os << ",\n{\"name\":\"" << json::escape(name) << "\",";
-      if (r.kind == SpanKind::kSim) {
-        os << "\"ph\":\"X\",\"dur\":" << us_from_ns(r.duration_ns)
-           << ",\"pid\":" << kSimPid << ",\"tid\":" << r.track;
-      } else {
-        os << "\"ph\":\"X\",\"dur\":" << us_from_ns(r.duration_ns)
-           << ",\"pid\":" << kWallPid << ",\"tid\":" << lane_index;
-      }
-      os << ",\"ts\":" << us_from_ns(r.start_ns);
-      if (r.arg0 != kNoArg || r.arg1 != kNoArg) {
-        os << ",\"args\":{";
-        bool first = true;
-        if (r.arg0 != kNoArg) {
-          os << "\"arg0\":" << r.arg0;
-          first = false;
-        }
-        if (r.arg1 != kNoArg) os << (first ? "" : ",") << "\"arg1\":" << r.arg1;
-        os << "}";
-      }
+      os << ",\n{\"name\":\"" << json::escape(name)
+         << "\",\"ph\":\"X\",\"dur\":" << us_from_ns(r.duration_ns)
+         << ",\"pid\":" << kWallPid << ",\"tid\":" << lane_index
+         << ",\"ts\":" << us_from_ns(r.start_ns);
+      if (r.arg0 != kNoArg) os << ",\"args\":{\"arg0\":" << r.arg0 << "}";
       os << "}";
     }
     ++lane_index;

@@ -1,20 +1,17 @@
 #pragma once
 
 /// \file span.hpp
-/// Pipeline-stage spans: named, nested intervals recorded into per-thread
-/// ring buffers and exported as Chrome trace-event JSON (loadable in
-/// Perfetto / chrome://tracing) or folded into aggregate stage-latency
-/// histograms.
+/// Pipeline-stage spans: named wall-clock intervals recorded into
+/// per-thread ring buffers and exported as Chrome trace-event JSON
+/// (loadable in Perfetto / chrome://tracing) or folded into aggregate
+/// stage-latency histograms.
 ///
-/// Two time bases share one collector:
-///  * wall spans — `ScopedSpan` (usually via the PRAN_SPAN macro) measures
-///    real compute with the steady clock: kernel wrappers, solver calls,
-///    the deployment tick. Each recording thread owns a lane, so the hot
-///    path is a clock read plus a ring write — no locks, no allocation.
-///  * sim spans — `emit_sim()` records intervals in *simulated*
-///    nanoseconds on a virtual track (e.g. "server 3 ran cell 5's
-///    subframe from t=12 ms for 0.4 ms"). The discrete-event engine is
-///    single-threaded, so these land in the calling thread's lane too.
+/// Spans time the host only. `ScopedSpan` (usually via the PRAN_SPAN
+/// macro) measures real compute with the steady clock: kernel wrappers,
+/// solver calls, the deployment tick. Each recording thread owns a lane,
+/// so the hot path is a clock read plus a ring write — no locks, no
+/// allocation. Simulated time never enters the collector: a deployment
+/// records its own subframe jobs (core/deployment.hpp).
 ///
 /// Rings overwrite oldest-first once full (`dropped()` counts what fell
 /// out), so a long run can always export its tail. Reading APIs
@@ -37,20 +34,11 @@ namespace pran::telemetry {
 /// Sentinel for "no argument" on a span.
 inline constexpr std::int64_t kNoArg = INT64_MIN;
 
-enum class SpanKind : std::uint8_t {
-  kWall,  ///< Duration measured with the steady clock.
-  kSim,   ///< Duration in simulated time on a virtual track.
-};
-
 struct SpanRecord {
   std::uint32_t name_id = 0;
-  SpanKind kind = SpanKind::kWall;
-  std::uint16_t depth = 0;      ///< Nesting depth within the thread (wall).
-  std::int32_t track = 0;       ///< Sim spans: virtual track (server id...).
-  std::int64_t start_ns = 0;    ///< Wall: ns since epoch_ns(); sim: sim ns.
+  std::int64_t start_ns = 0;  ///< ns since the collector's epoch_ns().
   std::int64_t duration_ns = 0;
   std::int64_t arg0 = kNoArg;
-  std::int64_t arg1 = kNoArg;
 };
 
 class SpanCollector {
@@ -79,22 +67,14 @@ class SpanCollector {
   std::uint32_t intern(std::string_view name);
   const std::string& name(std::uint32_t id) const;
 
-  /// Records an interval in simulated time on virtual track `track`.
-  void emit_sim(std::uint32_t name_id, std::int32_t track,
-                std::int64_t start_sim_ns, std::int64_t duration_ns,
-                std::int64_t arg0 = kNoArg,
-                std::int64_t arg1 = kNoArg) noexcept;
-
-  /// Wall-span recording, as ScopedSpan drives it: one lane lookup for
-  /// the whole span lifecycle. begin_span() claims the calling thread's
-  /// lane (nullptr on overflow) and pushes one nesting level; end_span()
-  /// pops it and records. `start_ns` and `end_ns` are wall_now_ns()
-  /// values. The opaque handle is only valid on the thread that called
-  /// begin_span().
+  /// Span recording, as ScopedSpan drives it: one lane lookup for the
+  /// whole span lifecycle. begin_span() claims the calling thread's lane
+  /// (nullptr on overflow); end_span() records into it. `start_ns` and
+  /// `end_ns` are wall_now_ns() values. The opaque handle is only valid on
+  /// the thread that called begin_span().
   void* begin_span() noexcept;
   void end_span(void* lane, std::uint32_t name_id, std::int64_t start_ns,
-                std::int64_t end_ns, std::int64_t arg0,
-                std::int64_t arg1) noexcept;
+                std::int64_t end_ns, std::int64_t arg0) noexcept;
 
   /// All retained records, lane by lane (each lane oldest-first). Only
   /// call while no thread is recording.
@@ -103,10 +83,9 @@ class SpanCollector {
   std::uint64_t dropped() const;   ///< Overwritten by ring wrap + lane overflow.
   void clear();
 
-  /// Chrome trace-event JSON (object format, {"traceEvents": [...]}).
-  /// Wall spans appear under process "wall-clock" with one row per
-  /// recording thread; sim spans under process "simulated-time" with one
-  /// row per track. Loadable in Perfetto / chrome://tracing.
+  /// Chrome trace-event JSON (object format, {"traceEvents": [...]}):
+  /// process "wall-clock" with one row per recording thread. Loadable in
+  /// Perfetto / chrome://tracing.
   std::string to_chrome_trace() const;
 
   /// Folds span durations into per-stage latency histograms
@@ -115,7 +94,7 @@ class SpanCollector {
   void aggregate_into(MetricsRegistry& registry,
                       std::string_view prefix = "span_us.") const;
 
-  /// Wall epoch: the steady-clock ns all wall spans are relative to.
+  /// The steady-clock ns all span start times are relative to.
   std::int64_t epoch_ns() const noexcept { return epoch_ns_; }
 
   const Config& config() const noexcept { return config_; }
@@ -125,7 +104,6 @@ class SpanCollector {
   struct Lane {
     std::vector<SpanRecord> ring;
     std::uint64_t count = 0;  ///< Total pushed; ring keeps the last cap.
-    std::uint16_t depth = 0;  ///< Owning thread's current nesting depth.
   };
 
   Lane* lane() noexcept;  ///< Calling thread's lane (nullptr on overflow).
@@ -148,17 +126,15 @@ class SpanCollector {
 class ScopedSpan {
  public:
   ScopedSpan(SpanCollector& collector, std::uint32_t name_id,
-             std::int64_t arg0 = kNoArg, std::int64_t arg1 = kNoArg) noexcept
+             std::int64_t arg0 = kNoArg) noexcept
       : collector_(collector),
         name_id_(name_id),
         arg0_(arg0),
-        arg1_(arg1),
         lane_(collector.begin_span()),
         start_ns_(wall_now_ns()) {}
 
   ~ScopedSpan() {
-    collector_.end_span(lane_, name_id_, start_ns_, wall_now_ns(), arg0_,
-                        arg1_);
+    collector_.end_span(lane_, name_id_, start_ns_, wall_now_ns(), arg0_);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -168,7 +144,6 @@ class ScopedSpan {
   SpanCollector& collector_;
   std::uint32_t name_id_;
   std::int64_t arg0_;
-  std::int64_t arg1_;
   void* lane_;
   std::int64_t start_ns_;
 };

@@ -2,8 +2,8 @@
 
 /// \file telemetry.hpp
 /// Process-global telemetry facade — one MetricsRegistry that sweeps merge
-/// their runs into, one SpanCollector shared by every library — plus the
-/// instrumentation macros the hot paths use.
+/// their runs into, one wall-clock SpanCollector shared by every library —
+/// plus the instrumentation macros the hot paths use.
 ///
 /// The metric macros take the registry they write to as their first
 /// argument (a Deployment passes its own; see core/deployment.hpp). Each
@@ -123,7 +123,6 @@ std::uint32_t site_index(const MetricsRegistry& registry,
 /// Scoped wall-clock span around the enclosing block:
 ///   PRAN_SPAN("turbo_decode");
 ///   PRAN_SPAN("turbo_decode", cell_id);
-///   PRAN_SPAN("turbo_decode", cell_id, subframe);
 #define PRAN_SPAN(name_literal, ...)                                        \
   static const std::uint32_t PRAN_TELEMETRY_CONCAT(pran_span_id_,           \
                                                    __LINE__) =             \
@@ -134,24 +133,10 @@ std::uint32_t site_index(const MetricsRegistry& registry,
       PRAN_TELEMETRY_CONCAT(pran_span_id_, __LINE__) __VA_OPT__(, )         \
           __VA_ARGS__)
 
-/// Interval on a simulated-time track (server lane, cell lane...).
-#define PRAN_SIM_SPAN(name_literal, track, start_sim_ns, duration_ns, ...)  \
-  do {                                                                      \
-    static const std::uint32_t pran_sim_span_id =                           \
-        ::pran::telemetry::spans().intern(name_literal);                    \
-    ::pran::telemetry::spans().emit_sim(pran_sim_span_id, (track),          \
-                                        (start_sim_ns),                     \
-                                        (duration_ns)__VA_OPT__(, )         \
-                                            __VA_ARGS__);                   \
-  } while (false)
-
 #else  // PRAN_TELEMETRY_ENABLED
 
 #define PRAN_SPAN(name_literal, ...) \
   do {                               \
-  } while (false)
-#define PRAN_SIM_SPAN(name_literal, track, start_sim_ns, duration_ns, ...) \
-  do {                                                                     \
   } while (false)
 
 #endif  // PRAN_TELEMETRY_ENABLED

@@ -256,6 +256,41 @@ TEST(OverloadControl, BrownedOutPoolProducesBoundedOutagesNotMissStorms) {
   EXPECT_LE(guarded.delivered_tb_bits, guarded.offered_tb_bits);
 }
 
+/// The run's `deployment.job_service_us` histogram (empty if never seen).
+telemetry::MetricsSnapshot::HistogramValue job_service(const Deployment& d) {
+  for (const auto& h : d.metrics().snapshot().histograms)
+    if (h.name == "deployment.job_service_us") return h;
+  return {};
+}
+
+TEST(OverloadControl, ServiceHistogramTimesOnlyJobsThatRan) {
+  // A crash drops the jobs on server 0, and the brownout makes the loop
+  // abandon others as outages: neither kind ran, so neither has a
+  // service time.
+  Deployment d(overload_scenario(true));
+  d.fail_server_at(300 * sim::kMillisecond, 0);
+  d.restore_server_at(400 * sim::kMillisecond, 0);
+  faults::FaultEvent slow;
+  slow.kind = faults::FaultKind::kDegrade;
+  slow.at = 500 * sim::kMillisecond;
+  slow.duration = 600 * sim::kMillisecond;
+  slow.servers = {0, 1};
+  slow.degrade_factor = 0.3;
+  d.injector().schedule(slow);
+  d.run_for(2 * sim::kSecond);
+
+  const DeploymentKpis kpis = d.kpis();
+  ASSERT_GT(kpis.dropped, 0u);
+  ASSERT_GT(kpis.compute_outage_jobs, 0u);
+  const auto service = job_service(d);
+  EXPECT_EQ(service.total(), kpis.subframes_processed);
+  EXPECT_EQ(service.underflow, 0u);
+  EXPECT_GT(service.sum(), 0.0);
+  EXPECT_EQ(d.metrics().counter_value("deployment.subframes") -
+                service.total(),
+            kpis.dropped + kpis.compute_outage_jobs);
+}
+
 TEST(OverloadControl, IdleLoopChangesNothing) {
   // At moderate load the backlog never crosses the onset, so an enabled
   // loop must be a strict no-op: same outcomes, full effort granted.

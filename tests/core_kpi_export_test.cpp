@@ -181,6 +181,13 @@ DeploymentConfig brownout_config() {
   return config;
 }
 
+/// Jobs the run timed into `deployment.job_service_us`.
+std::uint64_t jobs_timed(const Deployment& d) {
+  for (const auto& h : d.metrics().snapshot().histograms)
+    if (h.name == "deployment.job_service_us") return h.total();
+  return 0;
+}
+
 TEST(KpiExport, ParallelDeploymentsKeepTheirOwnCounters) {
   // Two different runs on two threads: each run's counters match its own
   // KPIs, and the runs disagree on every one of them.
@@ -204,6 +211,8 @@ TEST(KpiExport, ParallelDeploymentsKeepTheirOwnCounters) {
     for (int i = 0; i < 4; ++i)
       EXPECT_EQ(run->metrics().counter_value(kNames[i]), expected[i])
           << kNames[i];
+    // Every job that ran is timed once, in its own run's histogram.
+    EXPECT_EQ(jobs_timed(*run), kpis.subframes_processed);
   }
   // A shared registry would show both runs the same sums.
   for (const char* name : kNames)

@@ -2,7 +2,7 @@
 // with config.timeline enabled must sample windows on the sim-time
 // cadence, carry the per-cell labelled series, export SLO gauges into the
 // registry, stream JSONL, and dump a parseable flight-recorder post-mortem
-// on demand.
+// on demand that holds only the deployment's own jobs.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/json.hpp"
 #include "core/deployment.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -138,6 +139,56 @@ TEST(DeploymentTimeline, EveryWindowSeesItsOwnLateBursts) {
       d.slo_engine()->find("fronthaul_late_rate");
   ASSERT_NE(late, nullptr);
   EXPECT_EQ(late->trips, 1u);
+}
+
+TEST(DeploymentTimeline, PostmortemsListOnlyTheirOwnJobs) {
+  // A (2 cells on 1 server) and B (8 cells on 4 servers) run interleaved
+  // on one thread; each black box must hold its own deployment's jobs,
+  // exactly as that deployment records them when it runs alone.
+  const auto config = [](int cells, int servers) {
+    DeploymentConfig c = timeline_config();
+    c.num_cells = cells;
+    c.num_servers = servers;
+    return c;
+  };
+  const auto jobs = [](const Deployment& d) {
+    return d.flight_recorder()
+        ->build_postmortem(d.now(), "test", "")
+        .at("jobs");
+  };
+  Deployment a(config(2, 1));
+  Deployment b(config(8, 4));
+  a.run_for(50 * sim::kMillisecond);
+  b.run_for(100 * sim::kMillisecond);
+  a.run_for(50 * sim::kMillisecond);
+
+  const json::Value a_jobs = jobs(a);
+  const json::Value b_jobs = jobs(b);
+  // A ran ~200 jobs (all kept); B ran ~800, so its ring is full.
+  ASSERT_FALSE(a_jobs.items().empty());
+  EXPECT_LT(a_jobs.items().size(), telemetry::FlightRecorder::kMaxJobs);
+  EXPECT_EQ(b_jobs.items().size(), telemetry::FlightRecorder::kMaxJobs);
+  double last_t_ms = 0.0;
+  for (const json::Value& job : a_jobs.items()) {
+    EXPECT_LT(job.at("cell").as_number(), 2.0);
+    EXPECT_EQ(job.at("server").as_number(), 0.0);
+    EXPECT_GE(job.at("t_ms").as_number(), last_t_ms);  // oldest first
+    last_t_ms = job.at("t_ms").as_number();
+  }
+  last_t_ms = 0.0;
+  for (const json::Value& job : b_jobs.items()) {
+    EXPECT_LT(job.at("cell").as_number(), 8.0);
+    EXPECT_LT(job.at("server").as_number(), 4.0);
+    EXPECT_GE(job.at("t_ms").as_number(), last_t_ms);
+    last_t_ms = job.at("t_ms").as_number();
+  }
+
+  Deployment a_alone(config(2, 1));
+  a_alone.run_for(100 * sim::kMillisecond);
+  Deployment b_alone(config(8, 4));
+  b_alone.run_for(100 * sim::kMillisecond);
+  EXPECT_EQ(a_jobs.dump(), jobs(a_alone).dump());
+  EXPECT_EQ(b_jobs.dump(), jobs(b_alone).dump());
 }
 
 TEST(DeploymentTimeline, OffByDefaultCostsNothing) {

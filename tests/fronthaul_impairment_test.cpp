@@ -80,7 +80,7 @@ TEST(FronthaulImpairments, LossRateNearStationaryAndClustered) {
   EXPECT_GT(conditional, 3.0 * rate);
 }
 
-TEST(FronthaulImpairments, BrownoutEpisodesAreLogged) {
+TEST(FronthaulImpairments, BrownoutEpisodesAreCounted) {
   FronthaulImpairmentConfig config;
   config.brownout.mtbb_seconds = 0.05;
   config.brownout.mean_duration_seconds = 0.02;
@@ -97,13 +97,6 @@ TEST(FronthaulImpairments, BrownoutEpisodesAreLogged) {
   }
   EXPECT_GT(model.brownouts(), 0u);
   EXPECT_GT(browned, 0);
-  for (const auto& record : model.log()) {
-    EXPECT_EQ(record.kind, FaultKind::kFronthaulBrownout);
-    EXPECT_EQ(record.server_id, -1);
-    if (record.recovered_at >= 0) {
-      EXPECT_GT(record.recovered_at, record.at);
-    }
-  }
 }
 
 TEST(FronthaulImpairments, RejectsBadConfig) {

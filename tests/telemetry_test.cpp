@@ -225,13 +225,27 @@ TEST(SpanCollector, ScopedSpanRecordsNesting) {
   }
   const auto records = spans.records();
   ASSERT_EQ(records.size(), 2u);
-  // Inner finishes (and records) first.
+  // Inner finishes (and records) first; outer's interval contains it.
   EXPECT_EQ(records[0].name_id, inner);
-  EXPECT_EQ(records[0].depth, 1);
   EXPECT_EQ(records[0].arg0, 7);
   EXPECT_EQ(records[1].name_id, outer);
-  EXPECT_EQ(records[1].depth, 0);
-  EXPECT_GE(records[1].duration_ns, records[0].duration_ns);
+  EXPECT_EQ(records[1].arg0, kNoArg);
+  EXPECT_LE(records[1].start_ns, records[0].start_ns);
+  EXPECT_GE(records[1].start_ns + records[1].duration_ns,
+            records[0].start_ns + records[0].duration_ns);
+}
+
+TEST(SpanCollector, RecordIsFourWords) {
+  static_assert(sizeof(SpanRecord) == 32, "a span record is 32 bytes");
+  SUCCEED();
+}
+
+/// Records one span of `duration_ns` starting `start_ns` after the
+/// collector's epoch, as ScopedSpan would with those clock readings.
+void record_span(SpanCollector& spans, std::uint32_t id, std::int64_t start_ns,
+                 std::int64_t duration_ns, std::int64_t arg0 = kNoArg) {
+  const std::int64_t begin = spans.epoch_ns() + start_ns;
+  spans.end_span(spans.begin_span(), id, begin, begin + duration_ns, arg0);
 }
 
 TEST(SpanCollector, RingOverwritesOldestAndCountsDrops) {
@@ -240,7 +254,7 @@ TEST(SpanCollector, RingOverwritesOldestAndCountsDrops) {
   SpanCollector spans(config);
   const auto id = spans.intern("s");
   for (int i = 0; i < 10; ++i)
-    spans.emit_sim(id, 0, /*start=*/i, /*duration=*/1);
+    record_span(spans, id, /*start_ns=*/i, /*duration_ns=*/1);
   EXPECT_EQ(spans.recorded(), 10u);
   EXPECT_EQ(spans.dropped(), 6u);
   const auto records = spans.records();
@@ -250,30 +264,32 @@ TEST(SpanCollector, RingOverwritesOldestAndCountsDrops) {
   EXPECT_EQ(records[3].start_ns, 9);
 }
 
-TEST(SpanCollector, ChromeTraceExportsWallAndSimEvents) {
+TEST(SpanCollector, ChromeTraceExportsWallEventsOnly) {
   SpanCollector spans;
   const auto wall = spans.intern("turbo_decode");
-  const auto sim_id = spans.intern("subframe_job");
+  const auto replan = spans.intern("controller_replan");
   {
     ScopedSpan s(spans, wall);
   }
-  spans.emit_sim(sim_id, /*track=*/3, /*start=*/1'000'000, /*duration=*/500,
-                 /*arg0=*/42);
+  record_span(spans, replan, /*start_ns=*/1'000'000, /*duration_ns=*/500,
+              /*arg0=*/42);
   const std::string json = spans.to_chrome_trace();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("turbo_decode"), std::string::npos);
-  EXPECT_NE(json.find("subframe_job"), std::string::npos);
+  EXPECT_NE(json.find("controller_replan"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("wall-clock"), std::string::npos);
-  EXPECT_NE(json.find("simulated-time"), std::string::npos);
+  EXPECT_EQ(json.find("simulated"), std::string::npos);  // no sim process
+  EXPECT_EQ(json.find("\"pid\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"ts\":1000.000"), std::string::npos);
   EXPECT_NE(json.find("\"arg0\":42"), std::string::npos);
 }
 
 TEST(SpanCollector, AggregateIntoFoldsDurations) {
   SpanCollector spans;
   const auto id = spans.intern("stage");
-  // 3 sim spans of 2 µs each.
-  for (int i = 0; i < 3; ++i) spans.emit_sim(id, 0, i * 10, 2'000);
+  // 3 spans of 2 µs each.
+  for (int i = 0; i < 3; ++i) record_span(spans, id, i * 10, 2'000);
   MetricsRegistry reg;
   spans.aggregate_into(reg);
   const auto snap = reg.snapshot();
@@ -306,14 +322,13 @@ TEST(TelemetryGlobals, MacrosRecordIntoGlobalState) {
     PRAN_COUNTER_ADD(registry(), "global_counter", 4);
     PRAN_GAUGE_SET(registry(), "global_gauge", 2.5);
     PRAN_HIST_OBSERVE(registry(), "global_hist", 0.0, 10.0, 10, 3.0);
-    PRAN_SIM_SPAN("global_sim", 1, 0, 100);
   }
   // The metric macros stay compiled in at PRAN_TELEMETRY=OFF.
   EXPECT_EQ(registry().counter_value("global_counter"), 5u);
   EXPECT_DOUBLE_EQ(registry().gauge_value(registry().gauge("global_gauge")),
                    2.5);
   if (!enabled()) GTEST_SKIP() << "span macros compiled out";
-  EXPECT_EQ(spans().recorded(), 2u);
+  EXPECT_EQ(spans().recorded(), 1u);
   reset_for_testing();
   EXPECT_EQ(registry().num_counters(), 0u);
   EXPECT_EQ(spans().recorded(), 0u);

@@ -353,7 +353,7 @@ TEST(FlightRecorder, PostmortemCarriesWindowsTransitionsAndEvents) {
   TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, 8});
   FlightRecorder::Config config;  // record-only: out_dir empty
   config.max_windows = 2;
-  FlightRecorder box(rec, nullptr, config);
+  FlightRecorder box(rec, config);
 
   registry.add(jobs, 10);
   rec.sample(10 * sim::kMillisecond);
@@ -379,11 +379,49 @@ TEST(FlightRecorder, PostmortemCarriesWindowsTransitionsAndEvents) {
   const auto& events = doc.at("events").items();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].at("kind").as_string(), "quarantine");
+  EXPECT_TRUE(doc.at("jobs").items().empty());
 
   // Record-only mode: trigger counts but writes nothing.
   EXPECT_EQ(box.trigger(30 * sim::kMillisecond, "slo_trip", "x"), "");
   EXPECT_EQ(box.triggers(), 1u);
   EXPECT_EQ(box.dumps_written(), 0u);
+}
+
+TEST(FlightRecorder, JobRingKeepsTheNewestOldestFirst) {
+  MetricsRegistry registry;
+  TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, 8});
+  FlightRecorder box(rec, FlightRecorder::Config{});
+  using Outcome = FlightRecorder::JobOutcome;
+  const Outcome cycle[4] = {Outcome::kOnTime, Outcome::kLate,
+                            Outcome::kDropped, Outcome::kOutage};
+  const char* const names[4] = {"on_time", "late", "dropped", "outage"};
+  // 100 more jobs than the ring holds: only the newest kMaxJobs survive.
+  constexpr int kJobs = static_cast<int>(FlightRecorder::kMaxJobs) + 100;
+  for (int i = 0; i < kJobs; ++i) {
+    const Outcome outcome = cycle[i % 4];
+    const bool ran = outcome == Outcome::kOnTime || outcome == Outcome::kLate;
+    box.record_job(i * sim::kMillisecond, i % 3, i % 7, i,
+                   ran ? 400 * sim::kMicrosecond : -1, outcome);
+  }
+
+  const json::Value doc = box.build_postmortem(kJobs * sim::kMillisecond,
+                                               "abort", "ring order");
+  const auto& jobs = doc.at("jobs").items();
+  ASSERT_EQ(jobs.size(), FlightRecorder::kMaxJobs);
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const int i = 100 + static_cast<int>(k);  // oldest survivor first
+    SCOPED_TRACE(i);
+    EXPECT_DOUBLE_EQ(jobs[k].at("tti").as_number(), i);
+    EXPECT_DOUBLE_EQ(jobs[k].at("t_ms").as_number(), i);
+    EXPECT_DOUBLE_EQ(jobs[k].at("server").as_number(), i % 3);
+    EXPECT_DOUBLE_EQ(jobs[k].at("cell").as_number(), i % 7);
+    EXPECT_EQ(jobs[k].at("outcome").as_string(), names[i % 4]);
+    // Only jobs that ran carry a service time.
+    if (i % 4 < 2)
+      EXPECT_DOUBLE_EQ(jobs[k].at("dur_ms").as_number(), 0.4);
+    else
+      EXPECT_EQ(jobs[k].find("dur_ms"), nullptr);
+  }
 }
 
 TEST(FlightRecorder, WritesRateLimitedDumpsToDisk) {
@@ -393,7 +431,7 @@ TEST(FlightRecorder, WritesRateLimitedDumpsToDisk) {
   FlightRecorder::Config config;
   config.out_dir = dir;
   config.max_dumps = 2;
-  FlightRecorder box(rec, nullptr, config);
+  FlightRecorder box(rec, config);
   rec.sample(10 * sim::kMillisecond);
 
   const std::string first =

@@ -39,12 +39,11 @@ namespace {
 using namespace pran;
 
 /// Substrings of metric names that are wall-clock measurements: real on
-/// every run, comparable on none. The sim-side counters and gauges are
-/// deterministic per seed; these are not, so they never gate.
+/// every run, comparable on none. Everything else (simulated busy time and
+/// detection latency included) is deterministic per seed, so it gates.
 const char* const kDefaultIgnore[] = {
-    "span_us.",     "spans.",            "solve_ms",  "solve_seconds",
-    "busy_seconds", "plan_seconds",      "real_time", "cpu_time",
-    "detection_latency",
+    "span_us.",      "spans.",    "solve_seconds",
+    "plan_seconds",  "real_time", "cpu_time",
 };
 
 using Flat = std::map<std::string, double>;
