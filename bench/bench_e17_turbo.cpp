@@ -253,9 +253,7 @@ int main(int argc, char** argv) {
   flags.add_string("timeline-out", "",
                    "stream per-phase telemetry deltas as JSONL to this "
                    "file (one window per bench phase; E17 has no sim "
-                   "clock, so window timestamps are phase ordinals; "
-                   "each window consumes the span ring, so a combined "
-                   "--trace-out covers only post-window spans)");
+                   "clock, so window timestamps are phase ordinals)");
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
                  flags.usage().c_str());
@@ -274,18 +272,11 @@ int main(int argc, char** argv) {
         pran::telemetry::TimeSeriesRecorder::Config{});
     recorder->open_jsonl(flags.get_string("timeline-out"));
   }
-  // E17's hot path records only wall-clock spans; the raw registry stays
-  // empty until those spans are folded in. Each phase boundary folds the
-  // ring into the registry, samples the delta, and clears the ring so the
-  // next window digests only its own phase (aggregate_into re-reads every
-  // ring record, so folding without clearing would double-count). The
-  // folded histograms persist in the registry, so a later --metrics-out
-  // still covers the whole run; only --trace-out loses pre-window spans.
+  // E17's hot path records only wall-clock spans, each counted in the
+  // registry's span_us.* histograms as it ends, so a phase boundary's
+  // window digests exactly that phase's spans.
   const auto sample_phase = [&recorder](std::int64_t phase) {
-    if (!recorder) return;
-    pran::telemetry::spans().aggregate_into(pran::telemetry::registry());
-    recorder->sample(phase * pran::sim::kMillisecond);
-    pran::telemetry::spans().clear();
+    if (recorder) recorder->sample(phase * pran::sim::kMillisecond);
   };
   ThreadPool pool(static_cast<unsigned>(flags.get_int("threads")));
   print_tables(pool);

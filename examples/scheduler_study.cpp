@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/histogram.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "lte/cost_model.hpp"
 #include "mac/cell_mac.hpp"
@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
   config.seed = 4242;
   mac::CellMac pf(config);
   for (int t = 0; t < ttis; ++t) pf.run_tti();
-  std::printf("proportional-fair per-UE throughput distribution (Mbps):\n");
-  Histogram hist(0.0, 12.0, 12);
-  for (double t : pf.ue_throughputs_bps()) hist.add(t / 1e6);
-  std::printf("%s", hist.render(40).c_str());
+  Samples pf_tput(pf.ue_throughputs_bps());
+  Table spread({"quantile", "ue_mbps"});
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0})
+    spread.row().cell(q, 2).cell(pf_tput.quantile(q) / 1e6, 2);
+  std::printf("proportional-fair per-UE throughput distribution:\n%s",
+              spread.render().c_str());
   return 0;
 }

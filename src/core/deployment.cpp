@@ -221,9 +221,6 @@ Deployment::Deployment(DeploymentConfig config)
     const bool ran = !o.dropped && !o.compute_outage;
     if (ran)
       PRAN_HIST_OBSERVE(metrics_, "deployment.job_service_us",
-                        telemetry::SpanCollector::kHistLoUs,
-                        telemetry::SpanCollector::kHistHiUs,
-                        telemetry::SpanCollector::kHistBins,
                         sim::to_microseconds(o.finish - o.start));
     if (flight_)
       flight_->record_job(engine_.now(), o.server_id, o.job.cell_id,
@@ -276,8 +273,8 @@ Deployment::Deployment(DeploymentConfig config)
       const sim::Time latency =
           at - fault_time_[static_cast<std::size_t>(server_id)];
       detection_latency_total_ += latency;
-      PRAN_HIST_OBSERVE(metrics_, "monitor.detection_latency_ms", 0.0,
-                        1000.0, 50, sim::to_seconds(latency) * 1e3);
+      PRAN_HIST_OBSERVE(metrics_, "monitor.detection_latency_ms",
+                        sim::to_seconds(latency) * 1e3);
       close_energy_interval();
       // Detection order matters: the migration manager first (it decides
       // which cells resolve by lease takeover), then the failover.
@@ -492,14 +489,10 @@ void Deployment::tick() {
         static_cast<std::uint64_t>(job.decode_iterations_realized);
     if ((degradation_ || config_.overload.enabled) && job.tb_count > 0) {
       const double tbs = static_cast<double>(job.tb_count);
-      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_needed", 0.0,
-                        static_cast<double>(lte::kMaxTurboIterations),
-                        lte::kMaxTurboIterations,
+      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_needed",
                         static_cast<double>(job.decode_iterations_needed) /
                             tbs);
-      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_realized", 0.0,
-                        static_cast<double>(lte::kMaxTurboIterations),
-                        lte::kMaxTurboIterations,
+      PRAN_HIST_OBSERVE(metrics_, "compute.iterations_realized",
                         static_cast<double>(job.decode_iterations_realized) /
                             tbs);
     }

@@ -162,6 +162,8 @@ struct DeploymentKpis {
   double miss_ratio = 0.0;
   int migrations = 0;
   double mean_active_servers = 0.0;
+  /// Host wall time of the mean replan: the one host-time field, so no
+  /// export writes it (`span_us.controller_replan` holds every replan).
   double mean_plan_seconds = 0.0;
   int failover_outage_cells = 0;
   /// Epochs whose replan came back infeasible (stale placement kept).

@@ -27,7 +27,6 @@ void export_kpis(const DeploymentKpis& kpis,
   set("miss_ratio", kpis.miss_ratio);
   set("migrations", kpis.migrations);
   set("mean_active_servers", kpis.mean_active_servers);
-  set("mean_plan_seconds", kpis.mean_plan_seconds);
   set("failover_outage_cells", kpis.failover_outage_cells);
   set("infeasible_epochs", kpis.infeasible_epochs);
   set("shed_cell_epochs", kpis.shed_cell_epochs);
@@ -118,16 +117,6 @@ void export_deployment(const Deployment& deployment,
   const auto& reports = deployment.controller().reports();
   set_gauge(registry, "solver.", "epochs",
             static_cast<double>(reports.size()));
-  if (!reports.empty()) {
-    double total = 0.0, worst = 0.0;
-    for (const auto& r : reports) {
-      total += r.solve_seconds;
-      worst = std::max(worst, r.solve_seconds);
-    }
-    set_gauge(registry, "solver.", "mean_solve_seconds",
-              total / static_cast<double>(reports.size()));
-    set_gauge(registry, "solver.", "max_solve_seconds", worst);
-  }
 
   if (const DegradationController* ladder = deployment.degradation()) {
     // Per-rung dwell: how long the ladder sat on each rung (as of the

@@ -368,8 +368,7 @@ void MigrationManager::grant_target(Migration& m, MigrationState final_state,
   const double ms = sim::to_seconds(target_from - m.started_at) * 1e3;
   handoff_latency_ms_sum_ += ms;
   ++handoffs_;
-  PRAN_HIST_OBSERVE(metrics_, "migration.handoff_latency_ms", 0.0, 500.0,
-                    50, ms);
+  PRAN_HIST_OBSERVE(metrics_, "migration.handoff_latency_ms", ms);
   if (final_state == MigrationState::kCommitted)
     resolve(m, MigrationState::kCommitted, "", "committed");
   else

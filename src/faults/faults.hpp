@@ -4,8 +4,8 @@
 /// Fault model vocabulary shared by the injector, the health monitor and
 /// the deployment layer.
 ///
-/// Two fault domains share this vocabulary. Server faults reproduce the
-/// failure classes a pooled RAN cluster actually sees:
+/// Server faults reproduce the failure classes a pooled RAN cluster
+/// actually sees:
 ///   kCrash      — whole-server loss (process/kernel/hardware death);
 ///   kDegrade    — a straggler: the server keeps answering heartbeats but
 ///                 its cores run at a fraction of nominal speed (thermal
@@ -13,11 +13,8 @@
 ///   kCorrelated — rack/power-domain loss: several servers crash at the
 ///                 same instant, defeating placements that spread a cell's
 ///                 backup capacity inside one domain.
-/// Fronthaul faults reproduce what CPRI/eCPRI transports suffer
-/// (delivered by faults::FronthaulImpairments, never by the injector):
-///   kFronthaulLoss     — Gilbert–Elliott burst loss of I/Q bursts;
-///   kFronthaulJitter   — bounded per-burst forwarding jitter;
-///   kFronthaulBrownout — temporary link-capacity reduction.
+/// Fronthaul impairments (loss, jitter, brownouts) are not faults of this
+/// vocabulary: faults::FronthaulImpairments applies them per burst.
 ///
 /// Server faults are either scripted (FaultEvent) or drawn from
 /// per-server exponential MTBF/MTTR processes (StochasticFaultConfig).
@@ -37,9 +34,6 @@ enum class FaultKind {
   kCrash,
   kDegrade,
   kCorrelated,
-  kFronthaulLoss,
-  kFronthaulJitter,
-  kFronthaulBrownout,
 };
 
 const char* fault_kind_name(FaultKind kind) noexcept;
@@ -72,9 +66,7 @@ struct StochasticFaultConfig {
   bool enabled() const noexcept { return mtbf_seconds > 0.0; }
 };
 
-/// One delivered fault, for KPI extraction and tests. Fronthaul records
-/// (emitted by FronthaulImpairments) carry server_id == -1: the transport
-/// is a shared resource, not a server.
+/// One delivered server fault, for KPI extraction and tests.
 struct FaultRecord {
   FaultKind kind = FaultKind::kCrash;
   int server_id = -1;

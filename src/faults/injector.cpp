@@ -16,12 +16,6 @@ const char* fault_kind_name(FaultKind kind) noexcept {
       return "degrade";
     case FaultKind::kCorrelated:
       return "correlated";
-    case FaultKind::kFronthaulLoss:
-      return "fronthaul-loss";
-    case FaultKind::kFronthaulJitter:
-      return "fronthaul-jitter";
-    case FaultKind::kFronthaulBrownout:
-      return "fronthaul-brownout";
   }
   return "?";  // Unreachable; keeps -Wreturn-type quiet.
 }
@@ -61,11 +55,6 @@ void FaultInjector::schedule(const FaultEvent& event) {
   if (event.kind == FaultKind::kDegrade)
     PRAN_REQUIRE(event.degrade_factor > 0.0 && event.degrade_factor <= 1.0,
                  "degrade factor outside (0, 1]");
-  PRAN_REQUIRE(event.kind == FaultKind::kCrash ||
-                   event.kind == FaultKind::kDegrade ||
-                   event.kind == FaultKind::kCorrelated,
-               "injector schedules server faults only; fronthaul impairments "
-               "go through faults::FronthaulImpairments");
   for (int server_id : event.servers) {
     PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
                  "fault event names an unknown server");
@@ -114,12 +103,6 @@ void FaultInjector::deliver_fault(int server_id, FaultKind kind,
       ++crash_faults_;
       if (kind == FaultKind::kCorrelated) ++correlated_faults_;
       break;
-    case FaultKind::kFronthaulLoss:
-    case FaultKind::kFronthaulJitter:
-    case FaultKind::kFronthaulBrownout:
-      PRAN_CHECK(false,
-                 "fronthaul impairments are delivered by "
-                 "faults::FronthaulImpairments, not the server injector");
   }
   ++faults_delivered_;
   open_record_[static_cast<std::size_t>(server_id)] =

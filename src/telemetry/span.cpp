@@ -197,27 +197,4 @@ std::string SpanCollector::to_chrome_trace() const {
   return os.str();
 }
 
-void SpanCollector::aggregate_into(MetricsRegistry& registry,
-                                   std::string_view prefix) const {
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    names = names_;
-  }
-  std::vector<HistogramId> ids;
-  ids.reserve(names.size());
-  for (const std::string& n : names)
-    ids.push_back(registry.histogram(std::string(prefix) + n, kHistLoUs,
-                                     kHistHiUs, kHistBins));
-  for (const SpanRecord& r : records()) {
-    if (r.name_id >= ids.size()) continue;
-    registry.observe(ids[r.name_id],
-                     static_cast<double>(r.duration_ns) / 1e3);
-  }
-  registry.set(registry.gauge("spans.recorded"),
-               static_cast<double>(recorded()));
-  registry.set(registry.gauge("spans.dropped"),
-               static_cast<double>(dropped()));
-}
-
 }  // namespace pran::telemetry

@@ -1,22 +1,23 @@
 #pragma once
 
 /// \file span.hpp
-/// Pipeline-stage spans: named wall-clock intervals recorded into
-/// per-thread ring buffers and exported as Chrome trace-event JSON
-/// (loadable in Perfetto / chrome://tracing) or folded into aggregate
-/// stage-latency histograms.
+/// Pipeline-stage spans: named wall-clock intervals, each counted when it
+/// ends in the `span_us.<name>` histogram of a metrics registry and kept
+/// in a per-thread ring buffer for Chrome trace-event JSON export
+/// (loadable in Perfetto / chrome://tracing).
 ///
 /// Spans time the host only. `ScopedSpan` (usually via the PRAN_SPAN
 /// macro) measures real compute with the steady clock: kernel wrappers,
 /// solver calls, the deployment tick. Each recording thread owns a lane,
-/// so the hot path is a clock read plus a ring write — no locks, no
-/// allocation. Simulated time never enters the collector: a deployment
-/// records its own subframe jobs (core/deployment.hpp).
+/// so the hot path is a clock read, a ring write and a histogram
+/// observation — no locks, no allocation. Simulated time never enters the
+/// collector: a deployment records its own subframe jobs
+/// (core/deployment.hpp).
 ///
 /// Rings overwrite oldest-first once full (`dropped()` counts what fell
-/// out), so a long run can always export its tail. Reading APIs
-/// (records / to_chrome_trace / aggregate_into) must only run while no
-/// thread is recording — quiesce the pool first, like every sweep does.
+/// out), so a long run's trace keeps its tail while its histograms stay
+/// complete. Reading APIs (records / to_chrome_trace) must only run while
+/// no thread is recording — quiesce the pool first, like every sweep does.
 
 #include <atomic>
 #include <cstdint>
@@ -45,10 +46,6 @@ class SpanCollector {
  public:
   /// Thread lanes; threads beyond this drop their spans (counted).
   static constexpr unsigned kMaxLanes = 64;
-  /// Bucket range for aggregate_into()'s per-stage histograms, in µs.
-  static constexpr double kHistLoUs = 0.0;
-  static constexpr double kHistHiUs = 10'000.0;
-  static constexpr std::size_t kHistBins = 50;
 
   struct Config {
     /// Span records kept per thread lane (ring buffer).
@@ -88,12 +85,6 @@ class SpanCollector {
   /// Perfetto / chrome://tracing.
   std::string to_chrome_trace() const;
 
-  /// Folds span durations into per-stage latency histograms
-  /// ("<prefix><name>", µs, kHistLoUs..kHistHiUs) plus drop/total gauges,
-  /// so stage timings ride the same snapshot as every other metric.
-  void aggregate_into(MetricsRegistry& registry,
-                      std::string_view prefix = "span_us.") const;
-
   /// The steady-clock ns all span start times are relative to.
   std::int64_t epoch_ns() const noexcept { return epoch_ns_; }
 
@@ -121,20 +112,29 @@ class SpanCollector {
   std::unordered_map<std::string, std::uint32_t> name_ids_;
 };
 
-/// RAII wall span; prefer the PRAN_SPAN macro, which interns the name once
-/// per call site and compiles away under PRAN_TELEMETRY=OFF.
+/// RAII wall span: on destruction it records into `collector`'s ring and
+/// observes its duration in µs into `histogram` of `registry`. Prefer the
+/// PRAN_SPAN macro, which interns the name and registers
+/// `span_us.<name>` once per call site and compiles away under
+/// PRAN_TELEMETRY=OFF.
 class ScopedSpan {
  public:
   ScopedSpan(SpanCollector& collector, std::uint32_t name_id,
+             MetricsRegistry& registry, HistogramId histogram,
              std::int64_t arg0 = kNoArg) noexcept
       : collector_(collector),
+        registry_(registry),
         name_id_(name_id),
+        histogram_(histogram),
         arg0_(arg0),
         lane_(collector.begin_span()),
         start_ns_(wall_now_ns()) {}
 
   ~ScopedSpan() {
-    collector_.end_span(lane_, name_id_, start_ns_, wall_now_ns(), arg0_);
+    const std::int64_t end_ns = wall_now_ns();
+    collector_.end_span(lane_, name_id_, start_ns_, end_ns, arg0_);
+    registry_.observe(histogram_,
+                      static_cast<double>(end_ns - start_ns_) / 1e3);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -142,7 +142,9 @@ class ScopedSpan {
 
  private:
   SpanCollector& collector_;
+  MetricsRegistry& registry_;
   std::uint32_t name_id_;
+  HistogramId histogram_;
   std::int64_t arg0_;
   void* lane_;
   std::int64_t start_ns_;

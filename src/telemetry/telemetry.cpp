@@ -49,8 +49,10 @@ void reset_for_testing() {
 }
 
 void write_metrics_file(const std::string& path) {
-  spans().aggregate_into(registry());
-  const MetricsSnapshot snap = registry().snapshot();
+  MetricsRegistry& reg = registry();
+  reg.set(reg.gauge("spans.recorded"), static_cast<double>(spans().recorded()));
+  reg.set(reg.gauge("spans.dropped"), static_cast<double>(spans().dropped()));
+  const MetricsSnapshot snap = reg.snapshot();
   write_text_file(path, ends_with(path, ".json") ? snap.to_json()
                                                  : snap.to_csv());
 }

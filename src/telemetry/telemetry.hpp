@@ -11,8 +11,9 @@
 /// uid(): the hot path is one compare plus one relaxed atomic, and the
 /// site registers again whenever it meets a different registry. They
 /// carry KPI data, so they stay compiled in at -DPRAN_TELEMETRY=OFF; OFF
-/// removes only the span macros. PRAN_SPAN costs two clock reads plus a
-/// ring write.
+/// removes only the span macros. PRAN_SPAN costs two clock reads, a ring
+/// write and one observation into registry()'s `span_us.<name>`
+/// histogram, whose id the site caches the same way.
 
 #include <string>
 #include <string_view>
@@ -31,8 +32,9 @@ constexpr bool enabled() noexcept { return PRAN_TELEMETRY_ENABLED != 0; }
 
 /// Process-global registry / collector (constructed on first use, never
 /// destroyed, so instrumented code may run during static teardown). The
-/// registry holds what `write_metrics_file` exports: tools merge each
-/// run's registry into it.
+/// registry holds what `write_metrics_file` exports: every span's
+/// `span_us.<name>` histogram, and each run's registry that a tool merges
+/// into it. The collector's ring only feeds `write_chrome_trace_file`.
 MetricsRegistry& registry();
 SpanCollector& spans();
 
@@ -40,10 +42,10 @@ SpanCollector& spans();
 /// multi-sweep tools; callers must quiesce recording threads first).
 void reset_for_testing();
 
-/// Serialises registry() (with spans() folded in as span_us.* histograms)
-/// to `path`. Format by extension: .json → MetricsSnapshot::to_json,
-/// anything else → to_csv. Throws ContractViolation if the file cannot be
-/// written.
+/// Serialises registry() to `path`, after setting the `spans.recorded` /
+/// `spans.dropped` gauges of the trace ring. Format by extension: .json →
+/// MetricsSnapshot::to_json, anything else → to_csv. Throws
+/// ContractViolation if the file cannot be written.
 void write_metrics_file(const std::string& path);
 
 /// Writes spans() as Chrome trace-event JSON to `path` (open in Perfetto
@@ -104,15 +106,13 @@ std::uint32_t site_index(const MetricsRegistry& registry,
                  (value));                                                 \
   } while (false)
 
-/// Observes `value` into a named histogram with fixed bounds; bounds must
-/// match across call sites for the same name.
-#define PRAN_HIST_OBSERVE(reg, name_literal, lo, hi, bins, value)          \
+/// Observes `value` into the named histogram (the registry's one layout).
+#define PRAN_HIST_OBSERVE(reg, name_literal, value)                        \
   do {                                                                     \
     ::pran::telemetry::MetricsRegistry& pran_reg = (reg);                  \
-    pran_reg.observe(                                                      \
-        ::pran::telemetry::HistogramId{PRAN_TELEMETRY_SITE_INDEX(          \
-            pran_reg, histogram(name_literal, (lo), (hi), (bins)))},       \
-        (value));                                                          \
+    pran_reg.observe(::pran::telemetry::HistogramId{PRAN_TELEMETRY_SITE_INDEX( \
+                         pran_reg, histogram(name_literal))},              \
+                     (value));                                             \
   } while (false)
 
 #if PRAN_TELEMETRY_ENABLED
@@ -120,7 +120,8 @@ std::uint32_t site_index(const MetricsRegistry& registry,
 #define PRAN_TELEMETRY_CONCAT_IMPL(a, b) a##b
 #define PRAN_TELEMETRY_CONCAT(a, b) PRAN_TELEMETRY_CONCAT_IMPL(a, b)
 
-/// Scoped wall-clock span around the enclosing block:
+/// Scoped wall-clock span around the enclosing block, counted in
+/// registry()'s `span_us.<name>` histogram when it ends:
 ///   PRAN_SPAN("turbo_decode");
 ///   PRAN_SPAN("turbo_decode", cell_id);
 #define PRAN_SPAN(name_literal, ...)                                        \
@@ -130,8 +131,15 @@ std::uint32_t site_index(const MetricsRegistry& registry,
   ::pran::telemetry::ScopedSpan PRAN_TELEMETRY_CONCAT(pran_span_,           \
                                                       __LINE__)(           \
       ::pran::telemetry::spans(),                                           \
-      PRAN_TELEMETRY_CONCAT(pran_span_id_, __LINE__) __VA_OPT__(, )         \
-          __VA_ARGS__)
+      PRAN_TELEMETRY_CONCAT(pran_span_id_, __LINE__),                       \
+      ::pran::telemetry::registry(),                                        \
+      ::pran::telemetry::HistogramId{::pran::telemetry::detail::site_index( \
+          ::pran::telemetry::registry(),                                    \
+          [] {                                                              \
+            return ::pran::telemetry::registry()                            \
+                .histogram("span_us." name_literal)                         \
+                .index;                                                     \
+          })} __VA_OPT__(, ) __VA_ARGS__)
 
 #else  // PRAN_TELEMETRY_ENABLED
 

@@ -92,7 +92,7 @@ const WindowSample& TimeSeriesRecorder::sample(sim::Time now) {
       while (p < prev_.histograms.size() && prev_.histograms[p].name < h.name)
         ++p;
       // Per-window digest from the bucket deltas: reuse the snapshot
-      // HistogramValue so the quantile convention is the shared one.
+      // HistogramValue so windows and whole runs share one quantile.
       MetricsSnapshot::HistogramValue delta = h;
       if (p < prev_.histograms.size() && prev_.histograms[p].name == h.name) {
         const auto& before = prev_.histograms[p];

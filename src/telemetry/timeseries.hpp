@@ -4,8 +4,9 @@
 /// Windowed KPI time series over a MetricsRegistry: `sample(now)` closes
 /// one window by diffing the current snapshot against the previous one —
 /// counters become per-window deltas, histograms become per-window bucket
-/// deltas (yielding streaming per-window quantiles from the shared binned
-/// convention), gauges are carried as sampled values. Closed windows land
+/// deltas on the registry's one layout (digested with the same quantile
+/// convention as whole-run snapshots), gauges are carried as sampled
+/// values. Closed windows land
 /// in a bounded ring (the flight recorder's black box) and, optionally,
 /// as one JSON object per line in a JSONL stream (`--timeline-out`).
 ///

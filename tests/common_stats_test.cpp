@@ -1,9 +1,8 @@
-// Tests for statistics accumulators, histograms and fairness.
+// Tests for statistics accumulators and fairness.
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -125,52 +124,6 @@ TEST(JainFairness, WorstCaseIsOneOverN) {
 TEST(JainFairness, EdgeCases) {
   EXPECT_DOUBLE_EQ(jain_fairness({}), 1.0);
   EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 1.0);
-}
-
-TEST(Histogram, CountsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(1.0);
-  h.add(9.99);
-  h.add(-1.0);   // underflow
-  h.add(10.0);   // overflow (hi is exclusive)
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, CdfReachesOne) {
-  Histogram h(0.0, 1.0, 4);
-  for (double x : {0.1, 0.3, 0.6, 0.9}) h.add(x);
-  const auto cdf = h.cdf();
-  EXPECT_DOUBLE_EQ(cdf.back(), 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) EXPECT_GE(cdf[i], cdf[i - 1]);
-}
-
-TEST(Histogram, QuantileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  Rng rng(7);
-  for (int i = 0; i < 10000; ++i) h.add(rng.uniform(0.0, 100.0));
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 3.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 3.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add_n(0.5, 10);
-  h.add(1.5);
-  const std::string out = h.render(20);
-  EXPECT_NE(out.find("####"), std::string::npos);
-  EXPECT_NE(out.find("10"), std::string::npos);
 }
 
 }  // namespace

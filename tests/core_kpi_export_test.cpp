@@ -145,14 +145,35 @@ TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
   EXPECT_EQ(metrics.counter_value("controller.quarantine_events"),
             static_cast<std::uint64_t>(kpis.quarantine_events));
 
-  // What --metrics-out would write: the export plus the folded spans.
+  // What --metrics-out would write: the export plus the span histograms.
   telemetry::MetricsRegistry exported;
   export_deployment(d, exported);
   EXPECT_EQ(exported.counter_value("controller.epochs"), epochs);
-  telemetry::MetricsRegistry folded;
-  telemetry::spans().aggregate_into(folded);
   EXPECT_FALSE(names_trace_series(exported.snapshot()));
-  EXPECT_FALSE(names_trace_series(folded.snapshot()));
+  EXPECT_FALSE(names_trace_series(telemetry::registry().snapshot()));
+}
+
+TEST(KpiExport, SpanHistogramsCountEveryTickAndEpochReplan) {
+  if (!telemetry::enabled()) GTEST_SKIP() << "span macros compiled out";
+  telemetry::reset_for_testing();
+  DeploymentConfig config;
+  config.num_cells = 4;
+  config.num_servers = 2;
+  config.seed = 5;
+  config.epoch = 10 * sim::kMillisecond;
+  Deployment d(config);
+  d.run_for(500 * sim::kMillisecond);
+  std::uint64_t ticks = 0;
+  std::uint64_t replans = 0;
+  for (const auto& h : telemetry::registry().snapshot().histograms) {
+    if (h.name == "span_us.deployment_tick") ticks = h.total();
+    if (h.name == "span_us.controller_replan") replans = h.total();
+  }
+  // One tick per TTI, t = 0 and t = 500 ms included.
+  EXPECT_EQ(ticks, 501u);
+  EXPECT_EQ(replans, d.metrics().counter_value("controller.epochs"));
+  EXPECT_EQ(replans, 50u);
+  telemetry::reset_for_testing();
 }
 
 /// Five cells on a shared fibre that browns out to half capacity: the

@@ -26,7 +26,7 @@ double value_of(std::size_t i) {
 std::string run_workload(unsigned threads) {
   MetricsRegistry reg;
   const CounterId c = reg.counter("stress.hits");
-  const HistogramId h = reg.histogram("stress.lat", 0.0, 100.0, 64);
+  const HistogramId h = reg.histogram("stress.lat");
   const GaugeId g = reg.gauge("stress.last");
   ThreadPool pool(threads);
   pool.for_each(kItems, [&](unsigned, std::size_t i) {
@@ -41,7 +41,7 @@ std::string run_workload(unsigned threads) {
 TEST(TelemetryStress, CountersAndHistogramsSurviveContention) {
   MetricsRegistry reg;
   const CounterId c = reg.counter("hits");
-  const HistogramId h = reg.histogram("lat", 0.0, 100.0, 32);
+  const HistogramId h = reg.histogram("lat");
   ThreadPool pool(8);
   pool.for_each(kItems, [&](unsigned, std::size_t i) {
     reg.add(c);
@@ -124,15 +124,17 @@ TEST(TelemetryStress, SpansUnderContention) {
   SpanCollector::Config config;
   config.ring_capacity = kItems;  // one lane could claim every item
   SpanCollector spans(config);
+  MetricsRegistry reg;
   const auto id = spans.intern("stress.work");
+  const HistogramId h = reg.histogram("span_us.stress.work");
   ThreadPool pool(8);
   pool.for_each(kItems, [&](unsigned, std::size_t) {
-    ScopedSpan s(spans, id);
+    ScopedSpan s(spans, id, reg, h);
   });
   EXPECT_EQ(spans.recorded(), kItems);
   EXPECT_EQ(spans.dropped(), 0u);
-  MetricsRegistry reg;
-  spans.aggregate_into(reg);
+  // Every thread observed into the one shared histogram as its spans
+  // ended; none is lost to contention.
   EXPECT_EQ(reg.snapshot().histograms[0].total(), kItems);
 }
 

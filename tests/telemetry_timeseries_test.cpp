@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "sim/time.hpp"
 #include "telemetry/family.hpp"
@@ -140,7 +139,7 @@ TEST(TimeSeriesRecorder, BaselinesAtConstructionAndDiffsWindows) {
 
 TEST(TimeSeriesRecorder, HistogramWindowsDigestBucketDeltas) {
   MetricsRegistry registry;
-  const HistogramId h = registry.histogram("decode.us", 0.0, 100.0, 50);
+  const HistogramId h = registry.histogram("decode.us");
   TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, 8});
 
   for (int i = 0; i < 99; ++i) registry.observe(h, 10.5);
@@ -150,8 +149,9 @@ TEST(TimeSeriesRecorder, HistogramWindowsDigestBucketDeltas) {
   EXPECT_EQ(w0.histograms[0].name, "decode.us");
   EXPECT_EQ(w0.histograms[0].count, 100u);
   EXPECT_NEAR(w0.histograms[0].mean, 11.3, 1e-9);
-  EXPECT_DOUBLE_EQ(w0.histograms[0].p50, 12.0);  // upper edge of [10, 12)
-  EXPECT_DOUBLE_EQ(w0.histograms[0].p99, 12.0);
+  EXPECT_DOUBLE_EQ(w0.histograms[0].p50, 11.0);  // upper edge of [10.5, 11)
+  EXPECT_DOUBLE_EQ(w0.histograms[0].p95, 11.0);
+  EXPECT_DOUBLE_EQ(w0.histograms[0].p99, 11.0);
   // The digest is per-window: a quiet window drops the histogram even
   // though the cumulative registry histogram still has mass.
   const WindowSample& w1 = rec.sample(20 * sim::kMillisecond);
@@ -161,7 +161,15 @@ TEST(TimeSeriesRecorder, HistogramWindowsDigestBucketDeltas) {
   registry.observe(h, 90.5);
   const WindowSample& w2 = rec.sample(30 * sim::kMillisecond);
   ASSERT_EQ(w2.histograms.size(), 1u);
-  EXPECT_DOUBLE_EQ(w2.histograms[0].p50, 92.0);
+  EXPECT_EQ(w2.histograms[0].count, 1u);
+  EXPECT_DOUBLE_EQ(w2.histograms[0].mean, 90.5);
+  EXPECT_DOUBLE_EQ(w2.histograms[0].p50, 92.0);  // upper edge of [88, 92)
+  // A window whose only observations underflow digests to edge 0.
+  registry.observe(h, -3.0);
+  const WindowSample& w3 = rec.sample(40 * sim::kMillisecond);
+  ASSERT_EQ(w3.histograms.size(), 1u);
+  EXPECT_EQ(w3.histograms[0].count, 1u);
+  EXPECT_DOUBLE_EQ(w3.histograms[0].p99, 0.0);
 }
 
 TEST(TimeSeriesRecorder, RingIsBoundedByHistory) {
@@ -455,53 +463,6 @@ TEST(FlightRecorder, WritesRateLimitedDumpsToDisk) {
   ASSERT_EQ(doc.at("windows").items().size(), 1u);
   std::remove(first.c_str());
   std::remove(second.c_str());
-}
-
-// --------------------------------------------------------------------------
-// Shared quantile convention: the snapshot HistogramValue and
-// pran::Histogram must agree exactly on identical data.
-
-TEST(QuantileParity, SnapshotAndHistogramAgreeOnIdenticalData) {
-  constexpr double kLo = 0.0;
-  constexpr double kHi = 50.0;
-  constexpr std::size_t kBins = 25;
-
-  MetricsRegistry registry;
-  const HistogramId id = registry.histogram("parity.values", kLo, kHi, kBins);
-  Histogram hist(kLo, kHi, kBins);
-
-  // Deterministic pseudo-scatter including under/overflow mass.
-  for (int i = 0; i < 500; ++i) {
-    const double v = static_cast<double>((i * 37) % 113) - 5.0;
-    registry.observe(id, v);
-    hist.add(v);
-  }
-  const MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const auto& sv = snap.histograms[0];
-  ASSERT_EQ(sv.total(), hist.total());
-  for (const double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
-                         0.999, 1.0})
-    EXPECT_DOUBLE_EQ(sv.quantile(q), hist.quantile(q)) << "q=" << q;
-}
-
-TEST(QuantileParity, EdgeCasesMatchTheSharedConvention) {
-  MetricsRegistry registry;
-  const HistogramId id = registry.histogram("parity.edge", 0.0, 10.0, 5);
-  MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.5), 0.0);  // empty -> lo
-
-  registry.observe(id, 99.0);  // all mass overflows
-  snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(1.0), 10.0);
-
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(99.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), snap.histograms[0].quantile(0.0));
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), snap.histograms[0].quantile(1.0));
 }
 
 }  // namespace

@@ -14,10 +14,10 @@
 // With --threshold T > 0 the exit code is 1 when any compared metric
 // drifts by more than T relative to the baseline, or when a baseline
 // metric disappeared; with the default threshold 0 the tool only
-// reports. Wall-clock metrics (span histograms, solve/plan times) are
-// ignored by default — the sim counters are deterministic per seed, the
-// clock is not — extend the list with --ignore or disable it with
-// --no-default-ignore.
+// reports. Wall-clock metrics (the span histograms and google-benchmark
+// times) are ignored by default — the sim counters are deterministic per
+// seed, the clock is not — extend the list with --ignore or disable it
+// with --no-default-ignore.
 
 #include <cmath>
 #include <cstdio>
@@ -42,8 +42,7 @@ using namespace pran;
 /// every run, comparable on none. Everything else (simulated busy time and
 /// detection latency included) is deterministic per seed, so it gates.
 const char* const kDefaultIgnore[] = {
-    "span_us.",      "spans.",    "solve_seconds",
-    "plan_seconds",  "real_time", "cpu_time",
+    "span_us.", "spans.", "real_time", "cpu_time",
 };
 
 using Flat = std::map<std::string, double>;
@@ -63,32 +62,6 @@ void flatten_snapshot(const telemetry::MetricsSnapshot& snapshot, Flat& out) {
     out[c.name] = static_cast<double>(c.value);
   for (const auto& g : snapshot.gauges) out[g.name] = g.value;
   for (const auto& h : snapshot.histograms) flatten_histogram(h, out);
-}
-
-/// Snapshot-JSON histograms carry raw buckets; rebuild the snapshot type
-/// so the quantile digest matches what the CSV path produces.
-void flatten_snapshot_json(const json::Value& doc, Flat& out) {
-  if (const json::Value* counters = doc.find("counters"))
-    for (const auto& [name, value] : counters->members())
-      out[name] = value.as_number();
-  if (const json::Value* gauges = doc.find("gauges"))
-    for (const auto& [name, value] : gauges->members())
-      out[name] = value.as_number();
-  const json::Value* histograms = doc.find("histograms");
-  if (histograms == nullptr) return;
-  for (const auto& [name, spec] : histograms->members()) {
-    telemetry::MetricsSnapshot::HistogramValue h;
-    h.name = name;
-    h.lo = spec.at("lo").as_number();
-    h.hi = spec.at("hi").as_number();
-    for (const auto& b : spec.at("buckets").items())
-      h.buckets.push_back(static_cast<std::uint64_t>(b.as_number()));
-    h.underflow = static_cast<std::uint64_t>(spec.at("underflow").as_number());
-    h.overflow = static_cast<std::uint64_t>(spec.at("overflow").as_number());
-    h.sum_fixed =
-        std::llround(spec.at("sum").as_number() * telemetry::kSumScale);
-    flatten_histogram(h, out);
-  }
 }
 
 void flatten_google_benchmark(const json::Value& doc, Flat& out) {
@@ -122,7 +95,7 @@ bool load_flat(const std::string& path, Flat& out) {
       if (doc.find("benchmarks") != nullptr)
         flatten_google_benchmark(doc, out);
       else
-        flatten_snapshot_json(doc, out);
+        flatten_snapshot(telemetry::MetricsSnapshot::from_json(text), out);
     } else {
       flatten_snapshot(telemetry::MetricsSnapshot::from_csv(text), out);
     }

@@ -10,8 +10,9 @@
 // Consumes the CSV snapshot form written by --metrics-out (the JSON form
 // carries the same data for external tooling) and the JSONL timeline
 // written by --timeline-out. Counters and gauges print as name/value
-// tables; histograms print count, mean and tail quantiles computed from
-// the fixed buckets.
+// tables; histograms print count, mean and tail quantiles computed on the
+// registry's one log-linear bucket layout (within 6.25% above the exact
+// quantile).
 //
 // Curated sections (--fronthaul, --compute, --slo) are dispatched from
 // one table; each prints its operator view before the full dump. Unknown
