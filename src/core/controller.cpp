@@ -24,16 +24,12 @@ Controller::Controller(ControllerConfig config, std::unique_ptr<Placer> placer,
   PRAN_REQUIRE(!demand_.empty(), "controller needs cells");
   PRAN_REQUIRE(config_.headroom > 0.0 && config_.headroom <= 1.0,
                "headroom outside (0, 1]");
-  PRAN_REQUIRE(config_.ema_alpha > 0.0 && config_.ema_alpha <= 1.0,
-               "EMA alpha outside (0, 1]");
   PRAN_REQUIRE(config_.demand_safety >= 1.0, "safety factor below 1");
   if (config_.quarantine) {
     PRAN_REQUIRE(config_.flap_threshold >= 1, "flap threshold below 1");
     PRAN_REQUIRE(config_.flap_window > 0, "flap window must be positive");
     PRAN_REQUIRE(config_.quarantine_base > 0,
                  "quarantine backoff must be positive");
-    PRAN_REQUIRE(config_.quarantine_multiplier >= 1.0,
-                 "quarantine multiplier below 1");
   }
 }
 
@@ -43,7 +39,7 @@ void Controller::observe(int cell_index, double gops) {
   PRAN_REQUIRE(gops >= 0.0, "observed cost must be non-negative");
   auto& d = demand_[static_cast<std::size_t>(cell_index)];
   d.gops_per_tti =
-      (1.0 - config_.ema_alpha) * d.gops_per_tti + config_.ema_alpha * gops;
+      (1.0 - kDemandEmaAlpha) * d.gops_per_tti + kDemandEmaAlpha * gops;
 }
 
 double Controller::estimated_demand(int cell_index) const {
@@ -197,7 +193,15 @@ int Controller::handle_failure(int server_id, sim::Time now) {
   PRAN_REQUIRE(server_id >= 0 && server_id < num_servers(),
                "unknown server id");
   const auto idx = static_cast<std::size_t>(server_id);
-  failure_times_[idx].push_back(now);
+  if (config_.quarantine) {
+    // Failures arrive in time order, so the newest flap_threshold of them
+    // are all handle_recovery() needs to tell whether flap_threshold fell
+    // inside the window.
+    auto& times = failure_times_[idx];
+    times.push_back(now);
+    if (static_cast<int>(times.size()) > config_.flap_threshold)
+      times.erase(times.begin());
+  }
   if (quarantined_[idx]) {
     // A quarantined server failed again before release: it hosts no cells,
     // so there is nothing to rescue. It stays out of the pool; the failure
@@ -268,7 +272,7 @@ RecoveryDecision Controller::handle_recovery(int server_id, sim::Time now) {
       quarantined_[idx] = true;
       quarantined_until_[idx] = now + backoff_[idx];
       backoff_[idx] = static_cast<sim::Time>(
-          static_cast<double>(backoff_[idx]) * config_.quarantine_multiplier);
+          static_cast<double>(backoff_[idx]) * kQuarantineBackoffMultiplier);
       ++quarantine_events_;
       return {false, quarantined_until_[idx]};
     }

@@ -22,13 +22,18 @@
 
 namespace pran::core {
 
+/// EMA smoothing factor per observation of a cell's subframe cost.
+inline constexpr double kDemandEmaAlpha = 0.05;
+
+/// Growth of a flapping server's quarantine backoff per consecutive
+/// quarantine (see ControllerConfig::quarantine).
+inline constexpr double kQuarantineBackoffMultiplier = 2.0;
+
 struct ControllerConfig {
   /// Server-utilisation ceiling targeted by placement.
   double headroom = 0.8;
   /// Demand estimate = safety * EMA(observed gops per TTI).
   double demand_safety = 1.25;
-  /// EMA smoothing factor per observation.
-  double ema_alpha = 0.05;
   /// Objective weight of one migration (in "servers"); see PlacementProblem.
   double migration_weight = 0.01;
   /// Admission control: when a replan is infeasible, shed the
@@ -44,13 +49,12 @@ struct ControllerConfig {
   /// Flap quarantine: a server that failed `flap_threshold` times within
   /// `flap_window` of its recovery is NOT returned to the placement pool;
   /// it is held out for an exponentially growing backoff
-  /// (quarantine_base, then x quarantine_multiplier per consecutive
+  /// (quarantine_base, then x kQuarantineBackoffMultiplier per consecutive
   /// quarantine) before release_quarantines() readmits it.
   bool quarantine = false;
   int flap_threshold = 3;
   sim::Time flap_window = 10 * sim::kSecond;
   sim::Time quarantine_base = 2 * sim::kSecond;
-  double quarantine_multiplier = 2.0;
 };
 
 /// Outcome of Controller::handle_recovery.
@@ -160,6 +164,7 @@ class Controller {
   std::vector<bool> quarantined_;
   std::vector<sim::Time> quarantined_until_;
   std::vector<sim::Time> backoff_;
+  /// The newest flap_threshold failure times per server (quarantine only).
   std::vector<std::vector<sim::Time>> failure_times_;
   int quarantine_events_ = 0;
   std::vector<CellDemand> demand_;      ///< EMA state (un-inflated).

@@ -32,28 +32,18 @@ DegradationController::DegradationController(const DegradationConfig& config,
                                              int num_cells)
     : config_(config), num_cells_(num_cells), down_hold_(config.down_epochs) {
   PRAN_REQUIRE(num_cells_ >= 1, "ladder needs cells");
-  PRAN_REQUIRE(config_.shed_fraction >= 0.0 && config_.shed_fraction <= 1.0,
-               "shed fraction outside [0, 1]");
-  PRAN_REQUIRE(
-      config_.quarantine_fraction >= 0.0 && config_.quarantine_fraction <= 1.0,
-      "quarantine fraction outside [0, 1]");
   PRAN_REQUIRE(config_.up_epochs >= 1, "up hysteresis below 1 epoch");
   PRAN_REQUIRE(config_.down_epochs >= 1, "down hysteresis below 1 epoch");
-  PRAN_REQUIRE(config_.backoff_multiplier >= 1.0, "backoff multiplier below 1");
   PRAN_REQUIRE(config_.queue_delay_up_us > config_.queue_delay_down_us,
                "queue-delay thresholds must leave a hysteresis band");
   PRAN_REQUIRE(config_.loss_up > config_.loss_down,
                "loss thresholds must leave a hysteresis band");
-  PRAN_REQUIRE(config_.miss_up > config_.miss_down,
-               "miss thresholds must leave a hysteresis band");
   double prev = 1.0;
   for (double factor : config_.compression_ladder) {
     PRAN_REQUIRE(factor > prev,
                  "compression ladder must be strictly increasing, each > 1");
     prev = factor;
   }
-  PRAN_REQUIRE(config_.compute_up_ttis > config_.compute_down_ttis,
-               "compute-pressure thresholds must leave a hysteresis band");
   int prev_cap = lte::kMaxTurboIterations;
   for (int cap : config_.effort_ladder) {
     PRAN_REQUIRE(cap >= 1 && cap < prev_cap,
@@ -77,12 +67,12 @@ bool DegradationController::update(sim::Time now,
   }
   const bool stressed = signals.queue_delay_us > config_.queue_delay_up_us ||
                         signals.loss_rate > config_.loss_up ||
-                        signals.miss_rate > config_.miss_up ||
-                        signals.compute_pressure > config_.compute_up_ttis;
+                        signals.miss_rate > kMissUp ||
+                        signals.compute_pressure > kComputeUpTtis;
   const bool calm = signals.queue_delay_us < config_.queue_delay_down_us &&
                     signals.loss_rate < config_.loss_down &&
-                    signals.miss_rate < config_.miss_down &&
-                    signals.compute_pressure < config_.compute_down_ttis;
+                    signals.miss_rate < kMissDown &&
+                    signals.compute_pressure < kComputeDownTtis;
   if (stressed) {
     ++stressed_epochs_;
     calm_epochs_ = 0;
@@ -104,8 +94,8 @@ bool DegradationController::update(sim::Time now,
     if (recovering_) {
       // Re-escalation after a step-down: the link is marginal at this
       // boundary, so the next step-down must earn a longer calm streak.
-      down_hold_ = static_cast<int>(std::ceil(
-          static_cast<double>(down_hold_) * config_.backoff_multiplier));
+      down_hold_ = static_cast<int>(
+          std::ceil(static_cast<double>(down_hold_) * kDownHoldBackoff));
       recovering_ = false;
     }
     return true;
@@ -160,18 +150,17 @@ bool DegradationController::cell_shed_eligible(int cell) const {
   const int count = std::min(
       num_cells_,
       static_cast<int>(std::ceil(
-          config_.shed_fraction * static_cast<double>(num_cells_) - 1e-9)));
+          kShedFraction * static_cast<double>(num_cells_) - 1e-9)));
   return cell >= num_cells_ - count;
 }
 
 bool DegradationController::cell_quarantined(int cell) const {
   PRAN_REQUIRE(cell >= 0 && cell < num_cells_, "unknown cell index");
   if (!quarantining()) return false;
-  const int count =
-      std::min(num_cells_, static_cast<int>(std::ceil(
-                               config_.quarantine_fraction *
-                                   static_cast<double>(num_cells_) -
-                               1e-9)));
+  const int count = std::min(
+      num_cells_,
+      static_cast<int>(std::ceil(
+          kQuarantineFraction * static_cast<double>(num_cells_) - 1e-9)));
   return cell >= num_cells_ - count;
 }
 

@@ -34,7 +34,7 @@
 ///     enter/exit thresholds per signal (classic Schmitt trigger);
 ///   * each time the controller re-escalates after a step-down, the calm
 ///     period required for the next step-down doubles (exponential
-///     backoff, `backoff_multiplier`), so a marginal link settles on the
+///     backoff, kDownHoldBackoff), so a marginal link settles on the
 ///     safe rung instead of flapping across the boundary.
 ///
 /// The controller is pure decision logic: it holds no references into the
@@ -74,17 +74,34 @@ enum class RungKind {
 
 const char* rung_kind_name(RungKind kind) noexcept;
 
+/// Fraction of cells (lowest priority first) eligible for shedding on the
+/// shed rung. Cell priority is by index: cell 0 is most important.
+inline constexpr double kShedFraction = 0.25;
+/// Fraction of cells quarantined outright on the quarantine rung.
+inline constexpr double kQuarantineFraction = 0.125;
+/// Deadline-miss-rate Schmitt thresholds (see DegradationConfig's
+/// `*_up` / `*_down` pairs).
+inline constexpr double kMissUp = 0.005;
+inline constexpr double kMissDown = 0.0005;
+/// Compute-pressure thresholds, in backlog TTIs (see
+/// DegradationSignals::compute_pressure).
+inline constexpr double kComputeUpTtis = 2.0;
+inline constexpr double kComputeDownTtis = 0.5;
+/// Growth of the calm-epoch requirement for a step-down on each
+/// re-escalation (DegradationConfig::down_epochs is its initial value).
+inline constexpr double kDownHoldBackoff = 2.0;
+
+static_assert(kMissUp > kMissDown,
+              "miss thresholds must leave a hysteresis band");
+static_assert(kComputeUpTtis > kComputeDownTtis,
+              "compute-pressure thresholds must leave a hysteresis band");
+
 struct DegradationConfig {
   bool enabled = false;
 
   /// Extra compression multipliers for rungs 1..N, strictly increasing,
   /// each > 1. Applied on top of the deployment's base compression.
   std::vector<double> compression_ladder = {1.5, 2.0};
-  /// Fraction of cells (lowest priority first) eligible for shedding on
-  /// the shed rung. Cell priority is by index: cell 0 is most important.
-  double shed_fraction = 0.25;
-  /// Fraction of cells quarantined outright on the quarantine rung.
-  double quarantine_fraction = 0.125;
 
   /// Turbo-iteration caps for the decode-effort rungs, strictly
   /// decreasing, each in [1, lte::kMaxTurboIterations). The rungs sit
@@ -99,24 +116,18 @@ struct DegradationConfig {
   int mcs_cap = 0;
 
   /// Schmitt-trigger thresholds: stressed when ANY signal exceeds its
-  /// `*_up`, calm only when ALL signals are below their `*_down`.
+  /// `*_up`, calm only when ALL signals are below their `*_down` (the
+  /// miss-rate and compute-pressure pairs are the constants above).
   double queue_delay_up_us = 300.0;
   double queue_delay_down_us = 100.0;
   double loss_up = 0.005;
   double loss_down = 0.001;
-  double miss_up = 0.005;
-  double miss_down = 0.0005;
-  /// Compute-pressure thresholds, in backlog TTIs (see
-  /// DegradationSignals::compute_pressure).
-  double compute_up_ttis = 2.0;
-  double compute_down_ttis = 0.5;
 
   /// Consecutive stressed epochs required to step up one rung.
   int up_epochs = 2;
   /// Consecutive calm epochs required to step down one rung (initial
-  /// value; grows by backoff_multiplier on each re-escalation).
+  /// value; grows by kDownHoldBackoff on each re-escalation).
   int down_epochs = 4;
-  double backoff_multiplier = 2.0;
 };
 
 /// Walks the rungs described above. One instance per deployment.
@@ -162,7 +173,7 @@ class DegradationController {
   bool quarantining() const noexcept { return rung_ >= quarantine_rung(); }
 
   /// True when `cell` may have doomed subframes shed while shedding() —
-  /// the lowest-priority (highest-index) shed_fraction of cells.
+  /// the lowest-priority (highest-index) kShedFraction of cells.
   bool cell_shed_eligible(int cell) const;
   /// True when `cell` is quarantined by the current rung.
   bool cell_quarantined(int cell) const;

@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "core/kpi_export.hpp"
 #include "fronthaul/codec.hpp"
+#include "lte/harq.hpp"
 #include "telemetry/family.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -84,7 +85,6 @@ Deployment::Deployment(DeploymentConfig config)
         config_.degradation, config_.num_cells);
     quality_rng_ = Rng(config_.seed).stream(0xDEu);
   }
-  if (config_.overload.enabled) validate(config_.overload);
 
   // Compute cluster.
   std::vector<cluster::ServerSpec> specs;
@@ -97,52 +97,13 @@ Deployment::Deployment(DeploymentConfig config)
   executor_ =
       std::make_unique<cluster::Executor>(engine_, specs, config_.policy);
 
-  // MAC mode: one scheduled UE population per cell, with the statistical
-  // fleet retained for its diurnal profiles and site geometry.
-  auto make_mac_config = [this](const workload::TrafficModel& cell) {
-    mac::CellMacConfig mc;
-    mc.cell = cell.site().config;
-    mc.num_ues = config_.mac_ues_per_cell;
-    mc.scheduler = config_.mac_scheduler;
-    mc.traffic = mac::TrafficKind::kPoisson;
-    mc.mean_arrival_bps = config_.mac_ue_peak_bps;
-    mc.radius_m = cell.site().radius_m;
-    mc.min_distance_m = cell.site().min_distance_m;
-    mc.seed = config_.seed * 7919 +
-              static_cast<std::uint64_t>(cell.site().cell_id);
-    return mc;
-  };
-  if (config_.traffic_source ==
-      DeploymentConfig::TrafficSource::kMacScheduled) {
-    macs_.reserve(cells_.size());
-    for (const auto& cell : cells_) macs_.emplace_back(make_mac_config(cell));
-  }
-
-  // Controller seeded with the traffic source's expectation at start time.
-  const lte::CostModel cost_model;
+  // Controller seeded with the traffic model's expectation at start time.
   std::vector<CellDemand> initial;
   initial.reserve(cells_.size());
   for (const auto& cell : cells_) {
     CellDemand d;
     d.cell_id = cell.site().cell_id;
-    if (macs_.empty()) {
-      d.gops_per_tti = cell.expected_subframe_gops(config_.start_hour);
-    } else {
-      // Warm-up estimate: run a throwaway MAC replica at the start-hour
-      // load and average the subframe cost.
-      mac::CellMac warmup(make_mac_config(cell));
-      warmup.set_load_scale(cell.profile().at(config_.start_hour));
-      double total = 0.0;
-      constexpr int kWarmupTtis = 100;
-      for (int t = 0; t < kWarmupTtis; ++t) {
-        const auto allocs = warmup.run_tti();
-        total += cost_model
-                     .subframe_cost(cell.site().config, allocs,
-                                    lte::Direction::kUplink)
-                     .total();
-      }
-      d.gops_per_tti = total / kWarmupTtis;
-    }
+    d.gops_per_tti = cell.expected_subframe_gops(config_.start_hour);
     d.peak_subframe_gops = cell.peak_subframe_gops();
     initial.push_back(d);
   }
@@ -344,13 +305,7 @@ void Deployment::tick() {
   PRAN_SPAN("deployment_tick", tti_counter_);
   const double hour = hour_at(engine_.now());
   for (std::size_t c = 0; c < cells_.size(); ++c) {
-    std::vector<lte::Allocation> allocs;
-    if (macs_.empty()) {
-      allocs = cells_[c].sample_subframe(hour);
-    } else {
-      macs_[c].set_load_scale(cells_[c].profile().at(hour));
-      allocs = macs_[c].run_tti();
-    }
+    std::vector<lte::Allocation> allocs = cells_[c].sample_subframe(hour);
     if (degradation_ && degradation_->mcs_capping()) {
       // MCS-cap rung: re-grade allocations above the ceiling. The PRBs
       // stay assigned but the transport block shrinks, cutting both the
@@ -454,9 +409,8 @@ void Deployment::tick() {
     if (degradation_)
       effort_cap = std::min(effort_cap, degradation_->effort_cap());
     if (config_.overload.enabled)
-      effort_cap = std::min(
-          effort_cap, effort_cap_for_pressure(config_.overload,
-                                              executor_->backlog_ttis(server)));
+      effort_cap = std::min(effort_cap, effort_cap_for_pressure(
+                                            executor_->backlog_ttis(server)));
     if (effort_cap < lte::kMaxTurboIterations) {
       const lte::EffortCapOutcome capped =
           lte::apply_effort_cap(allocs, effort_cap);
@@ -712,7 +666,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
   if (!config_.harq_retransmissions ||
       job.direction != lte::Direction::kUplink)
     return;
-  if (job.harq_retx >= config_.max_harq_retx) {
+  if (job.harq_retx >= lte::kMaxHarqRetx) {
     ++lost_tbs_;
     return;
   }
@@ -732,7 +686,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
     // A retransmission that provably cannot meet its deadline is pure
     // waste: executing it delays live traffic and ends in this same
     // function. Shed it and settle the next round of debt immediately —
-    // the chain still terminates honestly at max_harq_retx. This is what
+    // the chain still terminates honestly at kMaxHarqRetx. This is what
     // breaks a retransmission storm: without it every miss re-enters the
     // saturated queue and the overload sustains itself.
     const auto estimated_exec = static_cast<sim::Time>(
@@ -747,7 +701,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
     // Same storm-breaker through the compute lens: a retransmission the
     // server provably cannot decode in time is abandoned as a
     // computational outage (the callback settles the next round of HARQ
-    // debt, so the chain still terminates at max_harq_retx).
+    // debt, so the chain still terminates at kMaxHarqRetx).
     if (retx.release + admission_exec_estimate(target, retx.total_gops()) >
         retx.deadline) {
       retx.compute_outage_tbs = retx.tb_count;

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/executor.hpp"
@@ -28,7 +29,6 @@
 #include "faults/health.hpp"
 #include "faults/injector.hpp"
 #include "fronthaul/link.hpp"
-#include "mac/cell_mac.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/telemetry.hpp"
@@ -64,19 +64,6 @@ struct TimelineConfig {
 struct DeploymentConfig {
   int num_cells = 8;
   int num_servers = 4;
-
-  /// How each cell's per-TTI allocations are produced.
-  enum class TrafficSource {
-    kStatistical,   ///< workload::TrafficModel sampling (default).
-    kMacScheduled,  ///< mac::CellMac: real UEs + a MAC scheduler, with the
-                    ///< diurnal profile modulating the offered load.
-  };
-  TrafficSource traffic_source = TrafficSource::kStatistical;
-  /// MAC mode: scheduler name and UE population per cell.
-  std::string mac_scheduler = "proportional-fair";
-  int mac_ues_per_cell = 12;
-  /// MAC mode: per-UE offered rate at profile peak (Poisson bursts).
-  double mac_ue_peak_bps = 3e6;
   cluster::ServerSpec server;  ///< Spec replicated num_servers times.
   cluster::SchedPolicy policy = cluster::SchedPolicy::kEdf;
   ControllerConfig controller;
@@ -123,10 +110,9 @@ struct DeploymentConfig {
 
   /// Model LTE's synchronous uplink HARQ: a subframe whose decode misses
   /// its deadline is NACK-less, so the UE retransmits it 8 TTIs later
-  /// (adding real load); after `max_harq_retx` failed attempts the
+  /// (adding real load); after lte::kMaxHarqRetx failed attempts the
   /// transport block is lost.
   bool harq_retransmissions = false;
-  int max_harq_retx = 3;
   double peak_prb_utilization = 0.85;
   std::uint64_t seed = 42;
 
@@ -278,14 +264,9 @@ class Deployment {
   const fronthaul::FronthaulLink* fronthaul_link() const noexcept {
     return fronthaul_link_ ? &*fronthaul_link_ : nullptr;
   }
-  /// The MAC instance of a cell (nullptr unless kMacScheduled).
-  const mac::CellMac* cell_mac(int cell_index) const {
-    if (macs_.empty()) return nullptr;
-    return &macs_.at(static_cast<std::size_t>(cell_index));
-  }
   const cluster::Executor& executor() const noexcept { return *executor_; }
   const Controller& controller() const noexcept { return *controller_; }
-  /// Fault delivery authority; benches use it for degrade/correlated plans.
+  /// Fault delivery authority; benches use it for scripted degrade plans.
   faults::FaultInjector& injector() noexcept { return *injector_; }
   const faults::FaultInjector& injector() const noexcept { return *injector_; }
   /// Health monitor (nullptr in oracle mode, heartbeat_period == 0).
@@ -365,8 +346,6 @@ class Deployment {
   std::unique_ptr<telemetry::SloEngine> slo_engine_;
   std::unique_ptr<telemetry::FlightRecorder> flight_;
   std::vector<workload::TrafficModel> cells_;
-  /// Populated only in kMacScheduled mode (index-aligned with cells_).
-  std::vector<mac::CellMac> macs_;
   std::vector<lte::SubframeFactory> factories_;
   std::unique_ptr<cluster::Executor> executor_;
   std::unique_ptr<Controller> controller_;

@@ -1,36 +1,19 @@
 #include "core/overload.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/check.hpp"
 
 namespace pran::core {
 
-void validate(const OverloadConfig& config) {
-  PRAN_REQUIRE(config.min_effort >= 1, "effort floor must allow one pass");
-  PRAN_REQUIRE(config.max_effort >= config.min_effort,
-               "effort cap range is inverted");
-  PRAN_REQUIRE(config.max_effort <= lte::kMaxTurboIterations,
-               "effort cap exceeds the decoder's iteration budget");
-  PRAN_REQUIRE(config.pressure_onset_ttis >= 0.0,
-               "pressure onset must be non-negative");
-  PRAN_REQUIRE(config.pressure_full_ttis > config.pressure_onset_ttis,
-               "pressure thresholds must leave a proportional band");
-}
-
-int effort_cap_for_pressure(const OverloadConfig& config,
-                            double backlog_ttis) {
-  if (!config.enabled) return lte::kMaxTurboIterations;
-  if (backlog_ttis <= config.pressure_onset_ttis) return config.max_effort;
-  if (backlog_ttis >= config.pressure_full_ttis) return config.min_effort;
-  const double frac =
-      (backlog_ttis - config.pressure_onset_ttis) /
-      (config.pressure_full_ttis - config.pressure_onset_ttis);
-  const double cap =
-      static_cast<double>(config.max_effort) -
-      frac * static_cast<double>(config.max_effort - config.min_effort);
+int effort_cap_for_pressure(double backlog_ttis) {
+  if (backlog_ttis <= kPressureOnsetTtis) return kMaxEffort;
+  if (backlog_ttis >= kPressureFullTtis) return kMinEffort;
+  const double frac = (backlog_ttis - kPressureOnsetTtis) /
+                      (kPressureFullTtis - kPressureOnsetTtis);
+  const double cap = static_cast<double>(kMaxEffort) -
+                     frac * static_cast<double>(kMaxEffort - kMinEffort);
   // Round down: under pressure, grant the conservative budget.
-  return std::max(config.min_effort, static_cast<int>(std::floor(cap)));
+  return std::max(kMinEffort, static_cast<int>(std::floor(cap)));
 }
 
 }  // namespace pran::core

@@ -16,8 +16,8 @@
 ///      most blocks converge early, so capping the per-TB iteration
 ///      budget converts compute into a small BLER risk. The backpressure
 ///      loop reads each server's backlog (Executor::backlog_ttis) every
-///      TTI and clamps the effort cap between `max_effort` (no pressure)
-///      and `min_effort` (saturated) — a proportional controller that
+///      TTI and clamps the effort cap between kMaxEffort (no pressure)
+///      and kMinEffort (saturated) — a proportional controller that
 ///      reacts within one TTI, orders of magnitude faster than the epoch
 ///      ladder.
 ///   2. *The work itself.* When even the cheapest decode cannot meet the
@@ -31,37 +31,37 @@
 /// the fast loop under it. Both clamp the same per-TB budget, and the
 /// tighter cap wins.
 
-#include <algorithm>
-
 #include "lte/cost_model.hpp"
 
 namespace pran::core {
 
 struct OverloadConfig {
   bool enabled = false;
-
-  /// Effort cap with an idle queue. Defaults to "no cap".
-  int max_effort = lte::kMaxTurboIterations;
-  /// Effort floor at full pressure: even a saturated server grants this
-  /// many iterations (1 = decode once, take the BLER).
-  int min_effort = lte::kMinTurboIterations;
-
-  /// Backlog (in TTIs of server throughput, Executor::backlog_ttis) at
-  /// which the cap starts stepping down from max_effort...
-  double pressure_onset_ttis = 0.5;
-  /// ...and at which it bottoms out at min_effort. Between the two the
-  /// cap interpolates linearly — a proportional controller, no state to
-  /// oscillate.
-  double pressure_full_ttis = 2.0;
 };
 
-void validate(const OverloadConfig& config);
+/// Effort cap with an idle queue: no cap.
+inline constexpr int kMaxEffort = lte::kMaxTurboIterations;
+/// Effort floor at full pressure: even a saturated server grants this
+/// many iterations (1 = decode once, take the BLER).
+inline constexpr int kMinEffort = lte::kMinTurboIterations;
+/// Backlog (in TTIs of server throughput, Executor::backlog_ttis) at
+/// which the cap starts stepping down from kMaxEffort...
+inline constexpr double kPressureOnsetTtis = 0.5;
+/// ...and at which it bottoms out at kMinEffort. Between the two the cap
+/// interpolates linearly — a proportional controller, no state to
+/// oscillate.
+inline constexpr double kPressureFullTtis = 2.0;
 
-/// Effort cap for one submission given the target server's backlog:
-/// max_effort at or below the onset, min_effort at or above full
-/// pressure, linear in between. Pure function — trivially testable and
-/// thread-count invariant.
-int effort_cap_for_pressure(const OverloadConfig& config,
-                            double backlog_ttis);
+static_assert(kMinEffort <= kMaxEffort &&
+                  kMaxEffort <= lte::kMaxTurboIterations,
+              "effort caps must be ordered inside the decoder's budget");
+static_assert(kPressureOnsetTtis < kPressureFullTtis,
+              "pressure thresholds must leave a proportional band");
+
+/// Effort cap for one submission to a server with `backlog_ttis` of
+/// queued work when the loop is enabled: kMaxEffort at or below the
+/// onset, kMinEffort at or above full pressure, linear in between. Pure
+/// function — trivially testable and thread-count invariant.
+int effort_cap_for_pressure(double backlog_ttis);
 
 }  // namespace pran::core

@@ -12,8 +12,6 @@ ControlPlaneChannel::ControlPlaneChannel(
   PRAN_REQUIRE(config_.loss_probability >= 0.0 &&
                    config_.loss_probability <= 1.0,
                "control-plane loss probability outside [0, 1]");
-  PRAN_REQUIRE(config_.base_delay >= 0,
-               "control-plane base delay must be non-negative");
   PRAN_REQUIRE(config_.max_jitter >= 0,
                "control-plane jitter bound must be non-negative");
   PRAN_REQUIRE(config_.reorder_probability >= 0.0 &&
@@ -50,7 +48,7 @@ ControlDelivery ControlPlaneChannel::send(sim::Time now) {
     return out;
   }
 
-  sim::Time delay = config_.base_delay;
+  sim::Time delay = kControlPlaneBaseDelay;
   if (config_.max_jitter > 0)
     delay += static_cast<sim::Time>(
         jitter_draw * static_cast<double>(config_.max_jitter));

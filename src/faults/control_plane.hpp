@@ -13,8 +13,8 @@
 ///                       `loss_probability` (management traffic is not
 ///                       bursty enough to justify a Gilbert–Elliott chain;
 ///                       burstiness comes from retry storms instead);
-///   * delivery delay  — `base_delay` propagation plus uniform jitter in
-///                       [0, max_jitter];
+///   * delivery delay  — kControlPlaneBaseDelay propagation plus uniform
+///                       jitter in [0, max_jitter];
 ///   * reordering      — with `reorder_probability`, a message is held an
 ///                       extra `reorder_delay`, so a later message can
 ///                       overtake it (stale deliveries must be fenced by
@@ -41,11 +41,12 @@
 
 namespace pran::faults {
 
+/// Fixed one-way delivery delay for every control-plane message.
+inline constexpr sim::Time kControlPlaneBaseDelay = 50 * sim::kMicrosecond;
+
 struct ControlPlaneImpairmentConfig {
   /// Per-message i.i.d. drop probability.
   double loss_probability = 0.0;
-  /// Fixed one-way delivery delay for every message.
-  sim::Time base_delay = 50 * sim::kMicrosecond;
   /// Uniform extra delay in [0, max_jitter]; 0 disables the jitter draw's
   /// *effect* (the draw itself still happens — see the determinism note).
   sim::Time max_jitter = 0;

@@ -12,8 +12,6 @@ FronthaulImpairments::FronthaulImpairments(
                "Gilbert-Elliott p_good_to_bad outside [0, 1]");
   PRAN_REQUIRE(ge.p_bad_to_good >= 0.0 && ge.p_bad_to_good <= 1.0,
                "Gilbert-Elliott p_bad_to_good outside [0, 1]");
-  PRAN_REQUIRE(ge.loss_good >= 0.0 && ge.loss_good <= 1.0,
-               "Gilbert-Elliott loss_good outside [0, 1]");
   PRAN_REQUIRE(ge.loss_bad >= 0.0 && ge.loss_bad <= 1.0,
                "Gilbert-Elliott loss_bad outside [0, 1]");
   PRAN_REQUIRE(config_.jitter.max_jitter >= 0,
@@ -74,7 +72,7 @@ fronthaul::BurstImpairment FronthaulImpairments::apply(sim::Time ready,
       if (transition_draw < config_.loss.p_good_to_bad) bad_state_ = true;
     }
     const double p_loss =
-        bad_state_ ? config_.loss.loss_bad : config_.loss.loss_good;
+        bad_state_ ? config_.loss.loss_bad : kGoodStateLoss;
     if (loss_draw < p_loss) {
       out.lost = true;
       ++bursts_lost_;

@@ -39,22 +39,27 @@
 
 namespace pran::faults {
 
+/// Per-burst loss probability in the Good state: the good state loses
+/// nothing (its loss draw still happens, see FronthaulImpairments::apply).
+inline constexpr double kGoodStateLoss = 0.0;
+
 /// Two-state Markov burst-loss process, advanced once per burst.
 struct GilbertElliottConfig {
   double p_good_to_bad = 0.0;  ///< Per-burst Good -> Bad probability.
   double p_bad_to_good = 0.3;  ///< Per-burst Bad -> Good probability.
-  double loss_good = 0.0;      ///< Per-burst loss probability in Good.
   double loss_bad = 0.5;      ///< Per-burst loss probability in Bad.
 
+  /// Only the Bad state loses bursts, so the chain matters only when it
+  /// can reach Bad and Bad loses something.
   bool enabled() const noexcept {
-    return (p_good_to_bad > 0.0 && loss_bad > 0.0) || loss_good > 0.0;
+    return p_good_to_bad > 0.0 && loss_bad > 0.0;
   }
   /// Stationary expected loss rate of the chain.
   double mean_loss_rate() const noexcept {
     const double denom = p_good_to_bad + p_bad_to_good;
-    if (denom <= 0.0) return loss_good;
+    if (denom <= 0.0) return kGoodStateLoss;
     const double p_bad = p_good_to_bad / denom;
-    return (1.0 - p_bad) * loss_good + p_bad * loss_bad;
+    return (1.0 - p_bad) * kGoodStateLoss + p_bad * loss_bad;
   }
 };
 

@@ -12,8 +12,6 @@ HealthMonitor::HealthMonitor(sim::Engine& engine,
                "health monitor needs a positive heartbeat period");
   PRAN_REQUIRE(config_.miss_threshold >= 1,
                "miss threshold must be at least 1");
-  PRAN_REQUIRE(config_.recovery_threshold >= 1,
-               "recovery threshold must be at least 1");
   const std::size_t n = static_cast<std::size_t>(executor_.num_servers());
   missed_.assign(n, 0);
   healthy_.assign(n, 0);
@@ -47,7 +45,7 @@ void HealthMonitor::heartbeat() {
         healthy_[i] = 0;
         continue;
       }
-      if (++healthy_[i] < config_.recovery_threshold) continue;
+      if (++healthy_[i] < kRecoveryThreshold) continue;
       believed_down_[i] = false;
       healthy_[i] = 0;
       missed_[i] = 0;

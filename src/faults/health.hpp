@@ -9,7 +9,7 @@
 /// *declares* the server down and fires the down callback. Until that
 /// declaration the controller keeps the stale placement and the deployment
 /// keeps submitting subframes to the corpse — the "blind window" whose
-/// drops bench E18 measures. Recovery is symmetric: `recovery_threshold`
+/// drops bench E18 measures. Recovery is symmetric: kRecoveryThreshold
 /// consecutive healthy beats before the server is declared back.
 ///
 /// The worst-case detection latency is therefore
@@ -26,12 +26,13 @@
 
 namespace pran::faults {
 
+/// Consecutive healthy beats before a recovered server is declared up.
+inline constexpr int kRecoveryThreshold = 2;
+
 struct HealthMonitorConfig {
   sim::Time heartbeat_period = 10 * sim::kMillisecond;
   /// Consecutive missed beats before a server is declared down.
   int miss_threshold = 3;
-  /// Consecutive healthy beats before a recovered server is declared up.
-  int recovery_threshold = 2;
 };
 
 class HealthMonitor {

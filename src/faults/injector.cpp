@@ -14,8 +14,6 @@ const char* fault_kind_name(FaultKind kind) noexcept {
       return "crash";
     case FaultKind::kDegrade:
       return "degrade";
-    case FaultKind::kCorrelated:
-      return "correlated";
   }
   return "?";  // Unreachable; keeps -Wreturn-type quiet.
 }
@@ -87,7 +85,6 @@ void FaultInjector::deliver_fault(int server_id, FaultKind kind,
       ++degrade_faults_;
       break;
     case FaultKind::kCrash:
-    case FaultKind::kCorrelated:
       // A crash supersedes any degradation in effect: close that record.
       if (st == State::kDegraded) {
         executor_.restore_speed(server_id);
@@ -101,7 +98,6 @@ void FaultInjector::deliver_fault(int server_id, FaultKind kind,
       executor_.fail_server(server_id);
       st = State::kDown;
       ++crash_faults_;
-      if (kind == FaultKind::kCorrelated) ++correlated_faults_;
       break;
   }
   ++faults_delivered_;
@@ -136,15 +132,6 @@ void FaultInjector::deliver_restore(int server_id) {
 void FaultInjector::arm_stochastic(const StochasticFaultConfig& config) {
   PRAN_REQUIRE(config.enabled(), "stochastic config has mtbf_seconds == 0");
   PRAN_REQUIRE(config.mttr_seconds > 0.0, "mttr must be positive");
-  PRAN_REQUIRE(
-      config.degrade_probability >= 0.0 && config.degrade_probability <= 1.0,
-      "degrade probability outside [0, 1]");
-  PRAN_REQUIRE(config.degrade_factor > 0.0 && config.degrade_factor <= 1.0,
-               "degrade factor outside (0, 1]");
-  PRAN_REQUIRE(config.correlated_probability >= 0.0 &&
-                   config.correlated_probability <= 1.0,
-               "correlated probability outside [0, 1]");
-  PRAN_REQUIRE(config.group_size >= 0, "group size must be non-negative");
   PRAN_REQUIRE(!stochastic_armed_, "stochastic faults already armed");
   stochastic_ = config;
   stochastic_armed_ = true;
@@ -163,34 +150,21 @@ void FaultInjector::schedule_next_stochastic_fault(int server_id) {
 void FaultInjector::stochastic_fault(int server_id) {
   // Every draw happens unconditionally and in a fixed order on the
   // server's own substream, so the fault timeline depends only on
-  // (seed, server id) — never on cross-server event interleaving.
+  // (seed, server id) — never on cross-server event interleaving. The
+  // first and third draws decide nothing; they hold the repair and
+  // next-failure draws at their place in the sequence, so each seed keeps
+  // the crash timeline its recorded fingerprints were taken from.
   Rng& rng = streams_[static_cast<std::size_t>(server_id)];
-  const double kind_draw = rng.uniform();
+  (void)rng.uniform();
   const double repair_s =
       rng.exponential(1.0 / stochastic_.mttr_seconds);
-  const double corr_draw = rng.uniform();
+  (void)rng.uniform();
   const sim::Time next_dt =
       sim::from_seconds(rng.exponential(1.0 / stochastic_.mtbf_seconds));
   const sim::Time repair = std::max<sim::Time>(sim::from_seconds(repair_s), 1);
 
-  if (kind_draw < stochastic_.degrade_probability) {
-    deliver_fault(server_id, FaultKind::kDegrade, stochastic_.degrade_factor);
-    schedule_restore(engine_.now() + repair, server_id);
-  } else if (stochastic_.group_size > 1 &&
-             corr_draw < stochastic_.correlated_probability) {
-    // Power-domain loss: the whole group crashes and repairs together.
-    const int group = server_id / stochastic_.group_size;
-    const int first = group * stochastic_.group_size;
-    const int last =
-        std::min(first + stochastic_.group_size, executor_.num_servers());
-    for (int m = first; m < last; ++m) {
-      deliver_fault(m, FaultKind::kCorrelated, stochastic_.degrade_factor);
-      schedule_restore(engine_.now() + repair, m);
-    }
-  } else {
-    deliver_fault(server_id, FaultKind::kCrash, stochastic_.degrade_factor);
-    schedule_restore(engine_.now() + repair, server_id);
-  }
+  deliver_fault(server_id, FaultKind::kCrash, /*degrade_factor=*/1.0);
+  schedule_restore(engine_.now() + repair, server_id);
   engine_.schedule_in(repair + std::max<sim::Time>(next_dt, 1),
                       [this, server_id] { stochastic_fault(server_id); });
 }

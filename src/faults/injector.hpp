@@ -42,7 +42,7 @@ class FaultInjector {
   /// Restoring a healthy server is an idempotent no-op.
   void schedule_restore(sim::Time at, int server_id);
 
-  /// Arms the per-server exponential fault processes. Call at most once.
+  /// Arms the per-server exponential crash processes. Call at most once.
   void arm_stochastic(const StochasticFaultConfig& config);
 
   void set_fault_callback(FaultCallback cb) { on_fault_ = std::move(cb); }
@@ -57,8 +57,6 @@ class FaultInjector {
   int faults_delivered() const noexcept { return faults_delivered_; }
   int crash_faults() const noexcept { return crash_faults_; }
   int degrade_faults() const noexcept { return degrade_faults_; }
-  /// Servers lost to correlated-group escalation (subset of crash_faults).
-  int correlated_faults() const noexcept { return correlated_faults_; }
 
   /// Every delivered fault in delivery order (idempotent skips excluded).
   /// A record's `recovered_at` is set when its restore is delivered.
@@ -85,7 +83,6 @@ class FaultInjector {
   int faults_delivered_ = 0;
   int crash_faults_ = 0;
   int degrade_faults_ = 0;
-  int correlated_faults_ = 0;
   std::vector<FaultRecord> log_;
   FaultCallback on_fault_;
   RecoveryCallback on_recovery_;

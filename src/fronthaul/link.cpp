@@ -66,14 +66,6 @@ BurstOutcome FronthaulLink::enqueue_burst(sim::Time ready, Bits bits) {
       queue_delay, late};
 }
 
-sim::Time FronthaulLink::enqueue(sim::Time ready, Bits bits) {
-  const BurstOutcome outcome = enqueue_burst(ready, bits);
-  PRAN_CHECK(!outcome.lost,
-             "enqueue() cannot express a lost burst; use enqueue_burst() "
-             "when a lossy impairment hook is installed");
-  return outcome.arrival;
-}
-
 double FronthaulLink::utilization(sim::Time horizon, bool* saturated) const {
   PRAN_REQUIRE(horizon > 0, "horizon must be positive");
   if (saturated) *saturated = busy_ > horizon;

@@ -95,12 +95,6 @@ class FronthaulLink {
   /// must be nondecreasing across calls (FIFO ingress).
   BurstOutcome enqueue_burst(sim::Time ready, units::Bits bits);
 
-  /// Loss-free convenience wrapper: returns the time the burst's last bit
-  /// arrives at the far end. Must not be used while an impairment hook
-  /// that can drop bursts is installed (a lost burst has no arrival time);
-  /// such callers use enqueue_burst().
-  sim::Time enqueue(sim::Time ready, units::Bits bits);
-
   /// Total bits accepted onto the wire so far (excludes dropped bursts).
   units::Bits bits_carried() const noexcept { return bits_carried_; }
   /// Total bits presented at ingress (carried + dropped).

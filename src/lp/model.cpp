@@ -1,7 +1,6 @@
 #include "lp/model.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 
@@ -107,50 +106,6 @@ bool Model::is_feasible(const std::vector<double>& x, double tol) const {
     }
   }
   return true;
-}
-
-std::string Model::to_string() const {
-  std::ostringstream os;
-  os << (sense_ == Sense::kMinimize ? "minimize" : "maximize") << "\n  ";
-  bool first = true;
-  for (const auto& [v, c] : objective_.terms()) {
-    os << (first ? "" : " + ") << c << " "
-       << variables_[static_cast<std::size_t>(v.index)].name;
-    first = false;
-  }
-  if (objective_.constant() != 0.0) os << " + " << objective_.constant();
-  os << "\nsubject to\n";
-  for (const auto& ci : constraints_) {
-    os << "  " << ci.name << ": ";
-    first = true;
-    for (const auto& [v, c] : ci.constraint.lhs.terms()) {
-      os << (first ? "" : " + ") << c << " "
-         << variables_[static_cast<std::size_t>(v.index)].name;
-      first = false;
-    }
-    switch (ci.constraint.relation) {
-      case Relation::kLessEqual:
-        os << " <= ";
-        break;
-      case Relation::kGreaterEqual:
-        os << " >= ";
-        break;
-      case Relation::kEqual:
-        os << " = ";
-        break;
-    }
-    os << ci.constraint.rhs << "\n";
-  }
-  os << "bounds\n";
-  for (const auto& v : variables_) {
-    os << "  " << v.lower << " <= " << v.name << " <= " << v.upper;
-    if (v.type == VarType::kBinary)
-      os << " (binary)";
-    else if (v.type == VarType::kInteger)
-      os << " (integer)";
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace pran::lp

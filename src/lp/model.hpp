@@ -86,9 +86,6 @@ class Model {
   bool is_feasible(const std::vector<double>& x,
                    double tol = kFeasibilityTol) const;
 
-  /// Human-readable dump (LP-format-like), for debugging formulations.
-  std::string to_string() const;
-
  private:
   std::vector<VariableInfo> variables_;
   std::vector<ConstraintInfo> constraints_;

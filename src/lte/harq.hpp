@@ -17,6 +17,9 @@ namespace pran::lte {
 /// Number of parallel HARQ processes (FDD).
 inline constexpr int kHarqProcesses = 8;
 
+/// Retransmissions of an uplink transport block before it counts as lost.
+inline constexpr int kMaxHarqRetx = 3;
+
 /// ACK must leave the eNB this many subframes after uplink reception.
 inline constexpr int kAckOffsetSubframes = 4;
 

@@ -39,10 +39,7 @@ const char* outcome_name(FlightRecorder::JobOutcome outcome) {
 
 FlightRecorder::FlightRecorder(const TimeSeriesRecorder& recorder,
                                Config config)
-    : recorder_(recorder), config_(std::move(config)) {
-  PRAN_REQUIRE(config_.max_windows >= 1,
-               "flight recorder needs max_windows >= 1");
-}
+    : recorder_(recorder), config_(std::move(config)) {}
 
 void FlightRecorder::record_transition(sim::Time at, int from_rung,
                                        int to_rung,
@@ -79,7 +76,7 @@ json::Value FlightRecorder::build_postmortem(sim::Time at,
   // The last-N KPI windows, oldest first.
   json::Value windows = json::Value::array();
   const auto& ring = recorder_.windows();
-  const std::size_t take = std::min(config_.max_windows, ring.size());
+  const std::size_t take = std::min(kMaxWindows, ring.size());
   for (std::size_t i = ring.size() - take; i < ring.size(); ++i)
     windows.push_back(ring[i].to_json());
   doc.set("windows", std::move(windows));
@@ -128,7 +125,7 @@ json::Value FlightRecorder::build_postmortem(sim::Time at,
 
 std::string FlightRecorder::trigger(sim::Time at, std::string_view reason,
                                     std::string_view detail) {
-  if (config_.out_dir.empty() || dumps_written_ >= config_.max_dumps) {
+  if (config_.out_dir.empty() || dumps_written_ >= kMaxDumps) {
     ++triggers_;
     return std::string();
   }

@@ -11,7 +11,7 @@
 ///
 /// Recording is cheap (bounded deque pushes on the sim-event thread; a
 /// job is one write into a fixed ring); dumping walks the rings once and
-/// writes a single file. Dumps are rate-limited (`max_dumps`) so a
+/// writes a single file. Dumps are rate-limited (kMaxDumps) so a
 /// flapping alert cannot fill a disk. Everything in a dump was recorded
 /// by the one deployment that owns the recorder, so deployments running
 /// side by side each dump only their own history.
@@ -33,6 +33,10 @@ class FlightRecorder {
   static constexpr std::size_t kMaxTransitions = 64;
   static constexpr std::size_t kMaxEvents = 64;
   static constexpr std::size_t kMaxJobs = 256;
+  /// KPI windows included in a dump (taken from the recorder's ring).
+  static constexpr std::size_t kMaxWindows = 32;
+  /// Dump budget for the whole run.
+  static constexpr std::size_t kMaxDumps = 4;
 
   /// How a subframe job ended.
   enum class JobOutcome : std::uint8_t { kOnTime, kLate, kDropped, kOutage };
@@ -41,10 +45,6 @@ class FlightRecorder {
     /// Directory post-mortems are written into (must exist). Empty means
     /// record-only: rings stay queryable but trigger() writes nothing.
     std::string out_dir;
-    /// KPI windows included in a dump (taken from the recorder's ring).
-    std::size_t max_windows = 32;
-    /// Dump budget for the whole run.
-    std::size_t max_dumps = 4;
   };
 
   FlightRecorder(const TimeSeriesRecorder& recorder, Config config);

@@ -44,15 +44,10 @@ std::string us_from_ns(std::int64_t ns) {
 
 }  // namespace
 
-SpanCollector::SpanCollector() : SpanCollector(Config()) {}
-
-SpanCollector::SpanCollector(Config config)
-    : config_(config),
-      collector_id_(next_collector_id()),
-      epoch_ns_(wall_now_ns()) {
-  PRAN_REQUIRE(config_.ring_capacity >= 1, "ring capacity must be >= 1");
+SpanCollector::SpanCollector()
+    : collector_id_(next_collector_id()), epoch_ns_(wall_now_ns()) {
   lanes_.resize(kMaxLanes);
-  for (auto& lane : lanes_) lane.ring.reserve(config_.ring_capacity);
+  for (auto& lane : lanes_) lane.ring.reserve(kRingCapacity);
 }
 
 SpanCollector::~SpanCollector() = default;
@@ -91,10 +86,10 @@ void SpanCollector::push(Lane* lane, const SpanRecord& record) noexcept {
     overflow_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (lane->ring.size() < config_.ring_capacity) {
+  if (lane->ring.size() < kRingCapacity) {
     lane->ring.push_back(record);  // capacity reserved: no allocation
   } else {
-    lane->ring[lane->count % config_.ring_capacity] = record;
+    lane->ring[lane->count % kRingCapacity] = record;
   }
   ++lane->count;
 }
@@ -116,15 +111,15 @@ std::vector<SpanRecord> SpanCollector::records() const {
   std::vector<SpanRecord> out;
   for (const Lane& lane : lanes_) {
     const std::size_t kept =
-        std::min<std::uint64_t>(lane.count, config_.ring_capacity);
+        std::min<std::uint64_t>(lane.count, kRingCapacity);
     if (kept == 0) continue;
     // Oldest-first: the ring's logical start is count % capacity once full.
     const std::size_t start =
-        lane.count <= config_.ring_capacity
+        lane.count <= kRingCapacity
             ? 0
-            : static_cast<std::size_t>(lane.count % config_.ring_capacity);
+            : static_cast<std::size_t>(lane.count % kRingCapacity);
     for (std::size_t i = 0; i < kept; ++i)
-      out.push_back(lane.ring[(start + i) % config_.ring_capacity]);
+      out.push_back(lane.ring[(start + i) % kRingCapacity]);
   }
   return out;
 }
@@ -138,8 +133,8 @@ std::uint64_t SpanCollector::recorded() const {
 std::uint64_t SpanCollector::dropped() const {
   std::uint64_t dropped = overflow_dropped_.load(std::memory_order_relaxed);
   for (const Lane& lane : lanes_)
-    if (lane.count > config_.ring_capacity)
-      dropped += lane.count - config_.ring_capacity;
+    if (lane.count > kRingCapacity)
+      dropped += lane.count - kRingCapacity;
   return dropped;
 }
 
@@ -175,13 +170,13 @@ std::string SpanCollector::to_chrome_trace() const {
   unsigned lane_index = 0;
   for (const Lane& lane : lanes_) {
     const std::size_t kept =
-        std::min<std::uint64_t>(lane.count, config_.ring_capacity);
+        std::min<std::uint64_t>(lane.count, kRingCapacity);
     const std::size_t start =
-        lane.count <= config_.ring_capacity
+        lane.count <= kRingCapacity
             ? 0
-            : static_cast<std::size_t>(lane.count % config_.ring_capacity);
+            : static_cast<std::size_t>(lane.count % kRingCapacity);
     for (std::size_t i = 0; i < kept; ++i) {
-      const SpanRecord& r = lane.ring[(start + i) % config_.ring_capacity];
+      const SpanRecord& r = lane.ring[(start + i) % kRingCapacity];
       const std::string& name =
           r.name_id < names.size() ? names[r.name_id] : names.emplace_back("?");
       os << ",\n{\"name\":\"" << json::escape(name)

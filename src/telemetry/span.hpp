@@ -46,21 +46,17 @@ class SpanCollector {
  public:
   /// Thread lanes; threads beyond this drop their spans (counted).
   static constexpr unsigned kMaxLanes = 64;
+  /// Span records kept per thread lane (ring buffer).
+  static constexpr std::size_t kRingCapacity = 1u << 15;
 
-  struct Config {
-    /// Span records kept per thread lane (ring buffer).
-    std::size_t ring_capacity = 1u << 15;
-  };
-
-  SpanCollector();  ///< Default Config.
-  explicit SpanCollector(Config config);
+  SpanCollector();
   ~SpanCollector();
 
   SpanCollector(const SpanCollector&) = delete;
   SpanCollector& operator=(const SpanCollector&) = delete;
 
   /// Interns a span name (mutex; cache the id — the PRAN_SPAN macro keeps
-  /// it in a function-local static).
+  /// it per thread, tagged with uid()).
   std::uint32_t intern(std::string_view name);
   const std::string& name(std::uint32_t id) const;
 
@@ -88,8 +84,11 @@ class SpanCollector {
   /// The steady-clock ns all span start times are relative to.
   std::int64_t epoch_ns() const noexcept { return epoch_ns_; }
 
-  const Config& config() const noexcept { return config_; }
   unsigned lanes_in_use() const;
+
+  /// Process-unique id of this collector, never reused: a cache of name
+  /// ids tagged with it can tell when the collector it filled is gone.
+  std::uint64_t uid() const noexcept { return collector_id_; }
 
  private:
   struct Lane {
@@ -100,7 +99,6 @@ class SpanCollector {
   Lane* lane() noexcept;  ///< Calling thread's lane (nullptr on overflow).
   void push(Lane* lane, const SpanRecord& record) noexcept;
 
-  Config config_;
   std::uint64_t collector_id_;  ///< Unique per collector, keys TLS lookup.
   std::int64_t epoch_ns_;
   std::vector<Lane> lanes_;  ///< Sized kMaxLanes at construction, immutable.
@@ -115,8 +113,8 @@ class SpanCollector {
 /// RAII wall span: on destruction it records into `collector`'s ring and
 /// observes its duration in µs into `histogram` of `registry`. Prefer the
 /// PRAN_SPAN macro, which interns the name and registers
-/// `span_us.<name>` once per call site and compiles away under
-/// PRAN_TELEMETRY=OFF.
+/// `span_us.<name>` once per call site, thread and collector or registry,
+/// and compiles away under PRAN_TELEMETRY=OFF.
 class ScopedSpan {
  public:
   ScopedSpan(SpanCollector& collector, std::uint32_t name_id,

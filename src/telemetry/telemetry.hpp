@@ -13,7 +13,9 @@
 /// carry KPI data, so they stay compiled in at -DPRAN_TELEMETRY=OFF; OFF
 /// removes only the span macros. PRAN_SPAN costs two clock reads, a ring
 /// write and one observation into registry()'s `span_us.<name>`
-/// histogram, whose id the site caches the same way.
+/// histogram. The site caches that histogram's id the same way, and its
+/// span name's id tagged with spans()'s uid(), so a site keeps its own
+/// name across reset_for_testing().
 
 #include <string>
 #include <string_view>
@@ -54,24 +56,25 @@ void write_chrome_trace_file(const std::string& path);
 
 namespace detail {
 
-/// A metric call site's id, tagged with the registry it was registered in.
+/// A call site's id, tagged with the registry or collector it was
+/// registered in.
 struct SiteId {
-  std::uint64_t registry_uid = 0;  ///< 0: not registered on this thread.
+  std::uint64_t owner_uid = 0;  ///< 0: not registered on this thread.
   std::uint32_t index = 0;
 };
 
 /// The id of call site `Site` (a lambda type unique to each macro
-/// expansion) in `registry`; `register_id()` runs when the calling
-/// thread's cached id belongs to another registry.
-template <typename Site>
-std::uint32_t site_index(const MetricsRegistry& registry,
-                         const Site& register_id) {
+/// expansion) in `owner`, a MetricsRegistry or a SpanCollector;
+/// `register_id()` runs when the calling thread's cached id belongs to
+/// another owner.
+template <typename Owner, typename Site>
+std::uint32_t site_index(const Owner& owner, const Site& register_id) {
   // pran-lint: allow(determinism-hazard) -- per-thread memo of one call
-  // site's (registry uid -> metric id); a miss re-registers by name, so
-  // the cache never changes which series a write lands in.
+  // site's (owner uid -> id); a miss registers again by name, so the
+  // cache never changes which series or span name a record lands in.
   thread_local SiteId cached;
-  if (cached.registry_uid != registry.uid())
-    cached = SiteId{registry.uid(), register_id()};
+  if (cached.owner_uid != owner.uid())
+    cached = SiteId{owner.uid(), register_id()};
   return cached.index;
 }
 
@@ -125,13 +128,12 @@ std::uint32_t site_index(const MetricsRegistry& registry,
 ///   PRAN_SPAN("turbo_decode");
 ///   PRAN_SPAN("turbo_decode", cell_id);
 #define PRAN_SPAN(name_literal, ...)                                        \
-  static const std::uint32_t PRAN_TELEMETRY_CONCAT(pran_span_id_,           \
-                                                   __LINE__) =             \
-      ::pran::telemetry::spans().intern(name_literal);                      \
   ::pran::telemetry::ScopedSpan PRAN_TELEMETRY_CONCAT(pran_span_,           \
                                                       __LINE__)(           \
       ::pran::telemetry::spans(),                                           \
-      PRAN_TELEMETRY_CONCAT(pran_span_id_, __LINE__),                       \
+      ::pran::telemetry::detail::site_index(                                \
+          ::pran::telemetry::spans(),                                       \
+          [] { return ::pran::telemetry::spans().intern(name_literal); }),  \
       ::pran::telemetry::registry(),                                        \
       ::pran::telemetry::HistogramId{::pran::telemetry::detail::site_index( \
           ::pran::telemetry::registry(),                                    \

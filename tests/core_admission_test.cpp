@@ -26,10 +26,13 @@ ControllerConfig shedding_config() {
   ControllerConfig config;
   config.headroom = 1.0;
   config.demand_safety = 1.0;
-  config.ema_alpha = 0.5;
   config.shed_on_infeasible = true;
   return config;
 }
+
+/// Observations after which the EMA (factor kDemandEmaAlpha) has settled
+/// on a new cost: less than 4e-5 of a step change remains.
+constexpr int kSettleObservations = 200;
 
 TEST(Shedding, DropsLargestCellsUntilFeasible) {
   // Total 1.7 on one unit server: shed the 0.8 cell, the rest (0.9) fits.
@@ -56,7 +59,7 @@ TEST(Shedding, ShedCellReturnsWhenLoadDrops) {
                   {server(1.0)}, demands({0.8, 0.6}));
   ASSERT_EQ(ctrl.replan().shed_cells, 1);
   ASSERT_EQ(ctrl.server_of(0), -1);
-  for (int i = 0; i < 20; ++i) ctrl.observe(0, 0.2);
+  for (int i = 0; i < kSettleObservations; ++i) ctrl.observe(0, 0.2);
   const auto report = ctrl.replan();
   EXPECT_TRUE(report.feasible);
   EXPECT_EQ(report.shed_cells, 0);
@@ -69,7 +72,7 @@ TEST(Shedding, DisabledKeepsStalePlacement) {
   Controller ctrl(config, std::make_unique<FirstFitPlacer>(), {server(1.0)},
                   demands({0.5}));
   ASSERT_TRUE(ctrl.replan().feasible);
-  for (int i = 0; i < 20; ++i) ctrl.observe(0, 3.0);
+  for (int i = 0; i < kSettleObservations; ++i) ctrl.observe(0, 3.0);
   const auto report = ctrl.replan();
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(report.shed_cells, 0);

@@ -25,9 +25,12 @@ ControllerConfig relaxed() {
   ControllerConfig config;
   config.headroom = 1.0;
   config.demand_safety = 1.0;
-  config.ema_alpha = 0.5;
   return config;
 }
+
+/// Observations after which the EMA (factor kDemandEmaAlpha) has settled
+/// on a new cost: less than 4e-5 of a step change remains.
+constexpr int kSettleObservations = 200;
 
 TEST(Controller, InitialReplanPlacesAllCells) {
   Controller ctrl(relaxed(), std::make_unique<FirstFitPlacer>(),
@@ -40,15 +43,18 @@ TEST(Controller, InitialReplanPlacesAllCells) {
 }
 
 TEST(Controller, ObserveMovesEma) {
-  auto config = relaxed();
-  config.ema_alpha = 0.5;
-  Controller ctrl(config, std::make_unique<FirstFitPlacer>(), {server(1.0)},
+  Controller ctrl(relaxed(), std::make_unique<FirstFitPlacer>(), {server(1.0)},
                   demands({0.2}));
   EXPECT_NEAR(ctrl.estimated_demand(0), 0.2, 1e-12);
+  // Each observation closes kDemandEmaAlpha of the gap to the new cost.
   ctrl.observe(0, 0.6);
-  EXPECT_NEAR(ctrl.estimated_demand(0), 0.4, 1e-12);
+  const double first = 0.2 + kDemandEmaAlpha * 0.4;
+  EXPECT_NEAR(ctrl.estimated_demand(0), first, 1e-12);
   ctrl.observe(0, 0.6);
-  EXPECT_NEAR(ctrl.estimated_demand(0), 0.5, 1e-12);
+  EXPECT_NEAR(ctrl.estimated_demand(0), first + kDemandEmaAlpha * (0.6 - first),
+              1e-12);
+  for (int i = 0; i < kSettleObservations; ++i) ctrl.observe(0, 0.6);
+  EXPECT_NEAR(ctrl.estimated_demand(0), 0.6, 1e-4);
 }
 
 TEST(Controller, SafetyFactorInflatesEstimate) {
@@ -70,7 +76,7 @@ TEST(Controller, MilpReplanConsolidatesWhenLoadDrops) {
 
   // Load collapses: both cells fit on one server now, and the migration
   // weight (0.01 per move < 1 server) makes consolidation worthwhile.
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kSettleObservations; ++i) {
     ctrl.observe(0, 0.2);
     ctrl.observe(1, 0.2);
   }
@@ -87,7 +93,7 @@ TEST(Controller, StickyFirstFitPrefersStabilityOverConsolidation) {
   Controller ctrl(relaxed(), std::make_unique<FirstFitPlacer>(true),
                   {server(1.0), server(1.0)}, demands({0.6, 0.6}));
   ASSERT_TRUE(ctrl.replan().feasible);
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < kSettleObservations; ++i) {
     ctrl.observe(0, 0.2);
     ctrl.observe(1, 0.2);
   }
@@ -102,7 +108,8 @@ TEST(Controller, InfeasibleReplanKeepsOldPlacement) {
                   {server(1.0)}, demands({0.5}));
   ASSERT_TRUE(ctrl.replan().feasible);
   const int before = ctrl.server_of(0);
-  for (int i = 0; i < 30; ++i) ctrl.observe(0, 5.0);  // impossible demand
+  for (int i = 0; i < kSettleObservations; ++i)
+    ctrl.observe(0, 5.0);  // impossible demand
   const auto report = ctrl.replan();
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(ctrl.server_of(0), before);

@@ -20,8 +20,6 @@ DegradationConfig ladder_config() {
   DegradationConfig config;
   config.enabled = true;
   config.compression_ladder = {1.5, 2.0};
-  config.shed_fraction = 0.25;
-  config.quarantine_fraction = 0.125;
   config.up_epochs = 2;
   config.down_epochs = 4;
   return config;
@@ -129,7 +127,8 @@ TEST(DegradationLadder, RungSemantics) {
   EXPECT_TRUE(ladder.shedding());
   EXPECT_FALSE(ladder.quarantining());
   EXPECT_DOUBLE_EQ(ladder.compression_multiplier(), 2.0);  // deepest step
-  // shed_fraction 0.25 of 8 cells: cells 6 and 7 (lowest priority).
+  // kShedFraction (0.25) of 8 cells: cells 6 and 7 (lowest priority).
+  ASSERT_EQ(kShedFraction, 0.25);
   EXPECT_FALSE(ladder.cell_shed_eligible(0));
   EXPECT_FALSE(ladder.cell_shed_eligible(5));
   EXPECT_TRUE(ladder.cell_shed_eligible(6));
@@ -138,7 +137,8 @@ TEST(DegradationLadder, RungSemantics) {
   step_up(1);  // rung 4: quarantine
   EXPECT_STREQ(ladder.rung_name(), "quarantine");
   EXPECT_TRUE(ladder.quarantining());
-  // quarantine_fraction 0.125 of 8 cells: cell 7 only.
+  // kQuarantineFraction (0.125) of 8 cells: cell 7 only.
+  ASSERT_EQ(kQuarantineFraction, 0.125);
   EXPECT_FALSE(ladder.cell_quarantined(6));
   EXPECT_TRUE(ladder.cell_quarantined(7));
 }
@@ -208,7 +208,9 @@ TEST(DegradationLadder, ComputePressureIsAFirstClassSignal) {
     s.compute_pressure = ttis;
     return s;
   };
-  // Above compute_up_ttis (2.0): stressed, trips the ladder alone.
+  // Above kComputeUpTtis (2.0): stressed, trips the ladder alone.
+  ASSERT_EQ(kComputeUpTtis, 2.0);
+  ASSERT_EQ(kComputeDownTtis, 0.5);
   EXPECT_FALSE(ladder.update(0, pressure(3.0)));
   EXPECT_TRUE(ladder.update(1, pressure(3.0)));
   EXPECT_EQ(ladder.rung(), 1);
@@ -216,7 +218,7 @@ TEST(DegradationLadder, ComputePressureIsAFirstClassSignal) {
   for (int epoch = 0; epoch < 20; ++epoch)
     EXPECT_FALSE(ladder.update(2 + epoch, pressure(1.0)));
   EXPECT_EQ(ladder.rung(), 1);
-  // Below compute_down_ttis (0.5): calm epochs accumulate to a step-down.
+  // Below kComputeDownTtis (0.5): calm epochs accumulate to a step-down.
   bool stepped_down = false;
   for (int epoch = 0; epoch < 8; ++epoch)
     stepped_down = ladder.update(30 + epoch, pressure(0.1)) || stepped_down;
@@ -248,9 +250,6 @@ TEST(DegradationLadder, ValidatesComputeConfig) {
   EXPECT_THROW(DegradationController(bad, 8), pran::ContractViolation);
   bad = compute_ladder_config();
   bad.mcs_cap = 29;  // outside the MCS table
-  EXPECT_THROW(DegradationController(bad, 8), pran::ContractViolation);
-  bad = compute_ladder_config();
-  bad.compute_down_ttis = bad.compute_up_ttis;  // no hysteresis band
   EXPECT_THROW(DegradationController(bad, 8), pran::ContractViolation);
 }
 

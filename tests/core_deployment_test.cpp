@@ -150,47 +150,21 @@ TEST(Deployment, RejectsImpossibleConfigurations) {
 // --- Compute-aware overload control. ---------------------------------------
 
 TEST(OverloadControl, EffortCapInterpolatesWithPressure) {
-  OverloadConfig config;
-  config.enabled = true;
-  config.max_effort = 8;
-  config.min_effort = 2;
-  config.pressure_onset_ttis = 0.5;
-  config.pressure_full_ttis = 2.0;
-  validate(config);
-  EXPECT_EQ(effort_cap_for_pressure(config, 0.0), 8);
-  EXPECT_EQ(effort_cap_for_pressure(config, 0.5), 8);   // at onset
-  EXPECT_EQ(effort_cap_for_pressure(config, 1.25), 5);  // midpoint
-  EXPECT_EQ(effort_cap_for_pressure(config, 2.0), 2);   // at full
-  EXPECT_EQ(effort_cap_for_pressure(config, 50.0), 2);  // saturated
+  // The loop's constants: no cap up to a 0.5-TTI backlog, the decoder's
+  // floor from 2 TTIs on.
+  ASSERT_EQ(kMaxEffort, 8);
+  ASSERT_EQ(kMinEffort, 2);
+  ASSERT_EQ(kPressureOnsetTtis, 0.5);
+  ASSERT_EQ(kPressureFullTtis, 2.0);
+  EXPECT_EQ(effort_cap_for_pressure(0.0), 8);
+  EXPECT_EQ(effort_cap_for_pressure(0.5), 8);   // at onset
+  EXPECT_EQ(effort_cap_for_pressure(1.25), 5);  // midpoint
+  EXPECT_EQ(effort_cap_for_pressure(2.0), 2);   // at full
+  EXPECT_EQ(effort_cap_for_pressure(50.0), 2);  // saturated
   // Fractional caps round DOWN: under pressure, grant the conservative
   // budget.
-  EXPECT_EQ(effort_cap_for_pressure(config, 1.0), 6);
-  EXPECT_EQ(effort_cap_for_pressure(config, 1.1), 5);
-  // Disabled loop never caps, whatever the backlog.
-  config.enabled = false;
-  EXPECT_EQ(effort_cap_for_pressure(config, 50.0), lte::kMaxTurboIterations);
-}
-
-TEST(OverloadControl, ValidatesConfig) {
-  OverloadConfig bad;
-  bad.enabled = true;
-  bad.min_effort = 0;
-  EXPECT_THROW(validate(bad), pran::ContractViolation);
-  bad = OverloadConfig{};
-  bad.max_effort = 1;
-  bad.min_effort = 2;
-  EXPECT_THROW(validate(bad), pran::ContractViolation);
-  bad = OverloadConfig{};
-  bad.max_effort = lte::kMaxTurboIterations + 1;
-  EXPECT_THROW(validate(bad), pran::ContractViolation);
-  bad = OverloadConfig{};
-  bad.pressure_full_ttis = bad.pressure_onset_ttis;
-  EXPECT_THROW(validate(bad), pran::ContractViolation);
-  // A bad config on an enabled loop is rejected at deployment build.
-  auto config = small_config();
-  config.overload.enabled = true;
-  config.overload.min_effort = 0;
-  EXPECT_THROW(Deployment{config}, pran::ContractViolation);
+  EXPECT_EQ(effort_cap_for_pressure(1.0), 6);
+  EXPECT_EQ(effort_cap_for_pressure(1.1), 5);
 }
 
 DeploymentConfig overload_scenario(bool overload_on) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deployment.hpp"
+#include "lte/harq.hpp"
 
 namespace pran::core {
 namespace {
@@ -82,10 +83,10 @@ TEST(Harq, MissesTriggerRetransmissions) {
   const auto kpis = d.kpis();
   if (kpis.deadline_misses > 0) {
     EXPECT_GT(kpis.harq_retransmissions + kpis.lost_transport_blocks, 0u);
-    // Retransmissions are bounded by max_harq_retx per missed block.
+    // Retransmissions are bounded by kMaxHarqRetx per missed block.
     EXPECT_LE(kpis.harq_retransmissions,
               kpis.deadline_misses * static_cast<std::uint64_t>(
-                                         config.max_harq_retx));
+                                         lte::kMaxHarqRetx));
   }
 }
 
@@ -101,7 +102,6 @@ TEST(Harq, RetxJobsCarryShiftedTiming) {
   config.start_hour = 10.0;
   config.day_compression = 60.0;
   config.harq_retransmissions = true;
-  config.max_harq_retx = 1;
   config.controller.headroom = 1.0;
   config.controller.demand_safety = 1.0;
   config.controller.shed_on_infeasible = true;
@@ -112,7 +112,7 @@ TEST(Harq, RetxJobsCarryShiftedTiming) {
   for (const auto& o : d.executor().outcomes()) {
     if (o.job.harq_retx == 0) continue;
     saw_retx = true;
-    EXPECT_LE(o.job.harq_retx, 1);
+    EXPECT_LE(o.job.harq_retx, lte::kMaxHarqRetx);
     // A retx job's deadline sits a multiple of 8 ms after an original's.
     EXPECT_EQ((o.job.deadline / sim::kTti) % 1, 0);
   }

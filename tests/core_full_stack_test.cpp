@@ -1,9 +1,9 @@
 // Full-stack integration: every optional subsystem enabled at once.
 //
-// MAC-scheduled traffic + shared compressed fronthaul + HARQ feedback +
-// demand forecasting + admission control + MILP placement + custom
-// pipeline stage + a mid-run server failure — the kitchen sink. The test
-// asserts the invariants that must survive any feature interaction.
+// Shared compressed fronthaul + HARQ feedback + demand forecasting +
+// admission control + MILP placement + custom pipeline stage + a mid-run
+// server failure — the kitchen sink. The test asserts the invariants
+// that must survive any feature interaction.
 
 #include <gtest/gtest.h>
 
@@ -20,11 +20,6 @@ DeploymentConfig kitchen_sink() {
   config.start_hour = 9.0;
   config.day_compression = 1800.0;
   config.epoch = 250 * sim::kMillisecond;
-
-  config.traffic_source = DeploymentConfig::TrafficSource::kMacScheduled;
-  config.mac_scheduler = "proportional-fair";
-  config.mac_ues_per_cell = 6;
-  config.mac_ue_peak_bps = 2e6;
 
   config.shared_fronthaul =
       fronthaul::LinkParams{units::BitRate{25e9}, 25 * sim::kMicrosecond};
@@ -66,9 +61,6 @@ TEST(FullStack, EverythingEnabledRunsCleanly) {
   // Fronthaul carried every cell-subframe burst.
   ASSERT_NE(d.fronthaul_link(), nullptr);
   EXPECT_GT(d.fronthaul_link()->bursts(), 6u * 1100u);
-  // MAC state exposed and consistent.
-  ASSERT_NE(d.cell_mac(0), nullptr);
-  EXPECT_GT(d.cell_mac(0)->cell_throughput_bps(), 0.0);
 }
 
 TEST(FullStack, DeterministicAcrossRuns) {

@@ -41,7 +41,6 @@ MigrationConfig two_phase_config() {
   config.deadline = 200 * sim::kMillisecond;
   config.max_retries = 3;
   config.retry_backoff = 4 * sim::kMillisecond;
-  config.control_plane.base_delay = 50 * sim::kMicrosecond;
   return config;
 }
 
@@ -249,10 +248,12 @@ TEST(Migration, DeadlineExpiryBeforeTransferAborts) {
 
 TEST(Migration, RetryBackoffScheduleIsExponential) {
   auto config = two_phase_config();
-  // An unreachable target: every PREPARE is delivered far too late (the
-  // ack round-trip cannot complete before the retry budget burns), so the
-  // channel log shows the full retry schedule with deliver_at intact.
-  config.control_plane.base_delay = 100 * sim::kMillisecond;
+  // An unreachable target: every PREPARE is held 100 ms on top of the
+  // base delay (the ack round-trip cannot complete before the retry
+  // budget burns), so the channel log shows the full retry schedule with
+  // deliver_at intact.
+  config.control_plane.reorder_probability = 1.0;
+  config.control_plane.reorder_delay = 100 * sim::kMillisecond;
   Harness h(config);
   ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
   h.engine.run();
@@ -267,7 +268,8 @@ TEST(Migration, RetryBackoffScheduleIsExponential) {
   std::vector<sim::Time> sends;
   for (const auto& d : log) {
     EXPECT_FALSE(d.lost);
-    sends.push_back(d.deliver_at - config.control_plane.base_delay);
+    sends.push_back(d.deliver_at - faults::kControlPlaneBaseDelay -
+                    config.control_plane.reorder_delay);
   }
   EXPECT_EQ(sends[1] - sends[0], 4 * sim::kMillisecond);
   EXPECT_EQ(sends[2] - sends[1], 8 * sim::kMillisecond);
@@ -282,8 +284,10 @@ TEST(Migration, SlowChannelDuplicatesAreFencedAsStale) {
   // Deliveries slower than the retry backoff: every phase's message is
   // sent several times and the duplicates arrive after the phase moved
   // on. They must all bounce off the fencing, and the handoff must still
-  // commit exactly once.
-  config.control_plane.base_delay = 10 * sim::kMillisecond;
+  // commit exactly once. Every message is held 10 ms on top of the base
+  // delay.
+  config.control_plane.reorder_probability = 1.0;
+  config.control_plane.reorder_delay = 10 * sim::kMillisecond;
   Harness h(config);
   ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
   h.engine.run_until(100 * sim::kMillisecond);

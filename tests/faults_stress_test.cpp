@@ -37,9 +37,6 @@ std::vector<Kpi> sweep(unsigned threads) {
     config.epoch = 200 * sim::kMillisecond;
     config.stochastic_faults.mtbf_seconds = 0.25;
     config.stochastic_faults.mttr_seconds = 0.05;
-    config.stochastic_faults.degrade_probability = 0.2;
-    config.stochastic_faults.group_size = 2;
-    config.stochastic_faults.correlated_probability = 0.1;
     config.heartbeat_period = 10 * sim::kMillisecond;
     config.controller.quarantine = true;
     config.controller.flap_threshold = 2;

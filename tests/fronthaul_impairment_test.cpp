@@ -150,16 +150,6 @@ TEST(ImpairedLink, ZeroBitBurstsAreLegal) {
   EXPECT_EQ(link.bursts_lost(), 1u);
 }
 
-TEST(ImpairedLink, EnqueueWrapperRefusesLostBursts) {
-  FronthaulLink link({BitRate{1e9}, 0});
-  link.set_impairment_hook([](sim::Time, Bits) {
-    BurstImpairment imp;
-    imp.lost = true;
-    return imp;
-  });
-  EXPECT_THROW(link.enqueue(0, Bits{100}), pran::ContractViolation);
-}
-
 TEST(ImpairedLink, BrownoutStretchesSerialisation) {
   FronthaulLink link({BitRate{1e9}, 0});
   link.set_impairment_hook([](sim::Time, Bits) {

@@ -12,7 +12,8 @@ namespace {
 TEST(FronthaulLink, IdleLinkDeliversAfterTxPlusPropagation) {
   FronthaulLink link({units::BitRate{1e9}, 10 * sim::kMicrosecond});
   // 1 Mbit at 1 Gbps = 1 ms serialisation.
-  const sim::Time arrival = link.enqueue(0, units::Bits{1'000'000});
+  const sim::Time arrival =
+      link.enqueue_burst(0, units::Bits{1'000'000}).arrival;
   EXPECT_EQ(arrival, sim::kMillisecond + 10 * sim::kMicrosecond);
   EXPECT_EQ(link.busy_time(), sim::kMillisecond);
   EXPECT_EQ(link.max_queue_delay(), 0);
@@ -21,34 +22,36 @@ TEST(FronthaulLink, IdleLinkDeliversAfterTxPlusPropagation) {
 
 TEST(FronthaulLink, FifoQueueingDelaysSecondBurst) {
   FronthaulLink link({units::BitRate{1e9}, 0});
-  (void)link.enqueue(0, units::Bits{1'000'000});               // busy until 1 ms
-  const sim::Time arrival = link.enqueue(0, units::Bits{1'000'000});
+  (void)link.enqueue_burst(0, units::Bits{1'000'000});  // busy until 1 ms
+  const sim::Time arrival =
+      link.enqueue_burst(0, units::Bits{1'000'000}).arrival;
   EXPECT_EQ(arrival, 2 * sim::kMillisecond);
   EXPECT_EQ(link.max_queue_delay(), sim::kMillisecond);
 }
 
 TEST(FronthaulLink, GapsLeaveLinkIdle) {
   FronthaulLink link({units::BitRate{1e9}, 0});
-  (void)link.enqueue(0, units::Bits{100'000});  // 100 us
-  const sim::Time arrival = link.enqueue(sim::kMillisecond, units::Bits{100'000});
+  (void)link.enqueue_burst(0, units::Bits{100'000});  // 100 us
+  const sim::Time arrival =
+      link.enqueue_burst(sim::kMillisecond, units::Bits{100'000}).arrival;
   EXPECT_EQ(arrival, sim::kMillisecond + 100 * sim::kMicrosecond);
   EXPECT_EQ(link.max_queue_delay(), 0);
 }
 
 TEST(FronthaulLink, UtilizationAndCarriedBits) {
   FronthaulLink link({units::BitRate{1e9}, 0});
-  (void)link.enqueue(0, units::Bits{500'000});  // 0.5 ms busy
+  (void)link.enqueue_burst(0, units::Bits{500'000});  // 0.5 ms busy
   EXPECT_NEAR(link.utilization(sim::kMillisecond), 0.5, 1e-9);
   EXPECT_EQ(link.bits_carried(), units::Bits{500'000});
 }
 
 TEST(FronthaulLink, RejectsOutOfOrderIngressAndBadParams) {
   FronthaulLink link({units::BitRate{1e9}, 0});
-  (void)link.enqueue(sim::kMillisecond, units::Bits{1});
-  EXPECT_THROW(link.enqueue(0, units::Bits{1}), pran::ContractViolation);
+  (void)link.enqueue_burst(sim::kMillisecond, units::Bits{1});
+  EXPECT_THROW(link.enqueue_burst(0, units::Bits{1}), pran::ContractViolation);
   EXPECT_THROW(FronthaulLink({units::BitRate{0.0}, 0}),
                pran::ContractViolation);
-  EXPECT_THROW(link.enqueue(sim::kMillisecond, units::Bits{-1}),
+  EXPECT_THROW(link.enqueue_burst(sim::kMillisecond, units::Bits{-1}),
                pran::ContractViolation);
 }
 

@@ -95,16 +95,5 @@ TEST(Model, SetBoundsTightensForBranching) {
   EXPECT_DOUBLE_EQ(m.variable(x).upper, 7.0);
 }
 
-TEST(Model, ToStringMentionsStructure) {
-  Model m;
-  const auto x = m.add_binary("use_server_0");
-  m.add_constraint("capacity", LinearExpr(x) <= 1.0);
-  m.set_objective(Sense::kMinimize, LinearExpr(x));
-  const std::string s = m.to_string();
-  EXPECT_NE(s.find("use_server_0"), std::string::npos);
-  EXPECT_NE(s.find("capacity"), std::string::npos);
-  EXPECT_NE(s.find("minimize"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace pran::lp

@@ -121,21 +121,22 @@ TEST(TelemetryStress, FamilySnapshotIsThreadCountInvariant) {
 }
 
 TEST(TelemetryStress, SpansUnderContention) {
-  SpanCollector::Config config;
-  config.ring_capacity = kItems;  // one lane could claim every item
-  SpanCollector spans(config);
+  // As many spans as one lane's ring holds: one lane could claim every
+  // item and still drop none.
+  constexpr std::size_t kSpans = SpanCollector::kRingCapacity;
+  SpanCollector spans;
   MetricsRegistry reg;
   const auto id = spans.intern("stress.work");
   const HistogramId h = reg.histogram("span_us.stress.work");
   ThreadPool pool(8);
-  pool.for_each(kItems, [&](unsigned, std::size_t) {
+  pool.for_each(kSpans, [&](unsigned, std::size_t) {
     ScopedSpan s(spans, id, reg, h);
   });
-  EXPECT_EQ(spans.recorded(), kItems);
+  EXPECT_EQ(spans.recorded(), kSpans);
   EXPECT_EQ(spans.dropped(), 0u);
   // Every thread observed into the one shared histogram as its spans
   // ended; none is lost to contention.
-  EXPECT_EQ(reg.snapshot().histograms[0].total(), kItems);
+  EXPECT_EQ(reg.snapshot().histograms[0].total(), kSpans);
 }
 
 }  // namespace

@@ -465,19 +465,18 @@ void record_span(SpanCollector& spans, std::uint32_t id, std::int64_t start_ns,
 }
 
 TEST(SpanCollector, RingOverwritesOldestAndCountsDrops) {
-  SpanCollector::Config config;
-  config.ring_capacity = 4;
-  SpanCollector spans(config);
+  constexpr std::int64_t kCapacity = SpanCollector::kRingCapacity;
+  SpanCollector spans;
   const auto id = spans.intern("s");
-  for (int i = 0; i < 10; ++i)
+  for (std::int64_t i = 0; i < kCapacity + 6; ++i)
     record_span(spans, id, /*start_ns=*/i, /*duration_ns=*/1);
-  EXPECT_EQ(spans.recorded(), 10u);
+  EXPECT_EQ(spans.recorded(), SpanCollector::kRingCapacity + 6);
   EXPECT_EQ(spans.dropped(), 6u);
   const auto records = spans.records();
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), SpanCollector::kRingCapacity);
   // The tail survives, oldest-first.
-  EXPECT_EQ(records[0].start_ns, 6);
-  EXPECT_EQ(records[3].start_ns, 9);
+  EXPECT_EQ(records.front().start_ns, 6);
+  EXPECT_EQ(records.back().start_ns, kCapacity + 5);
 }
 
 TEST(SpanCollector, ChromeTraceExportsWallEventsOnly) {
@@ -578,6 +577,27 @@ TEST(TelemetryGlobals, SpanHistogramCountsEverySpanTheRingDrops) {
   run_stage(1);
   const MetricsSnapshot after = registry().snapshot();
   span = find_histogram(after, "span_us.complete_stage");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->total(), 1u);
+  reset_for_testing();
+}
+
+/// One span call site.
+void run_probe_stage() { PRAN_SPAN("probe_stage"); }
+
+TEST(TelemetryGlobals, SpanSiteKeepsItsNameAcrossReset) {
+  if (!enabled()) GTEST_SKIP() << "span macros compiled out";
+  reset_for_testing();
+  run_probe_stage();
+  // The rebuilt collector hands the site's old name id to another name.
+  reset_for_testing();
+  (void)spans().intern("other_stage");
+  run_probe_stage();
+  const std::string trace = spans().to_chrome_trace();
+  EXPECT_NE(trace.find("\"name\":\"probe_stage\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"name\":\"other_stage\""), std::string::npos);
+  const MetricsSnapshot snap = registry().snapshot();
+  const auto* span = find_histogram(snap, "span_us.probe_stage");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->total(), 1u);
   reset_for_testing();

@@ -356,19 +356,16 @@ TEST(SloEngine, DefaultDeploymentSlosAreWellFormed) {
 // Flight recorder.
 
 TEST(FlightRecorder, PostmortemCarriesWindowsTransitionsAndEvents) {
+  constexpr std::size_t kWindows = FlightRecorder::kMaxWindows + 1;
   MetricsRegistry registry;
   const CounterId jobs = registry.counter("deployment.subframes");
-  TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, 8});
-  FlightRecorder::Config config;  // record-only: out_dir empty
-  config.max_windows = 2;
-  FlightRecorder box(rec, config);
+  TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, kWindows});
+  FlightRecorder box(rec, FlightRecorder::Config{});  // record-only
 
-  registry.add(jobs, 10);
-  rec.sample(10 * sim::kMillisecond);
-  registry.add(jobs, 20);
-  rec.sample(20 * sim::kMillisecond);
-  registry.add(jobs, 30);
-  rec.sample(30 * sim::kMillisecond);
+  for (std::size_t w = 1; w <= kWindows; ++w) {
+    registry.add(jobs, 10 * w);
+    rec.sample(static_cast<sim::Time>(w) * 10 * sim::kMillisecond);
+  }
   box.record_transition(25 * sim::kMillisecond, 0, 1, "compress");
   box.record_event(28 * sim::kMillisecond, "quarantine", "server 2");
 
@@ -377,8 +374,8 @@ TEST(FlightRecorder, PostmortemCarriesWindowsTransitionsAndEvents) {
                            "fronthaul_late_rate");
   EXPECT_EQ(doc.at("reason").as_string(), "slo_trip");
   EXPECT_EQ(doc.at("detail").as_string(), "fronthaul_late_rate");
-  // max_windows = 2 keeps only the newest two of the three closed windows.
-  ASSERT_EQ(doc.at("windows").items().size(), 2u);
+  // A dump keeps only the newest kMaxWindows of the closed windows.
+  ASSERT_EQ(doc.at("windows").items().size(), FlightRecorder::kMaxWindows);
   EXPECT_DOUBLE_EQ(doc.at("windows").items()[0].at("window").as_number(), 1.0);
   const auto& transitions = doc.at("ladder_transitions").items();
   ASSERT_EQ(transitions.size(), 1u);
@@ -433,27 +430,25 @@ TEST(FlightRecorder, JobRingKeepsTheNewestOldestFirst) {
 }
 
 TEST(FlightRecorder, WritesRateLimitedDumpsToDisk) {
-  const std::string dir = testing::TempDir();
   MetricsRegistry registry;
   TimeSeriesRecorder rec(registry, {10 * sim::kMillisecond, 8});
   FlightRecorder::Config config;
-  config.out_dir = dir;
-  config.max_dumps = 2;
+  config.out_dir = testing::TempDir();
   FlightRecorder box(rec, config);
   rec.sample(10 * sim::kMillisecond);
 
-  const std::string first =
-      box.trigger(10 * sim::kMillisecond, "slo_trip", "miss_rate");
-  const std::string second =
-      box.trigger(20 * sim::kMillisecond, "quarantine", "server 1");
-  const std::string third = box.trigger(30 * sim::kMillisecond, "abort", "x");
-  ASSERT_FALSE(first.empty());
-  ASSERT_FALSE(second.empty());
-  EXPECT_EQ(third, "");  // budget of 2 exhausted; trigger still counted
-  EXPECT_EQ(box.triggers(), 3u);
-  EXPECT_EQ(box.dumps_written(), 2u);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < FlightRecorder::kMaxDumps; ++i) {
+    paths.push_back(box.trigger(static_cast<sim::Time>(i + 1) * sim::kMillisecond,
+                                i == 0 ? "slo_trip" : "quarantine", "x"));
+    ASSERT_FALSE(paths.back().empty()) << "dump " << i;
+  }
+  // The budget is spent: the next trigger still counts but writes nothing.
+  EXPECT_EQ(box.trigger(30 * sim::kMillisecond, "abort", "x"), "");
+  EXPECT_EQ(box.triggers(), FlightRecorder::kMaxDumps + 1);
+  EXPECT_EQ(box.dumps_written(), FlightRecorder::kMaxDumps);
 
-  std::ifstream in(first);
+  std::ifstream in(paths.front());
   ASSERT_TRUE(in.is_open());
   std::stringstream ss;
   ss << in.rdbuf();
@@ -461,8 +456,7 @@ TEST(FlightRecorder, WritesRateLimitedDumpsToDisk) {
   EXPECT_EQ(doc.at("kind").as_string(), "pran_postmortem");
   EXPECT_EQ(doc.at("reason").as_string(), "slo_trip");
   ASSERT_EQ(doc.at("windows").items().size(), 1u);
-  std::remove(first.c_str());
-  std::remove(second.c_str());
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 }  // namespace

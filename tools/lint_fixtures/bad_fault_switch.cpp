@@ -5,7 +5,7 @@
 
 namespace fixture {
 
-enum class FaultKind { kCrash, kDegrade, kCorrelated };
+enum class FaultKind { kCrash, kDegrade };
 
 inline const char* fault_name(FaultKind kind) {
   switch (kind) {
