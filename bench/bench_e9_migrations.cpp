@@ -47,7 +47,7 @@ int main() {
 
     const auto kpis = d.kpis();
     const double epochs =
-        static_cast<double>(d.controller().reports().size());
+        static_cast<double>(d.controller().epoch_totals().replans);
     table.row()
         .cell(policy.name)
         .cell(kpis.migrations)

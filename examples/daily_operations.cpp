@@ -52,9 +52,7 @@ int main(int argc, char** argv) {
   for (int half_day_step = 1; half_day_step <= 12; ++half_day_step) {
     d.run_for(sim::kSecond);  // 2 diurnal hours
     const auto kpis = d.kpis();
-    const auto& reports = d.controller().reports();
-    const int active_now =
-        reports.empty() ? 0 : reports.back().active_servers;
+    const int active_now = d.controller().last_report().active_servers;
     ops.row()
         .cell(d.hour_at(d.now()), 0)
         .cell(active_now)

@@ -52,6 +52,7 @@ TurboBatchStats TurboBatchCollector::flush(
     total.map_pass_calls += stats.map_pass_calls;
     total.lane_refills += stats.lane_refills;
     total.idle_lane_iterations += stats.idle_lane_iterations;
+    total.budget_exhausted += stats.budget_exhausted;
 
     out.reserve(out.size() + items_.size());
     for (std::size_t i = 0; i < items_.size(); ++i) {

@@ -1,12 +1,9 @@
 #include "coding/bler.hpp"
 
-#include <algorithm>
-
 #include "coding/convolutional.hpp"
 #include "coding/crc.hpp"
 #include "coding/viterbi.hpp"
 #include "common/check.hpp"
-
 #include "common/narrow.hpp"
 
 namespace pran::coding {
@@ -23,10 +20,6 @@ struct LinkWorkspace {
   Llrs llrs;
   Llrs mother;
   ViterbiDecoder viterbi;
-  // Batched-decode staging: one payload/LLR slot per block of the group.
-  std::vector<Bits> batch_payloads;
-  std::vector<Llrs> batch_mothers;
-  std::vector<ViterbiBatchItem> batch_items;
 };
 
 /// Per-config precomputation shared (read-only) by all trials of a sweep.
@@ -52,22 +45,20 @@ struct BlockOutcome {
   bool payload_match = false;
 };
 
-/// Channel front end of one trial: draws the payload, runs
-/// CRC -> encode -> rate match -> BPSK/AWGN -> de-rate-match, and leaves
-/// the decoder input in `mother` (and the transmitted payload in
-/// `payload`). Consumes exactly the same RNG draws as the seed's
-/// monolithic send_block, so trial statistics depend only on the stream.
-void prepare_block(const LinkConfig& config, units::Db esn0, Rng& rng,
-                   const LinkPlan& plan, LinkWorkspace& ws, Bits& payload,
-                   Llrs& mother) {
-  payload.clear();
-  payload.reserve(config.info_bits);
+/// One trial: draws the payload, runs CRC -> encode -> rate match ->
+/// BPSK/AWGN -> de-rate-match -> Viterbi, and scores the decoded block
+/// against the payload. It draws only from `rng`, so its outcome depends
+/// only on the stream.
+BlockOutcome send_block(const LinkConfig& config, units::Db esn0, Rng& rng,
+                        const LinkPlan& plan, LinkWorkspace& ws) {
+  ws.payload.clear();
+  ws.payload.reserve(config.info_bits);
   for (std::size_t i = 0; i < config.info_bits; ++i)
-    payload.push_back(rng.bernoulli(0.5) ? 1 : 0);
+    ws.payload.push_back(rng.bernoulli(0.5) ? 1 : 0);
 
-  ws.with_crc = payload;
+  ws.with_crc = ws.payload;
   ws.with_crc.reserve(plan.framed_bits);
-  const std::uint32_t crc = crc24a(payload);
+  const std::uint32_t crc = crc24a(ws.payload);
   for (int i = kCrcBits - 1; i >= 0; --i)
     ws.with_crc.push_back(narrow_cast<std::uint8_t>((crc >> i) & 1u));
 
@@ -84,28 +75,17 @@ void prepare_block(const LinkConfig& config, units::Db esn0, Rng& rng,
   }
   // De-rate-match with the same pattern: punctured positions stay zero
   // (erasures), repeated positions accumulate.
-  mother.assign(plan.mother_bits, 0.0);
+  ws.mother.assign(plan.mother_bits, 0.0);
   for (std::size_t i = 0; i < ws.llrs.size(); ++i)
-    mother[plan.pattern[i]] += ws.llrs[i];
-}
+    ws.mother[plan.pattern[i]] += ws.llrs[i];
 
-/// Scores one decoded block against its transmitted payload.
-BlockOutcome judge_block(const Bits& payload, const Bits& info) {
+  const Bits& info = ws.viterbi.decode(ws.mother, plan.framed_bits).info;
   BlockOutcome outcome;
   outcome.crc_ok = check_crc(info.data(), info.size());
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    if (info[i] != payload[i]) ++errors;
-  outcome.bit_errors = errors;
-  outcome.payload_match = errors == 0;
+  for (std::size_t i = 0; i < ws.payload.size(); ++i)
+    if (info[i] != ws.payload[i]) ++outcome.bit_errors;
+  outcome.payload_match = outcome.bit_errors == 0;
   return outcome;
-}
-
-BlockOutcome send_block(const LinkConfig& config, units::Db esn0, Rng& rng,
-                        const LinkPlan& plan, LinkWorkspace& ws) {
-  prepare_block(config, esn0, rng, plan, ws, ws.payload, ws.mother);
-  const auto& decoded = ws.viterbi.decode(ws.mother, plan.framed_bits);
-  return judge_block(ws.payload, decoded.info);
 }
 
 void accumulate(LinkStats& stats, const LinkConfig& config,
@@ -142,34 +122,15 @@ LinkStats run_link(const LinkConfig& config, units::Db esn0,
   const unsigned slots = pool ? pool->size() : 1;
   std::vector<LinkStats> partial(slots);
   std::vector<LinkWorkspace> workspaces(slots);
-  // Blocks are decoded in index-contiguous groups through the batched
-  // decoder. Each block still draws from stream(block index) and the
-  // batched decode is bit-exact per block, so the counts are invariant to
-  // the batch size, the thread count, and which worker runs a group.
-  const std::size_t batch = std::max<std::size_t>(1, config.decode_batch);
-  const std::size_t groups = (blocks + batch - 1) / batch;
-  const auto group_trial = [&](unsigned slot, std::size_t g) {
-    LinkWorkspace& ws = workspaces[slot];
-    const std::size_t begin = g * batch;
-    const std::size_t count = std::min(blocks - begin, batch);
-    ws.batch_payloads.resize(count);
-    ws.batch_mothers.resize(count);
-    ws.batch_items.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Rng trial_rng = base.stream(begin + i);
-      prepare_block(config, esn0, trial_rng, plan, ws, ws.batch_payloads[i],
-                    ws.batch_mothers[i]);
-      ws.batch_items[i].llrs = &ws.batch_mothers[i];
-    }
-    ws.viterbi.decode_batch(ws.batch_items, plan.framed_bits);
-    for (std::size_t i = 0; i < count; ++i)
-      accumulate(partial[slot], config,
-                 judge_block(ws.batch_payloads[i], ws.batch_items[i].info));
+  const auto trial = [&](unsigned slot, std::size_t i) {
+    Rng trial_rng = base.stream(i);
+    accumulate(partial[slot], config,
+               send_block(config, esn0, trial_rng, plan, workspaces[slot]));
   };
   if (pool) {
-    pool->for_each(groups, group_trial);
+    pool->for_each(blocks, trial);
   } else {
-    for (std::size_t g = 0; g < groups; ++g) group_trial(0, g);
+    for (std::size_t i = 0; i < blocks; ++i) trial(0, i);
   }
 
   LinkStats stats;

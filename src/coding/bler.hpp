@@ -16,12 +16,6 @@ struct LinkConfig {
   std::size_t info_bits = 256;   ///< Payload before CRC.
   double code_rate = 1.0 / 3.0;  ///< Effective rate after matching.
   bool soft_decision = true;     ///< Soft vs hard Viterbi input.
-  /// Blocks decoded per batched Viterbi call. Grouping is by block index
-  /// (indices [g*B, (g+1)*B) form group g), every block still draws from
-  /// its own RNG substream, and the batched decoder is bit-exact per
-  /// block — so statistics are identical for every batch size and thread
-  /// count, including the seed's original per-block path (B = 1).
-  std::size_t decode_batch = 8;
 };
 
 struct LinkStats {
@@ -46,10 +40,11 @@ struct LinkStats {
 /// error statistics.
 ///
 /// Each block draws from its own substream of `rng` (`rng` itself advances
-/// by exactly one draw), so the statistics depend only on the incoming RNG
-/// state and the block index — never on scheduling. Passing a ThreadPool
-/// fans the blocks across its workers, each with a preallocated workspace,
-/// and is guaranteed to produce counts identical to the serial run.
+/// by exactly one draw) and is decoded on its own, so the statistics
+/// depend only on the incoming RNG state and the block index — never on
+/// scheduling. Passing a ThreadPool fans the blocks across its workers,
+/// each with a preallocated workspace, and is guaranteed to produce counts
+/// identical to the serial run.
 LinkStats run_link(const LinkConfig& config, units::Db esn0,
                    std::size_t blocks, Rng& rng, ThreadPool* pool = nullptr);
 

@@ -41,12 +41,6 @@ Llrs rate_dematch(const Llrs& received, std::size_t mother_bits) {
   return out;
 }
 
-double effective_rate(std::size_t info_bits, std::size_t output_bits) {
-  PRAN_REQUIRE(info_bits >= 1 && output_bits >= 1,
-               "rate needs non-empty input and output");
-  return static_cast<double>(info_bits) / static_cast<double>(output_bits);
-}
-
 std::size_t output_bits_for_rate(std::size_t info_bits, double rate) {
   PRAN_REQUIRE(info_bits >= 1, "need at least one information bit");
   PRAN_REQUIRE(rate > 0.0 && rate < 1.0, "code rate outside (0, 1)");

@@ -25,10 +25,6 @@ Bits rate_match(const Bits& coded, std::size_t output_bits);
 /// positions get 0 (erasure), repeated positions accumulate.
 Llrs rate_dematch(const Llrs& received, std::size_t mother_bits);
 
-/// Effective code rate of transmitting `info_bits` information bits in
-/// `output_bits` channel bits (termination overhead included).
-double effective_rate(std::size_t info_bits, std::size_t output_bits);
-
 /// Channel bits needed to carry `info_bits` at code rate `rate` with the
 /// terminated mother code; never below the rate-1/3 floor... above it,
 /// i.e. result >= some minimum keeping the code decodable.

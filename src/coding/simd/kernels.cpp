@@ -11,8 +11,7 @@
 namespace pran::coding::simd {
 namespace {
 
-constexpr TurboKernels kTurboScalar{turbo_map_pass_scalar,
-                                    turbo_batch_map_pass_scalar,
+constexpr TurboKernels kTurboScalar{turbo_map_pass_scalar, nullptr,
                                     kTurboScalarLanes, "scalar"};
 constexpr ViterbiKernels kViterbiScalar{viterbi_forward_scalar, "scalar"};
 

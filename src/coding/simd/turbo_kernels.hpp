@@ -3,7 +3,8 @@
 /// \file turbo_kernels.hpp
 /// The dispatchable turbo-decoder kernel surface.
 ///
-/// Two kernels per ISA, covering the two vectorization axes:
+/// Two kernels per vector ISA, covering the two vectorization axes (the
+/// one-lane scalar tier has only the first):
 ///
 ///  * `map_pass` — one max-log-MAP constituent pass over a single
 ///    codeblock, vectorized across the 8 trellis states (AVX2: one ymm
@@ -23,7 +24,12 @@
 ///    lane l's outputs are bit-identical to a single-block scalar decode
 ///    of lane l's inputs (the kernels use only per-lane add/max in the
 ///    scalar evaluation order — no FMA contraction, no reassociation), so
-///    the golden-equivalence suite can assert exact equality.
+///    the golden-equivalence suite can assert exact equality. Null on a
+///    one-lane tier (scalar).
+///
+/// TurboDecoder's one driver picks between them per call: one block, or a
+/// one-lane tier, runs `map_pass`; more blocks on a wider tier run
+/// `batch_map_pass`.
 ///
 /// Kernel TUs are compiled with per-file -m flags (see
 /// src/coding/CMakeLists.txt); callers must go through turbo_kernels()
@@ -42,7 +48,7 @@ using TurboMapPassFn = void (*)(const float* half_sys_apriori,
 
 struct TurboKernels {
   TurboMapPassFn map_pass = nullptr;
-  TurboMapPassFn batch_map_pass = nullptr;
+  TurboMapPassFn batch_map_pass = nullptr;  ///< Null when lane_width is 1.
   unsigned lane_width = 1;  ///< Codeblocks batch_map_pass runs in lockstep.
   const char* name = "?";
 };
@@ -55,10 +61,6 @@ void turbo_map_pass_scalar(const float* half_sys_apriori,
                            const float* half_parity, const float* sys,
                            const float* apriori, std::size_t k, float* beta,
                            float* extrinsic);
-void turbo_batch_map_pass_scalar(const float* half_sys_apriori,
-                                 const float* half_parity, const float* sys,
-                                 const float* apriori, std::size_t k,
-                                 float* beta, float* extrinsic);
 inline constexpr unsigned kTurboScalarLanes = 1;
 
 #if defined(PRAN_HAVE_AVX2)

@@ -92,13 +92,4 @@ void turbo_map_pass_scalar(const float* half_sys_apriori,
   }
 }
 
-void turbo_batch_map_pass_scalar(const float* half_sys_apriori,
-                                 const float* half_parity, const float* sys,
-                                 const float* apriori, std::size_t k,
-                                 float* beta, float* extrinsic) {
-  // Lane width 1: the batched entry point *is* the single-block pass.
-  turbo_map_pass_scalar(half_sys_apriori, half_parity, sys, apriori, k, beta,
-                        extrinsic);
-}
-
 }  // namespace pran::coding::simd

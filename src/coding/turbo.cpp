@@ -114,118 +114,45 @@ Bits turbo_encode(const Bits& info) {
   return out;
 }
 
-void TurboDecoder::ensure_capacity(std::size_t k) {
-  if (k <= capacity_k_) return;
-  const std::size_t steps = k + kTailSteps;
-  beta_.resize((steps + 1) * kStates);
-  sys_.resize(steps);
-  par1_.resize(steps);
-  par2_.resize(steps);
-  sys_int_.resize(steps);
-  half_par1_.resize(steps);
-  half_par2_.resize(steps);
-  half_sys_.resize(steps);
-  ext1_.resize(k);
-  ext2_.resize(k);
-  apriori2_.resize(k);
-  ext2_deint_.resize(k);
-  capacity_k_ = k;
-}
-
-void TurboDecoder::ensure_batch_capacity(std::size_t k, unsigned lanes) {
-  if (k <= batch_capacity_k_ && lanes <= batch_capacity_lanes_) return;
-  const std::size_t steps = k + kTailSteps;
-  const std::size_t w = lanes;
-  bbeta_.resize((steps + 1) * kStates * w);
-  bsys_.resize(steps * w);
-  bpar1_.resize(steps * w);
-  bpar2_.resize(steps * w);
-  bsys_int_.resize(steps * w);
-  bhalf_par1_.resize(steps * w);
-  bhalf_par2_.resize(steps * w);
-  bhalf_sys_.resize(steps * w);
-  bext1_.resize(k * w);
-  bext2_.resize(k * w);
-  bapriori2_.resize(k * w);
-  bext2_deint_.resize(k * w);
+void TurboDecoder::ensure_capacity(std::size_t k, unsigned lanes) {
+  if (k <= capacity_k_ && lanes <= capacity_lanes_) return;
+  capacity_k_ = std::max(capacity_k_, k);
+  capacity_lanes_ = std::max(capacity_lanes_, lanes);
+  const std::size_t w = capacity_lanes_;
+  const std::size_t steps = capacity_k_ + kTailSteps;
+  beta_.resize((steps + 1) * kStates * w);
+  sys_.resize(steps * w);
+  par1_.resize(steps * w);
+  par2_.resize(steps * w);
+  sys_int_.resize(steps * w);
+  half_par1_.resize(steps * w);
+  half_par2_.resize(steps * w);
+  half_sys_.resize(steps * w);
+  ext1_.resize(capacity_k_ * w);
+  ext2_.resize(capacity_k_ * w);
+  apriori2_.resize(capacity_k_ * w);
+  ext2_deint_.resize(capacity_k_ * w);
   lane_item_.resize(w);
   lane_iter_.resize(w);
   lane_active_.resize(w);
-  batch_capacity_k_ = std::max(batch_capacity_k_, k);
-  batch_capacity_lanes_ = std::max(batch_capacity_lanes_, lanes);
 }
 
 const TurboResult& TurboDecoder::decode(
     const Llrs& llrs, std::size_t k, int max_iterations,
     const std::function<bool(const Bits&)>& early_exit) {
-  PRAN_REQUIRE(turbo_block_size_ok(k), "unsupported turbo block size");
-  PRAN_REQUIRE(llrs.size() == turbo_encoded_length(k),
-               "LLR length does not match turbo_encoded_length(k)");
-  PRAN_REQUIRE(max_iterations >= 1, "need at least one iteration");
-
-  ensure_capacity(k);
-  const auto& pi = cached_interleaver(k);
-  // State-axis kernel for the active tier (bit-exact across tiers).
-  const auto& kernels = simd::turbo_kernels(simd::active_isa());
-
-  // Demultiplex into the flat float workspace. Layout per stream:
-  // [0, k) info positions, [k, k+3) tail. Tail layout on the wire:
-  // enc1 (x, z) x3, then enc2 (x, z) x3.
-  for (std::size_t i = 0; i < k; ++i) {
-    sys_[i] = static_cast<float>(llrs[i]);
-    par1_[i] = static_cast<float>(llrs[k + i]);
-    par2_[i] = static_cast<float>(llrs[2 * k + i]);
-  }
-  for (std::size_t t = 0; t < kTailSteps; ++t) {
-    sys_[k + t] = static_cast<float>(llrs[3 * k + 2 * t]);
-    par1_[k + t] = static_cast<float>(llrs[3 * k + 2 * t + 1]);
-    sys_int_[k + t] = static_cast<float>(llrs[3 * k + 6 + 2 * t]);
-    par2_[k + t] = static_cast<float>(llrs[3 * k + 6 + 2 * t + 1]);
-  }
-  for (std::size_t i = 0; i < k; ++i) sys_int_[i] = sys_[pi[i]];
-
-  const std::size_t steps = k + kTailSteps;
-  for (std::size_t t = 0; t < steps; ++t) {
-    half_par1_[t] = 0.5f * par1_[t];
-    half_par2_[t] = 0.5f * par2_[t];
-  }
-
-  std::fill(ext2_deint_.begin(), ext2_deint_.begin() +
-                                     static_cast<std::ptrdiff_t>(k), 0.0f);
-  result_.info.assign(k, 0);
-  result_.iterations = 0;
-  result_.converged = false;
-
-  for (int iter = 1; iter <= max_iterations; ++iter) {
-    // Decoder 1 in natural order; a-priori is decoder 2's extrinsic.
-    for (std::size_t t = 0; t < k; ++t)
-      half_sys_[t] = 0.5f * (sys_[t] + ext2_deint_[t]);
-    for (std::size_t t = k; t < steps; ++t) half_sys_[t] = 0.5f * sys_[t];
-    kernels.map_pass(half_sys_.data(), half_par1_.data(), sys_.data(),
-                     ext2_deint_.data(), k, beta_.data(), ext1_.data());
-    for (std::size_t i = 0; i < k; ++i) ext1_[i] *= kExtrinsicScale;
-
-    // Decoder 2 in interleaved order.
-    for (std::size_t i = 0; i < k; ++i) apriori2_[i] = ext1_[pi[i]];
-    for (std::size_t t = 0; t < k; ++t)
-      half_sys_[t] = 0.5f * (sys_int_[t] + apriori2_[t]);
-    for (std::size_t t = k; t < steps; ++t) half_sys_[t] = 0.5f * sys_int_[t];
-    kernels.map_pass(half_sys_.data(), half_par2_.data(), sys_int_.data(),
-                     apriori2_.data(), k, beta_.data(), ext2_.data());
-    for (std::size_t i = 0; i < k; ++i)
-      ext2_deint_[pi[i]] = ext2_[i] * kExtrinsicScale;
-
-    // Posterior and hard decision.
-    for (std::size_t i = 0; i < k; ++i) {
-      const float posterior = sys_[i] + ext1_[i] + ext2_deint_[i];
-      result_.info[i] = posterior < 0.0f ? 1 : 0;
-    }
-    result_.iterations = iter;
-    if (early_exit && early_exit(result_.info)) {
-      result_.converged = true;
-      break;
-    }
-  }
+  // A one-item batch that decodes into result_'s own buffer.
+  TurboBatchItem item;
+  item.llrs = &llrs;
+  item.info.swap(result_.info);
+  std::function<bool(std::size_t, const Bits&)> stop;
+  if (early_exit)
+    stop = [&early_exit](std::size_t, const Bits& hard) {
+      return early_exit(hard);
+    };
+  decode_batch({&item, 1}, k, max_iterations, stop);
+  result_.info.swap(item.info);
+  result_.iterations = item.iterations;
+  result_.converged = item.converged;
   return result_;
 }
 
@@ -242,68 +169,63 @@ TurboBatchStats TurboDecoder::decode_batch(
                  "per-item iteration budget must be non-negative");
   }
 
+  const auto& kernels = simd::turbo_kernels(simd::active_isa());
+  TurboBatchStats stats;
+  stats.lane_width = kernels.lane_width;
+  if (items.size() > 1 && kernels.lane_width > 1)
+    run<false>(items, k, max_iterations, early_stop, kernels, stats);
+  else if (!items.empty())
+    run<true>(items, k, max_iterations, early_stop, kernels, stats);
+  return stats;
+}
+
+template <bool kOneLane>
+void TurboDecoder::run(
+    std::span<TurboBatchItem> items, std::size_t k, int max_iterations,
+    const std::function<bool(std::size_t, const Bits&)>& early_stop,
+    const simd::TurboKernels& kernels, TurboBatchStats& stats) {
+  // A compile-time stride of 1 keeps the one-lane loop as fast as a
+  // dedicated single-block decoder; with a runtime stride, single-block
+  // AVX2 decodes ran 6-20% slower.
+  const unsigned w = kOneLane ? 1u : kernels.lane_width;
+  const simd::TurboMapPassFn map_pass =
+      kOneLane ? kernels.map_pass : kernels.batch_map_pass;
+  ensure_capacity(k, w);
+  const auto& pi = cached_interleaver(k);
+  const std::size_t steps = k + kTailSteps;
+  const std::size_t kw = k * w;
+  const std::size_t sw = steps * w;
+
   // A positive per-item budget overrides the call-wide cap for that block.
   const auto item_cap = [&](std::size_t i) {
     return items[i].max_iterations > 0 ? items[i].max_iterations
                                        : max_iterations;
   };
 
-  const auto& kernels = simd::turbo_kernels(simd::active_isa());
-  const unsigned w = kernels.lane_width;
-  TurboBatchStats stats;
-  stats.lane_width = w;
-  if (items.empty()) return stats;
-
-  if (w == 1 || items.size() == 1) {
-    // Scalar tier (lane width 1) or a single block: the lockstep path
-    // degenerates to per-block decode.
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      auto& item = items[i];
-      std::function<bool(const Bits&)> exit_fn;
-      if (early_stop)
-        exit_fn = [&early_stop, i](const Bits& hard) {
-          return early_stop(i, hard);
-        };
-      const TurboResult& r = decode(*item.llrs, k, item_cap(i), exit_fn);
-      item.info = r.info;
-      item.iterations = r.iterations;
-      item.converged = r.converged;
-      if (early_stop && !r.converged) ++stats.budget_exhausted;
-      stats.map_pass_calls += 2 * static_cast<std::size_t>(r.iterations);
-    }
-    return stats;
-  }
-
-  ensure_batch_capacity(k, w);
-  const auto& pi = cached_interleaver(k);
-  const std::size_t steps = k + kTailSteps;
-  const std::size_t kw = k * w;
-  const std::size_t sw = steps * w;
-
-  // Demultiplex one block into SIMD lane `l` and reset its iteration
-  // state. Exactly the decode() demux, strided by the lane width.
+  // Demultiplexes one block into lane `l` and resets its iteration state.
+  // Layout per stream: [0, k) info positions, [k, k+3) tail. Tail layout
+  // on the wire: enc1 (x, z) x3, then enc2 (x, z) x3.
   const auto load_lane = [&](unsigned l, std::size_t item_index) {
     const Llrs& llrs = *items[item_index].llrs;
     for (std::size_t i = 0; i < k; ++i) {
-      bsys_[i * w + l] = static_cast<float>(llrs[i]);
-      bpar1_[i * w + l] = static_cast<float>(llrs[k + i]);
-      bpar2_[i * w + l] = static_cast<float>(llrs[2 * k + i]);
+      sys_[i * w + l] = static_cast<float>(llrs[i]);
+      par1_[i * w + l] = static_cast<float>(llrs[k + i]);
+      par2_[i * w + l] = static_cast<float>(llrs[2 * k + i]);
     }
     for (std::size_t t = 0; t < static_cast<std::size_t>(kTailSteps); ++t) {
-      bsys_[(k + t) * w + l] = static_cast<float>(llrs[3 * k + 2 * t]);
-      bpar1_[(k + t) * w + l] = static_cast<float>(llrs[3 * k + 2 * t + 1]);
-      bsys_int_[(k + t) * w + l] =
-          static_cast<float>(llrs[3 * k + 6 + 2 * t]);
-      bpar2_[(k + t) * w + l] =
+      sys_[(k + t) * w + l] = static_cast<float>(llrs[3 * k + 2 * t]);
+      par1_[(k + t) * w + l] = static_cast<float>(llrs[3 * k + 2 * t + 1]);
+      sys_int_[(k + t) * w + l] = static_cast<float>(llrs[3 * k + 6 + 2 * t]);
+      par2_[(k + t) * w + l] =
           static_cast<float>(llrs[3 * k + 6 + 2 * t + 1]);
     }
     for (std::size_t i = 0; i < k; ++i)
-      bsys_int_[i * w + l] = bsys_[pi[i] * w + l];
+      sys_int_[i * w + l] = sys_[pi[i] * w + l];
     for (std::size_t t = 0; t < steps; ++t) {
-      bhalf_par1_[t * w + l] = 0.5f * bpar1_[t * w + l];
-      bhalf_par2_[t * w + l] = 0.5f * bpar2_[t * w + l];
+      half_par1_[t * w + l] = 0.5f * par1_[t * w + l];
+      half_par2_[t * w + l] = 0.5f * par2_[t * w + l];
     }
-    for (std::size_t i = 0; i < k; ++i) bext2_deint_[i * w + l] = 0.0f;
+    for (std::size_t i = 0; i < k; ++i) ext2_deint_[i * w + l] = 0.0f;
     items[item_index].info.assign(k, 0);
     items[item_index].iterations = 0;
     items[item_index].converged = false;
@@ -316,12 +238,12 @@ TurboBatchStats TurboDecoder::decode_batch(
   // finite everywhere, never read back.
   const auto clear_lane = [&](unsigned l) {
     for (std::size_t t = 0; t < steps; ++t) {
-      bsys_[t * w + l] = 0.0f;
-      bsys_int_[t * w + l] = 0.0f;
-      bhalf_par1_[t * w + l] = 0.0f;
-      bhalf_par2_[t * w + l] = 0.0f;
+      sys_[t * w + l] = 0.0f;
+      sys_int_[t * w + l] = 0.0f;
+      half_par1_[t * w + l] = 0.0f;
+      half_par2_[t * w + l] = 0.0f;
     }
-    for (std::size_t i = 0; i < k; ++i) bext2_deint_[i * w + l] = 0.0f;
+    for (std::size_t i = 0; i < k; ++i) ext2_deint_[i * w + l] = 0.0f;
     lane_active_[l] = 0;
   };
 
@@ -337,45 +259,46 @@ TurboBatchStats TurboDecoder::decode_batch(
   }
 
   while (active > 0) {
-    // One full turbo iteration for every lane in lockstep. The per-lane
-    // arithmetic is exactly decode()'s sequence, so each lane's outputs
-    // are bit-identical to a standalone decode of that block.
+    // One full turbo iteration for every lane in lockstep. Lanes never
+    // mix, so each lane's outputs are bit-identical to a one-lane decode
+    // of that block.
+    // Decoder 1 in natural order; a-priori is decoder 2's extrinsic.
     for (std::size_t idx = 0; idx < kw; ++idx)
-      bhalf_sys_[idx] = 0.5f * (bsys_[idx] + bext2_deint_[idx]);
+      half_sys_[idx] = 0.5f * (sys_[idx] + ext2_deint_[idx]);
     for (std::size_t idx = kw; idx < sw; ++idx)
-      bhalf_sys_[idx] = 0.5f * bsys_[idx];
-    kernels.batch_map_pass(bhalf_sys_.data(), bhalf_par1_.data(),
-                           bsys_.data(), bext2_deint_.data(), k,
-                           bbeta_.data(), bext1_.data());
-    for (std::size_t idx = 0; idx < kw; ++idx) bext1_[idx] *= kExtrinsicScale;
+      half_sys_[idx] = 0.5f * sys_[idx];
+    map_pass(half_sys_.data(), half_par1_.data(), sys_.data(),
+             ext2_deint_.data(), k, beta_.data(), ext1_.data());
+    for (std::size_t idx = 0; idx < kw; ++idx) ext1_[idx] *= kExtrinsicScale;
 
+    // Decoder 2 in interleaved order.
     for (std::size_t i = 0; i < k; ++i) {
-      const float* src = bext1_.data() + pi[i] * w;
-      float* dst = bapriori2_.data() + i * w;
+      const float* src = ext1_.data() + pi[i] * w;
+      float* dst = apriori2_.data() + i * w;
       for (unsigned l = 0; l < w; ++l) dst[l] = src[l];
     }
     for (std::size_t idx = 0; idx < kw; ++idx)
-      bhalf_sys_[idx] = 0.5f * (bsys_int_[idx] + bapriori2_[idx]);
+      half_sys_[idx] = 0.5f * (sys_int_[idx] + apriori2_[idx]);
     for (std::size_t idx = kw; idx < sw; ++idx)
-      bhalf_sys_[idx] = 0.5f * bsys_int_[idx];
-    kernels.batch_map_pass(bhalf_sys_.data(), bhalf_par2_.data(),
-                           bsys_int_.data(), bapriori2_.data(), k,
-                           bbeta_.data(), bext2_.data());
+      half_sys_[idx] = 0.5f * sys_int_[idx];
+    map_pass(half_sys_.data(), half_par2_.data(), sys_int_.data(),
+             apriori2_.data(), k, beta_.data(), ext2_.data());
     for (std::size_t i = 0; i < k; ++i) {
-      const float* src = bext2_.data() + i * w;
-      float* dst = bext2_deint_.data() + pi[i] * w;
+      const float* src = ext2_.data() + i * w;
+      float* dst = ext2_deint_.data() + pi[i] * w;
       for (unsigned l = 0; l < w; ++l) dst[l] = src[l] * kExtrinsicScale;
     }
 
     stats.map_pass_calls += 2;
     stats.idle_lane_iterations += w - active;
 
+    // Posterior, hard decision and retirement per lane.
     for (unsigned l = 0; l < w; ++l) {
       if (!lane_active_[l]) continue;
       TurboBatchItem& item = items[lane_item_[l]];
       for (std::size_t i = 0; i < k; ++i) {
         const float posterior =
-            bsys_[i * w + l] + bext1_[i * w + l] + bext2_deint_[i * w + l];
+            sys_[i * w + l] + ext1_[i * w + l] + ext2_deint_[i * w + l];
         item.info[i] = posterior < 0.0f ? 1 : 0;
       }
       item.iterations = ++lane_iter_[l];
@@ -390,7 +313,9 @@ TurboBatchStats TurboDecoder::decode_batch(
       if (retire) {
         if (next_pending < items.size()) {
           load_lane(l, next_pending++);
-          ++stats.lane_refills;
+          // One lane decodes its blocks one after another; only a lane
+          // beside others still in flight counts as refilled.
+          if constexpr (!kOneLane) ++stats.lane_refills;
         } else {
           lane_active_[l] = 0;
           --active;
@@ -398,7 +323,6 @@ TurboBatchStats TurboDecoder::decode_batch(
       }
     }
   }
-  return stats;
 }
 
 TurboResult turbo_decode(const Llrs& llrs, std::size_t k, int max_iterations,
@@ -406,14 +330,6 @@ TurboResult turbo_decode(const Llrs& llrs, std::size_t k, int max_iterations,
   PRAN_SPAN("turbo_decode", static_cast<std::int64_t>(k));
   thread_local TurboDecoder decoder;
   return decoder.decode(llrs, k, max_iterations, early_exit);
-}
-
-TurboBatchStats turbo_decode_batch(
-    std::span<TurboBatchItem> items, std::size_t k, int max_iterations,
-    const std::function<bool(std::size_t, const Bits&)>& early_stop) {
-  PRAN_SPAN("turbo_decode_batch", static_cast<std::int64_t>(items.size()));
-  thread_local TurboDecoder decoder;
-  return decoder.decode_batch(items, k, max_iterations, early_stop);
 }
 
 }  // namespace pran::coding

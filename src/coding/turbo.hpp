@@ -20,12 +20,15 @@
 ///
 /// The constituent max-log-MAP passes dispatch to the SIMD kernels in
 /// src/coding/simd/ (scalar / AVX2, picked at runtime — see
-/// simd/dispatch.hpp). Two vectorization axes: decode() runs the 8 trellis
-/// states of one codeblock across a vector register; decode_batch() runs
-/// `lane_width` same-K codeblocks in lockstep, one float lane per block,
-/// with per-lane CRC-gated early termination and lane refill. Every tier
-/// is bit-exact against the scalar reference, so results never depend on
-/// the host CPU.
+/// simd/dispatch.hpp). One driver, TurboDecoder::decode_batch(), runs
+/// every decode on one of two vectorization axes, picked by block count
+/// and tier: a call with one block, or on a one-lane tier, runs one lane
+/// whose 8 trellis states share a vector register (`map_pass`); a call
+/// with more blocks on a wider tier runs `lane_width` same-K codeblocks in
+/// lockstep, one float lane per block, with per-lane CRC-gated early
+/// termination and lane refill (`batch_map_pass`). decode() is a one-block
+/// batch. Every tier is bit-exact against the scalar reference, so
+/// results never depend on the host CPU.
 
 #include <functional>
 #include <span>
@@ -34,6 +37,10 @@
 #include "coding/viterbi.hpp"  // Bits/Llrs aliases
 
 namespace pran::coding {
+
+namespace simd {
+struct TurboKernels;
+}  // namespace simd
 
 /// Number of coded bits for a K-bit turbo block: systematic + 2 parity
 /// streams + 12 termination bits.
@@ -75,7 +82,9 @@ struct TurboBatchItem {
   bool converged = false;      ///< Early-stop predicate fired.
 };
 
-/// Occupancy accounting for one decode_batch() call.
+/// Occupancy accounting for one decode_batch() call. A one-lane run
+/// decodes its blocks one after another: it counts no refills and no idle
+/// lane-iterations.
 struct TurboBatchStats {
   unsigned lane_width = 1;     ///< SIMD lanes of the tier that ran.
   std::size_t map_pass_calls = 0;  ///< Constituent passes launched.
@@ -90,32 +99,33 @@ struct TurboBatchStats {
 
 /// Reusable max-log-MAP decoder workspace.
 ///
-/// Holds the flat float alpha/beta/extrinsic buffers (structure-of-arrays
-/// for the batched path) so repeated decodes perform zero heap allocation
-/// once the buffers have grown to the largest K seen (the srsRAN `tdec_t`
-/// idiom). One instance per thread: decode()/decode_batch() are not
-/// reentrant, but distinct instances are fully independent — the parallel
-/// BLER harness keeps one per worker slot.
+/// Holds the flat float alpha/beta/extrinsic buffers (structure-of-arrays,
+/// lane minor) so repeated decodes perform zero heap allocation once the
+/// buffers have grown to the largest K and lane count seen (the srsRAN
+/// `tdec_t` idiom). One instance per thread: decode()/decode_batch() are
+/// not reentrant, but distinct instances are fully independent — the
+/// parallel BLER harness keeps one per worker slot.
 class TurboDecoder {
  public:
   TurboDecoder() = default;
 
-  /// Same contract as the free turbo_decode(); the returned reference
-  /// (including `info`) aliases internal storage and is invalidated by the
-  /// next decode() on this instance.
+  /// Same contract as the free turbo_decode(): a one-block decode_batch().
+  /// The returned reference (including `info`) aliases internal storage
+  /// and is invalidated by the next decode() on this instance.
   const TurboResult& decode(const Llrs& llrs, std::size_t k,
                             int max_iterations = 8,
                             const std::function<bool(const Bits&)>&
                                 early_exit = nullptr);
 
-  /// Decodes `items` (all block size `k`) through the lane-axis batch
-  /// kernels: lane_width blocks run in lockstep, one float lane each.
-  /// `early_stop(item_index, hard)` is evaluated per lane after every
-  /// iteration (e.g. a per-block CRC); a lane that converges — or exhausts
-  /// `max_iterations` — retires and is refilled with the next pending
-  /// block, so a long batch keeps the vector unit full even when most
-  /// blocks terminate early. Per-item outputs are bit-identical to
-  /// decode() on the same LLRs for every ISA tier.
+  /// Decodes `items` (all block size `k`). One block, or a one-lane tier,
+  /// runs one lane through the state-axis kernel; otherwise lane_width
+  /// blocks run in lockstep through the lane-axis kernel, one float lane
+  /// each. `early_stop(item_index, hard)` is evaluated per lane after
+  /// every iteration (e.g. a per-block CRC); a lane that converges — or
+  /// exhausts its iteration budget — retires and is refilled with the next
+  /// pending block, so a long batch keeps the vector unit full even when
+  /// most blocks terminate early. Per-item outputs are the same bits for
+  /// every ISA tier and batch size.
   TurboBatchStats decode_batch(std::span<TurboBatchItem> items,
                                std::size_t k, int max_iterations = 8,
                                const std::function<bool(std::size_t,
@@ -123,29 +133,27 @@ class TurboDecoder {
                                    early_stop = nullptr);
 
  private:
-  void ensure_capacity(std::size_t k);
-  void ensure_batch_capacity(std::size_t k, unsigned lanes);
+  /// The iteration loop over the workspace. kOneLane: one lane through
+  /// `map_pass`; otherwise `lane_width` lanes through `batch_map_pass`.
+  template <bool kOneLane>
+  void run(std::span<TurboBatchItem> items, std::size_t k,
+           int max_iterations,
+           const std::function<bool(std::size_t, const Bits&)>& early_stop,
+           const simd::TurboKernels& kernels, TurboBatchStats& stats);
+  void ensure_capacity(std::size_t k, unsigned lanes);
 
+  // Entry for (step t, lane l) lives at [t * lanes + l].
   std::size_t capacity_k_ = 0;
-  const std::vector<std::size_t>* pi_ = nullptr;  // cached interleaver
+  unsigned capacity_lanes_ = 0;
   std::vector<float> beta_;        // (steps+1) * 8 backward metrics
   std::vector<float> sys_, par1_, par2_, sys_int_;  // steps entries each
   std::vector<float> half_par1_, half_par2_;        // 0.5 * parity LLRs
   std::vector<float> half_sys_;    // per-iteration 0.5*(sys+apriori)
   std::vector<float> ext1_, ext2_, apriori2_, ext2_deint_;
-  TurboResult result_;
-
-  // Batched (structure-of-arrays, lane-minor) mirrors of the above;
-  // entry for (step t, lane l) lives at [t * lane_width + l].
-  std::size_t batch_capacity_k_ = 0;
-  unsigned batch_capacity_lanes_ = 0;
-  std::vector<float> bbeta_;
-  std::vector<float> bsys_, bpar1_, bpar2_, bsys_int_;
-  std::vector<float> bhalf_par1_, bhalf_par2_, bhalf_sys_;
-  std::vector<float> bext1_, bext2_, bapriori2_, bext2_deint_;
   std::vector<std::size_t> lane_item_;
   std::vector<int> lane_iter_;
   std::vector<std::uint8_t> lane_active_;
+  TurboResult result_;
 };
 
 /// Decodes `llrs` (length turbo_encoded_length(k), same layout as the
@@ -162,13 +170,5 @@ TurboResult turbo_decode(const Llrs& llrs, std::size_t k,
                          int max_iterations = 8,
                          const std::function<bool(const Bits&)>& early_exit =
                              nullptr);
-
-/// Batched counterpart of turbo_decode(), on the same thread-local
-/// workspace. See TurboDecoder::decode_batch.
-TurboBatchStats turbo_decode_batch(std::span<TurboBatchItem> items,
-                                   std::size_t k, int max_iterations = 8,
-                                   const std::function<bool(std::size_t,
-                                                            const Bits&)>&
-                                       early_stop = nullptr);
 
 }  // namespace pran::coding

@@ -63,17 +63,6 @@ const ViterbiResult& ViterbiDecoder::decode(const Llrs& llrs,
   return result_;
 }
 
-const ViterbiResult& ViterbiDecoder::decode_hard(const Bits& coded,
-                                                 std::size_t info_bits) {
-  hard_llrs_.clear();
-  hard_llrs_.reserve(coded.size());
-  for (std::uint8_t bit : coded) {
-    PRAN_REQUIRE(bit <= 1, "bit vectors must contain only 0/1");
-    hard_llrs_.push_back(bit ? -1.0 : 1.0);
-  }
-  return decode(hard_llrs_, info_bits);
-}
-
 void ViterbiDecoder::decode_batch(std::span<ViterbiBatchItem> items,
                                   std::size_t info_bits) {
   for (ViterbiBatchItem& item : items) {
@@ -88,19 +77,6 @@ ViterbiResult viterbi_decode(const Llrs& llrs, std::size_t info_bits) {
   PRAN_SPAN("viterbi_decode", static_cast<std::int64_t>(info_bits));
   thread_local ViterbiDecoder decoder;
   return decoder.decode(llrs, info_bits);
-}
-
-ViterbiResult viterbi_decode_hard(const Bits& coded, std::size_t info_bits) {
-  PRAN_SPAN("viterbi_decode_hard", static_cast<std::int64_t>(info_bits));
-  thread_local ViterbiDecoder decoder;
-  return decoder.decode_hard(coded, info_bits);
-}
-
-void viterbi_decode_batch(std::span<ViterbiBatchItem> items,
-                          std::size_t info_bits) {
-  PRAN_SPAN("viterbi_decode_batch", static_cast<std::int64_t>(items.size()));
-  thread_local ViterbiDecoder decoder;
-  decoder.decode_batch(items, info_bits);
 }
 
 }  // namespace pran::coding

@@ -12,10 +12,9 @@
 /// The add-compare-select forward sweep dispatches to the SIMD kernels in
 /// src/coding/simd/ (scalar / AVX2, picked at runtime),
 /// vectorized across the 64 trellis states. Every tier is bit-exact
-/// against the scalar reference. decode_batch() amortizes workspace and
-/// dispatch over a run of same-size blocks; unlike the turbo batch path it
-/// loops the single-block kernel, because 64 states already fill a vector
-/// register (see simd/viterbi_kernels.hpp).
+/// against the scalar reference. There is no lane-axis path: 64 states
+/// already fill a vector register (see simd/viterbi_kernels.hpp), so
+/// decode_batch() is a plain loop over decode().
 
 #include <span>
 #include <vector>
@@ -56,11 +55,7 @@ class ViterbiDecoder {
   /// next decode on this instance.
   const ViterbiResult& decode(const Llrs& llrs, std::size_t info_bits);
 
-  /// Hard-decision decode of coded bits.
-  const ViterbiResult& decode_hard(const Bits& coded, std::size_t info_bits);
-
-  /// Decodes a run of same-size blocks back to back on this workspace.
-  /// Per-item outputs are bit-identical to decode() on the same LLRs.
+  /// Calls decode() on each item in turn and copies out its result.
   void decode_batch(std::span<ViterbiBatchItem> items,
                     std::size_t info_bits);
 
@@ -68,7 +63,6 @@ class ViterbiDecoder {
   std::vector<float> metric_, next_metric_;   // kNumStates + pad each
   std::vector<std::uint8_t> decisions_;       // total_steps * 8 bitmask bytes
   std::vector<std::uint8_t> inputs_;          // traceback scratch
-  Llrs hard_llrs_;                            // decode_hard scratch
   ViterbiResult result_;
 };
 
@@ -79,13 +73,5 @@ class ViterbiDecoder {
 /// Thin wrapper over a thread-local ViterbiDecoder workspace: repeated
 /// calls from one thread reuse the same buffers.
 ViterbiResult viterbi_decode(const Llrs& llrs, std::size_t info_bits);
-
-/// Convenience: hard-decision decode of coded bits.
-ViterbiResult viterbi_decode_hard(const Bits& coded, std::size_t info_bits);
-
-/// Batched counterpart of viterbi_decode(), on the same thread-local
-/// workspace. See ViterbiDecoder::decode_batch.
-void viterbi_decode_batch(std::span<ViterbiBatchItem> items,
-                          std::size_t info_bits);
 
 }  // namespace pran::coding

@@ -88,12 +88,8 @@ EpochReport Controller::replan() {
         static_cast<int>(i);
 
   EpochReport report;
-  report.epoch = epoch_counter_++;
-  for (int c = 0; c < num_cells(); ++c)
-    report.total_demand_gops += estimated_demand(c);
-
   if (compact_to_global.empty()) {
-    reports_.push_back(report);
+    record(report);
     return report;
   }
 
@@ -165,8 +161,21 @@ EpochReport Controller::replan() {
     total_migrations_ += report.migrations;
     report.active_servers = PlacementResult{placement_}.active_servers();
   }
-  reports_.push_back(report);
+  record(report);
   return report;
+}
+
+void Controller::record(const EpochReport& report) {
+  ++totals_.replans;
+  totals_.shed_cells += report.shed_cells;
+  if (report.feasible) {
+    totals_.active_servers += report.active_servers;
+    totals_.solve_seconds += report.solve_seconds;
+    ++totals_.feasible;
+  } else {
+    ++totals_.infeasible;
+  }
+  last_report_ = report;
 }
 
 void Controller::complete_migration(int cell_index, int server_id) {

@@ -65,14 +65,23 @@ struct RecoveryDecision {
 
 /// One epoch's planning outcome, for KPI reporting.
 struct EpochReport {
-  std::int64_t epoch = 0;
   bool feasible = false;
   int active_servers = 0;
   int migrations = 0;
   /// Cells shed by admission control this epoch (0 unless enabled).
   int shed_cells = 0;
   double solve_seconds = 0.0;
-  double total_demand_gops = 0.0;
+};
+
+/// Running totals over every replan() so far: what the deployment KPIs
+/// read, kept instead of a per-epoch log that would grow with the run.
+struct EpochTotals {
+  std::int64_t replans = 0;  ///< replan() calls, the initial plan included.
+  int infeasible = 0;  ///< Replans that came back infeasible.
+  int shed_cells = 0;  ///< EpochReport::shed_cells summed over replans.
+  int feasible = 0;    ///< Feasible replans, the count behind the two sums.
+  double active_servers = 0.0;  ///< Summed over feasible replans.
+  double solve_seconds = 0.0;   ///< Summed over feasible replans.
 };
 
 class Controller {
@@ -152,10 +161,15 @@ class Controller {
     return static_cast<int>(servers_.size());
   }
 
-  const std::vector<EpochReport>& reports() const noexcept { return reports_; }
+  const EpochTotals& epoch_totals() const noexcept { return totals_; }
+  /// The newest replan's report (a default one before the first replan).
+  const EpochReport& last_report() const noexcept { return last_report_; }
   int total_migrations() const noexcept { return total_migrations_; }
 
  private:
+  /// Folds one replan's report into totals_ and last_report_.
+  void record(const EpochReport& report);
+
   ControllerConfig config_;
   std::unique_ptr<Placer> placer_;
   std::vector<cluster::ServerSpec> servers_;
@@ -171,10 +185,10 @@ class Controller {
   std::vector<double> demand_scale_;    ///< Forecast multipliers (optional).
   std::vector<bool> cell_quarantined_;  ///< Ladder quarantine (optional).
   std::vector<int> placement_;          ///< Current cell -> server (-1 outage).
-  std::vector<EpochReport> reports_;
+  EpochTotals totals_;
+  EpochReport last_report_;
   std::function<bool(int, int, int)> migration_sink_;
   std::function<bool(int)> failover_filter_;
-  std::int64_t epoch_counter_ = 0;
   int total_migrations_ = 0;  ///< Planned moves (sink-owned ones included).
 };
 

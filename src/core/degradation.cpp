@@ -90,7 +90,6 @@ bool DegradationController::update(sim::Time now,
     ++rung_;
     ++transitions_;
     stressed_epochs_ = 0;
-    last_transition_ = now;
     if (recovering_) {
       // Re-escalation after a step-down: the link is marginal at this
       // boundary, so the next step-down must earn a longer calm streak.
@@ -104,7 +103,6 @@ bool DegradationController::update(sim::Time now,
     --rung_;
     ++transitions_;
     calm_epochs_ = 0;
-    last_transition_ = now;
     recovering_ = true;
     return true;
   }

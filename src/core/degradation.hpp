@@ -183,8 +183,6 @@ class DegradationController {
   /// Current calm-epoch requirement for the next step-down (grows with
   /// the exponential backoff; exposed for tests and KPIs).
   int current_down_hold() const noexcept { return down_hold_; }
-  /// Time of the last transition (for traces).
-  sim::Time last_transition() const noexcept { return last_transition_; }
 
   /// Simulated time spent on `rung`, accumulated at each update() call
   /// (the dwell of the current rung since the last update is not yet
@@ -214,7 +212,6 @@ class DegradationController {
   int down_hold_;           ///< Calm epochs needed for the next step-down.
   bool recovering_ = false; ///< A step-down happened since the last step-up.
   std::uint64_t transitions_ = 0;
-  sim::Time last_transition_ = 0;
   std::vector<sim::Time> dwell_;  ///< Per-rung time, size max_rung() + 1.
   sim::Time dwell_mark_ = 0;      ///< update() timestamp last accounted.
 };

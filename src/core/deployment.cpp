@@ -807,24 +807,12 @@ DeploymentKpis Deployment::kpis() const {
   k.energy_joules = config_.server.idle_watts * powered_seconds +
                     config_.server.watts_per_busy_core() *
                         stats.total_busy_seconds;
-  const auto& reports = controller_->reports();
-  if (!reports.empty()) {
-    double active = 0.0, plan = 0.0;
-    int counted = 0;
-    for (const auto& r : reports) {
-      k.shed_cell_epochs += r.shed_cells;
-      if (!r.feasible) {
-        ++k.infeasible_epochs;
-        continue;
-      }
-      active += r.active_servers;
-      plan += r.solve_seconds;
-      ++counted;
-    }
-    if (counted) {
-      k.mean_active_servers = active / counted;
-      k.mean_plan_seconds = plan / counted;
-    }
+  const EpochTotals& epochs = controller_->epoch_totals();
+  k.infeasible_epochs = epochs.infeasible;
+  k.shed_cell_epochs = epochs.shed_cells;
+  if (epochs.feasible) {
+    k.mean_active_servers = epochs.active_servers / epochs.feasible;
+    k.mean_plan_seconds = epochs.solve_seconds / epochs.feasible;
   }
   return k;
 }

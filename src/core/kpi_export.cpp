@@ -114,9 +114,9 @@ void export_deployment(const Deployment& deployment,
     }
   }
 
-  const auto& reports = deployment.controller().reports();
-  set_gauge(registry, "solver.", "epochs",
-            static_cast<double>(reports.size()));
+  set_gauge(
+      registry, "solver.", "epochs",
+      static_cast<double>(deployment.controller().epoch_totals().replans));
 
   if (const DegradationController* ladder = deployment.degradation()) {
     // Per-rung dwell: how long the ladder sat on each rung (as of the

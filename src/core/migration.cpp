@@ -7,26 +7,6 @@
 
 namespace pran::core {
 
-const char* migration_state_name(MigrationState state) noexcept {
-  switch (state) {
-    case MigrationState::kPreparing:
-      return "preparing";
-    case MigrationState::kTransferring:
-      return "transferring";
-    case MigrationState::kCommitting:
-      return "committing";
-    case MigrationState::kCommitted:
-      return "committed";
-    case MigrationState::kAborted:
-      return "aborted";
-    case MigrationState::kRolledBack:
-      return "rolled_back";
-    case MigrationState::kTakenOver:
-      return "taken_over";
-  }
-  return "unknown";
-}
-
 void validate(const MigrationConfig& config) {
   PRAN_REQUIRE(config.lease_ttl > 0, "lease TTL must be positive");
   PRAN_REQUIRE(config.transfer_ttis >= 1,

@@ -71,8 +71,6 @@ enum class MigrationState {
                   ///< source-lease expiry.
 };
 
-const char* migration_state_name(MigrationState state) noexcept;
-
 struct MigrationConfig {
   /// Master switch: off keeps the legacy instant-teleport behaviour with
   /// no migration cost (existing benches and tests are unaffected).

@@ -25,22 +25,19 @@ CellMac::CellMac(CellMacConfig config)
   }
 }
 
-void CellMac::set_load_scale(double scale) {
-  for (auto& ue : ues_) ue.set_rate_scale(scale);
-}
-
 std::vector<lte::Allocation> CellMac::run_tti() {
   for (auto& ue : ues_) {
     ue.advance_channel();
     ue.advance_traffic();
   }
-  grants_ = scheduler_->schedule(ues_, units::PrbCount{config_.cell.n_prb});
+  const std::vector<Grant> grants =
+      scheduler_->schedule(ues_, units::PrbCount{config_.cell.n_prb});
   ++ttis_;
 
   std::vector<lte::Allocation> allocs;
-  allocs.reserve(grants_.size());
+  allocs.reserve(grants.size());
   int total = 0;
-  for (const auto& g : grants_) {
+  for (const auto& g : grants) {
     total += g.allocation.n_prb;
     allocs.push_back(g.allocation);
   }

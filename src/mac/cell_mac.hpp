@@ -39,12 +39,6 @@ class CellMac {
   /// returns the resulting allocations (for the cost model / executor).
   std::vector<lte::Allocation> run_tti();
 
-  /// Diurnal modulation: scales every UE's offered load (Poisson mode).
-  void set_load_scale(double scale);
-
-  /// Grants of the most recent TTI (parallel to the last run_tti result).
-  const std::vector<Grant>& last_grants() const noexcept { return grants_; }
-
   /// Aggregate served cell throughput so far, bit/s.
   double cell_throughput_bps() const;
 
@@ -58,7 +52,6 @@ class CellMac {
   CellMacConfig config_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<Ue> ues_;
-  std::vector<Grant> grants_;
   std::int64_t ttis_ = 0;
 };
 

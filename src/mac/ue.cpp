@@ -22,16 +22,11 @@ void Ue::advance_channel() {
   cqi_ = lte::cqi_from_efficiency(lte::spectral_efficiency(snr));
 }
 
-void Ue::set_rate_scale(double scale) {
-  PRAN_REQUIRE(scale >= 0.0, "rate scale must be non-negative");
-  rate_scale_ = scale;
-}
-
 void Ue::advance_traffic() {
   if (config_.traffic == TrafficKind::kFullBuffer) return;
   // Poisson bursts: expected bursts per TTI * mean size keeps the offered
-  // rate at rate_scale * mean_arrival_bps.
-  const double bits_per_tti = rate_scale_ * config_.mean_arrival_bps * 1e-3;
+  // rate at mean_arrival_bps.
+  const double bits_per_tti = config_.mean_arrival_bps * 1e-3;
   const double bursts_per_tti = bits_per_tti / (config_.burst_bytes * 8.0);
   const std::uint32_t bursts = rng_.poisson(bursts_per_tti);
   for (std::uint32_t b = 0; b < bursts; ++b)

@@ -44,11 +44,6 @@ class Ue {
   /// Adds traffic arrivals for one TTI; call once per TTI.
   void advance_traffic();
 
-  /// Scales the Poisson arrival intensity (diurnal modulation); 1 = the
-  /// configured mean_arrival_bps. No effect on full-buffer traffic.
-  void set_rate_scale(double scale);
-  double rate_scale() const noexcept { return rate_scale_; }
-
   /// Bytes waiting in the downlink queue.
   double backlog_bytes() const noexcept { return backlog_bytes_; }
   bool has_data() const noexcept;
@@ -74,7 +69,6 @@ class Ue {
   units::Db fading_db_{0.0};
   int cqi_ = 0;
   double backlog_bytes_ = 0.0;
-  double rate_scale_ = 1.0;
   double avg_tput_bps_ = 1.0;  // small floor avoids divide-by-zero in PF
   double total_bits_ = 0.0;
 };

@@ -20,12 +20,14 @@
 #include "coding/batch.hpp"
 #include "coding/bler.hpp"
 #include "coding/convolutional.hpp"
+#include "coding/crc.hpp"
 #include "coding/simd/dispatch.hpp"
 #include "coding/simd/turbo_kernels.hpp"
 #include "coding/simd/viterbi_kernels.hpp"
 #include "coding/turbo.hpp"
 #include "coding/viterbi.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace pran::coding {
@@ -215,7 +217,8 @@ TEST(SimdTurboDecode, SingleBlockMatchesScalarPerIsa) {
 /// Batched decode must match per-block scalar decode for every batch size
 /// — including remainders smaller than the lane width and batches that
 /// wrap it several times — with per-lane genie early termination, and
-/// must report the same per-block iteration counts.
+/// must report the same per-block iteration counts. A batch of one is the
+/// path decode() takes: one lane, so no lane-iteration runs idle.
 TEST(SimdTurboDecode, BatchMatchesScalarForEveryWidthAndIsa) {
   for (simd::Isa isa : kVectorIsas) {
     if (!simd::isa_available(isa)) {
@@ -265,6 +268,15 @@ TEST(SimdTurboDecode, BatchMatchesScalarForEveryWidthAndIsa) {
             << simd::isa_name(isa) << " batch=" << batch << " i=" << i;
         EXPECT_EQ(ref[i].converged, items[i].converged);
       }
+      if (batch == 1) {
+        EXPECT_EQ(stats.idle_lane_iterations, 0u) << simd::isa_name(isa);
+        EXPECT_EQ(stats.lane_refills, 0u);
+        const TurboResult& single = dec.decode(
+            llrs[0], k, 8, [&](const Bits& hard) { return genie(0, hard); });
+        EXPECT_EQ(single.info, items[0].info) << simd::isa_name(isa);
+        EXPECT_EQ(single.iterations, items[0].iterations);
+        EXPECT_EQ(single.converged, items[0].converged);
+      }
     }
   }
 }
@@ -294,6 +306,15 @@ TEST(SimdTurboDecode, BatchStatsCountRefillsAndPasses) {
     // At clean SNR every block converges in a few iterations, so retiring
     // lanes must have been refilled from the pending queue.
     EXPECT_GE(stats.lane_refills, batch - std::size_t{w});
+  } else {
+    // One lane decodes the blocks one after another: two passes per
+    // iteration, nothing refilled mid-flight, nothing idle.
+    std::size_t iterations = 0;
+    for (const auto& item : items)
+      iterations += static_cast<std::size_t>(item.iterations);
+    EXPECT_EQ(stats.map_pass_calls, 2 * iterations);
+    EXPECT_EQ(stats.lane_refills, 0u);
+    EXPECT_EQ(stats.idle_lane_iterations, 0u);
   }
 }
 
@@ -505,33 +526,68 @@ TEST(TurboBatchCollector, MixedSizesDecodeToPerBlockResults) {
   }
 }
 
+/// The decode-side sign of an effort cap survives the K buckets: a flush
+/// reports every block that ran out of iterations without its CRC passing.
+TEST(TurboBatchCollector, FlushCountsExhaustedBudgets) {
+  Rng rng(0xB0D6E7);
+  const std::vector<std::size_t> ks = {64, 128, 64, 256, 64};
+  std::vector<Llrs> llrs;
+  for (std::size_t k : ks)
+    llrs.push_back(transmit_bpsk(
+        turbo_encode(attach_crc(random_bits(k - kCrcBits, rng))),
+        units::Db{-10.0}, rng));
+  TurboBatchCollector collector;
+  for (std::size_t i = 0; i < ks.size(); ++i)
+    collector.add(llrs[i], ks[i], /*tag=*/i);
+
+  TurboDecoder dec;
+  std::vector<TurboBatchResult> results;
+  const TurboBatchStats stats =
+      collector.flush(dec, results, 2, [](std::size_t, const Bits& hard) {
+        return check_crc(hard);
+      });
+  ASSERT_EQ(results.size(), ks.size());
+  for (const TurboBatchResult& r : results) {
+    EXPECT_FALSE(r.converged) << "tag=" << r.tag;
+    EXPECT_EQ(r.iterations, 2) << "tag=" << r.tag;
+  }
+  EXPECT_EQ(stats.budget_exhausted, ks.size());
+}
+
 // ---------------------------------------------------------------------------
-// Link-level invariance: E14 statistics do not depend on the batch size.
+// Link level: each trial decodes its own block, so E14's counts depend on
+// the RNG stream only, never on the thread count.
 // ---------------------------------------------------------------------------
 
-TEST(SimdLink, RunLinkStatsInvariantToDecodeBatch) {
-  LinkConfig config;
-  config.info_bits = 96;
-  config.code_rate = 1.0 / 2.0;
-
-  config.decode_batch = 1;
-  Rng rng_a(0xE14);
-  const LinkStats a = run_link(config, units::Db{1.0}, 64, rng_a);
-
-  config.decode_batch = 8;
-  Rng rng_b(0xE14);
-  const LinkStats b = run_link(config, units::Db{1.0}, 64, rng_b);
-
-  config.decode_batch = 5;  // remainder group
-  Rng rng_c(0xE14);
-  const LinkStats c = run_link(config, units::Db{1.0}, 64, rng_c);
-
-  EXPECT_EQ(a.block_errors, b.block_errors);
-  EXPECT_EQ(a.bit_errors, b.bit_errors);
-  EXPECT_EQ(a.blocks, b.blocks);
-  EXPECT_EQ(a.block_errors, c.block_errors);
-  EXPECT_EQ(a.bit_errors, c.bit_errors);
-  EXPECT_EQ(a.blocks, c.blocks);
+/// Counts pinned from the grouped Viterbi path this per-block path
+/// replaced, for a soft and a hard configuration, serial and pooled.
+TEST(SimdLink, RunLinkStatsMatchPinnedCounts) {
+  struct Case {
+    double code_rate;
+    bool soft_decision;
+    double esn0_db;
+    std::size_t blocks;
+    std::size_t block_errors;
+    std::size_t bit_errors;
+  };
+  ThreadPool pool(4);
+  for (const Case& c : {Case{1.0 / 2.0, true, 0.0, 64, 4, 16},
+                        Case{1.0 / 3.0, false, -1.5, 61, 8, 49}}) {
+    LinkConfig config;
+    config.info_bits = 96;
+    config.code_rate = c.code_rate;
+    config.soft_decision = c.soft_decision;
+    for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      Rng rng(0xE14);
+      const LinkStats stats =
+          run_link(config, units::Db{c.esn0_db}, c.blocks, rng, workers);
+      const char* how = workers ? "pooled" : "serial";
+      EXPECT_EQ(stats.blocks, c.blocks) << how;
+      EXPECT_EQ(stats.block_errors, c.block_errors) << how;
+      EXPECT_EQ(stats.bit_errors, c.bit_errors) << how;
+      EXPECT_EQ(stats.undetected_errors, 0u) << how;
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,13 @@ Bits random_bits(std::size_t n, Rng& rng) {
   return out;
 }
 
+/// Hard decisions as decoder input: LLR +1 for a 0 bit, -1 for a 1 bit.
+Llrs hard_llrs(const Bits& coded) {
+  Llrs out;
+  for (std::uint8_t bit : coded) out.push_back(bit ? -1.0 : 1.0);
+  return out;
+}
+
 TEST(Crc, DetectsSingleBitFlips) {
   Rng rng(1);
   const Bits payload = random_bits(64, rng);
@@ -93,7 +100,7 @@ TEST(Viterbi, DecodesNoiselessPerfectly) {
   for (int len : {1, 7, 40, 333}) {
     const Bits info = random_bits(static_cast<std::size_t>(len), rng);
     const Bits coded = convolutional_encode(info);
-    const auto decoded = viterbi_decode_hard(coded, info.size());
+    const auto decoded = viterbi_decode(hard_llrs(coded), info.size());
     EXPECT_EQ(decoded.info, info) << "len " << len;
   }
 }
@@ -105,7 +112,7 @@ TEST(Viterbi, CorrectsScatteredErrors) {
   const Bits info = random_bits(120, rng);
   Bits coded = convolutional_encode(info);
   for (std::size_t pos : {5u, 60u, 120u, 200u, 280u}) coded[pos] ^= 1;
-  const auto decoded = viterbi_decode_hard(coded, info.size());
+  const auto decoded = viterbi_decode(hard_llrs(coded), info.size());
   EXPECT_EQ(decoded.info, info);
 }
 

@@ -337,7 +337,7 @@ TEST(WorkspaceViterbi, HardDecisionMatchesSeed) {
     corrupted[i] ^= 1;
   Llrs hard_llrs;
   for (std::uint8_t b : corrupted) hard_llrs.push_back(b ? -1.0 : 1.0);
-  const auto fast = viterbi_decode_hard(corrupted, info.size());
+  const auto fast = viterbi_decode(hard_llrs, info.size());
   const auto golden = ref::viterbi_decode(hard_llrs, info.size());
   EXPECT_EQ(fast.info, golden.info);
 }

@@ -108,7 +108,7 @@ TEST(Forecast, ScaledPlanReservesMoreServers) {
   Controller ctrl2(config, std::make_unique<FirstFitPlacer>(),
                    {server(1.0), server(1.0)}, demands({0.4, 0.4}));
   ASSERT_TRUE(ctrl2.replan().feasible);
-  ASSERT_EQ(ctrl2.reports().back().active_servers, 1);
+  ASSERT_EQ(ctrl2.last_report().active_servers, 1);
   ctrl2.set_demand_scale({1.5, 1.5});
   const auto report = ctrl2.replan();
   ASSERT_TRUE(report.feasible);

@@ -39,7 +39,6 @@ TEST(Controller, InitialReplanPlacesAllCells) {
   EXPECT_TRUE(report.feasible);
   EXPECT_EQ(report.migrations, 0);
   for (int c = 0; c < 3; ++c) EXPECT_GE(ctrl.server_of(c), 0);
-  EXPECT_NEAR(report.total_demand_gops, 1.2, 1e-12);
 }
 
 TEST(Controller, ObserveMovesEma) {
@@ -182,11 +181,51 @@ TEST(Controller, RejectsBadConstructionAndArguments) {
 TEST(Controller, ReportsAccumulate) {
   Controller ctrl(relaxed(), std::make_unique<FirstFitPlacer>(),
                   {server(1.0)}, demands({0.1}));
+  EXPECT_EQ(ctrl.epoch_totals().replans, 0);
   ctrl.replan();
   ctrl.replan();
-  ASSERT_EQ(ctrl.reports().size(), 2u);
-  EXPECT_EQ(ctrl.reports()[0].epoch, 0);
-  EXPECT_EQ(ctrl.reports()[1].epoch, 1);
+  EXPECT_EQ(ctrl.epoch_totals().replans, 2);
+  EXPECT_EQ(ctrl.epoch_totals().feasible, 2);
+}
+
+/// The totals fold every replan in: a shed replan, an infeasible one and
+/// the early return with no server left count as the per-epoch log did.
+TEST(Controller, EpochTotalsCountInfeasibleAndServerlessReplans) {
+  auto config = relaxed();
+  config.shed_on_infeasible = true;
+  Controller ctrl(config, std::make_unique<FirstFitPlacer>(),
+                  {server(1.0), server(1.0)}, demands({0.6, 0.6, 0.3}));
+  EXPECT_EQ(ctrl.last_report().active_servers, 0);  // no replan yet
+
+  const EpochReport fits = ctrl.replan();
+  ASSERT_TRUE(fits.feasible);
+  EXPECT_EQ(fits.active_servers, 2);
+
+  ctrl.set_demand_scale({1.0, 1.0, 3.0});  // 0.6 + 0.6 + 0.9 > 2 servers
+  const EpochReport shed = ctrl.replan();
+  ASSERT_TRUE(shed.feasible);
+  EXPECT_EQ(shed.shed_cells, 1);
+
+  ctrl.set_demand_scale({2.0, 2.0, 4.0});  // every cell outgrows a server
+  const EpochReport hopeless = ctrl.replan();
+  EXPECT_FALSE(hopeless.feasible);
+  EXPECT_EQ(hopeless.shed_cells, 3);
+
+  ctrl.handle_failure(0);
+  ctrl.handle_failure(1);
+  const EpochReport serverless = ctrl.replan();
+  EXPECT_FALSE(serverless.feasible);
+  EXPECT_EQ(serverless.shed_cells, 0);
+
+  const EpochTotals& totals = ctrl.epoch_totals();
+  EXPECT_EQ(totals.replans, 4);
+  EXPECT_EQ(totals.feasible, 2);
+  EXPECT_EQ(totals.infeasible, 2);
+  EXPECT_EQ(totals.shed_cells, 4);
+  EXPECT_EQ(totals.active_servers, 4.0);
+  EXPECT_EQ(totals.solve_seconds, fits.solve_seconds + shed.solve_seconds);
+  EXPECT_FALSE(ctrl.last_report().feasible);
+  EXPECT_EQ(ctrl.last_report().active_servers, 0);
 }
 
 TEST(Controller, MilpPlacerIntegration) {

@@ -79,7 +79,7 @@ TEST(Deployment, FailoverKeepsCellsAlive) {
   EXPECT_GT(kpis.subframes_processed, 0u);
   EXPECT_EQ(kpis.faults_injected, 1);
   // The initial plan plus the epochs at 200, 400 and 600 ms.
-  EXPECT_EQ(d.controller().reports().size(), 4u);
+  EXPECT_EQ(d.controller().epoch_totals().replans, 4);
 }
 
 TEST(Deployment, RestoreReturnsServerToPool) {

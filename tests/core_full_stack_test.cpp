@@ -81,7 +81,7 @@ TEST(FullStack, TraceRecordsControllerAndFailures) {
   d.fail_server_at(d.now(), victim);
   d.run_for(100 * sim::kMillisecond);
   // The initial plan plus the epoch at 250 ms.
-  EXPECT_EQ(d.controller().reports().size(), 2u);
+  EXPECT_EQ(d.controller().epoch_totals().replans, 2);
   EXPECT_EQ(d.kpis().faults_injected, 1);
 }
 

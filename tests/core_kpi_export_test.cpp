@@ -131,8 +131,9 @@ TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
   const DeploymentKpis kpis = d.kpis();
   const telemetry::MetricsRegistry& metrics = d.metrics();
 
-  // The initial plan is a report but not an epoch.
-  const std::uint64_t epochs = d.controller().reports().size() - 1;
+  // The initial plan is a replan but not an epoch.
+  const auto epochs =
+      static_cast<std::uint64_t>(d.controller().epoch_totals().replans - 1);
   EXPECT_GT(epochs, 0u);
   EXPECT_EQ(metrics.counter_value("controller.epochs"), epochs);
   EXPECT_GT(kpis.ladder_transitions, 0u);
