@@ -10,16 +10,16 @@
 //   (c) measured per-iteration decode time (google-benchmark), plus
 //       per-ISA (scalar/avx2) and per-batch-width variants of the
 //       SIMD decode path, registered only for ISAs this CPU supports.
-//       Snapshot with --benchmark_out=BENCH_e17_simd.json; the acceptance
-//       bar is best-vectorized batched info_kbps >= 2x the scalar baseline
-//       at batch width >= 4 (tracked in EXPERIMENTS.md).
+//       The acceptance bar is best-vectorized batched info_kbps >= 2x the
+//       scalar baseline at batch width >= 4 (tracked in EXPERIMENTS.md).
 //
 // The Monte-Carlo sweeps (a)/(b) fan trials across a thread pool
 // (--threads N, default: hardware); every trial draws from an
 // index-derived RNG substream, so the tables are identical for any thread
 // count. (c) stays single-threaded: it is the per-core kernel-time number
 // the cost model consumes. Pass --benchmark_out=BENCH_e17.json
-// --benchmark_out_format=json to snapshot (c) for trend tracking.
+// --benchmark_out_format=json to snapshot all of (c), every ISA and batch
+// width included, for trend tracking (capture protocol: EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>
 
@@ -219,7 +219,7 @@ void BM_TurboDecodeBatch(benchmark::State& state, simd::Isa isa) {
 }
 
 /// Registers the per-ISA x per-batch-width variants for every tier this
-/// binary + CPU supports. Names embed the ISA so a BENCH_e17_simd.json
+/// binary + CPU supports. Names embed the ISA so a BENCH_e17.json
 /// snapshot is self-describing; the fixed BM_TurboDecodeIteration family
 /// above (active-ISA, single block) keeps its name — CI's telemetry
 /// overhead guard filters on it.

@@ -176,9 +176,6 @@ void run_quarantine_table() {
     config.num_servers = 3;
     config.placer = core::DeploymentConfig::PlacerKind::kFirstFitNoSticky;
     config.controller.quarantine = quarantine;
-    config.controller.flap_threshold = 2;
-    config.controller.flap_window = 5 * sim::kSecond;
-    config.controller.quarantine_base = sim::kSecond;
     core::Deployment d(config);
     d.run_for(200 * sim::kMillisecond);
     const int victim = d.controller().server_of(0);

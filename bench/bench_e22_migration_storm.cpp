@@ -90,12 +90,7 @@ core::DeploymentConfig storm_config(bool two_phase, const Severity& s) {
 
   config.migration.enabled = true;
   config.migration.make_before_break = two_phase;
-  config.migration.lease_ttl = 20 * sim::kMillisecond;
-  config.migration.transfer_ttis = 8;
-  config.migration.transfer_bits = 8.0e6;
   config.migration.deadline = 100 * sim::kMillisecond;
-  config.migration.max_retries = 3;
-  config.migration.retry_backoff = 4 * sim::kMillisecond;
   config.migration.control_plane.loss_probability = s.loss;
   config.migration.control_plane.max_jitter = s.jitter;
   config.migration.control_plane.reorder_probability = s.reorder_p;

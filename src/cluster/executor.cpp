@@ -95,9 +95,7 @@ void Executor::submit(int server_id, const lte::SubframeJob& job) {
       outcome.job = job;
       outcome.server_id = server_id;
       outcome.dropped = true;
-      record(outcome);
-      if (on_drop_) on_drop_(job, server_id);
-      if (on_complete_) on_complete_(outcome);
+      finish(outcome);
       return;
     }
     s.pending.emplace_back(seq, job);
@@ -160,8 +158,7 @@ void Executor::on_job_done(int server_id, std::uint64_t token,
   outcome.finish = engine_.now();
   outcome.cores_used = s.running[slot].width;
   s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(slot));
-  record(outcome);
-  if (on_complete_) on_complete_(outcome);
+  finish(outcome);
   dispatch(server_id);
 }
 
@@ -178,9 +175,7 @@ void Executor::fail_server(int server_id) {
     outcome.job = job;
     outcome.server_id = server_id;
     outcome.dropped = true;
-    record(outcome);
-    if (on_drop_) on_drop_(job, server_id);
-    if (on_complete_) on_complete_(outcome);
+    finish(outcome);
   }
   s.pending.clear();
 
@@ -191,9 +186,7 @@ void Executor::fail_server(int server_id) {
     outcome.server_id = server_id;
     outcome.start = r.start;
     outcome.dropped = true;
-    record(outcome);
-    if (on_drop_) on_drop_(r.job, server_id);
-    if (on_complete_) on_complete_(outcome);
+    finish(outcome);
   }
   s.running.clear();
 }
@@ -246,14 +239,14 @@ void Executor::record_compute_outage(int server_id,
   outcome.job = job;
   outcome.server_id = server_id;
   outcome.compute_outage = true;
-  record(outcome);
-  if (on_complete_) on_complete_(outcome);
+  finish(outcome);
 }
 
-void Executor::record(const JobOutcome& outcome) {
+void Executor::finish(const JobOutcome& outcome) {
   outcomes_.push_back(outcome);
   tally(stats_, outcome);
   tally(servers_[static_cast<std::size_t>(outcome.server_id)].stats, outcome);
+  if (on_complete_) on_complete_(outcome);
 }
 
 Executor::Stats Executor::stats_for_server(int server_id) const {

@@ -9,8 +9,9 @@
 /// server's pending queue until a core frees, then runs to completion in
 /// ops / core_gops seconds. EDF picks the pending job with the earliest
 /// deadline (the policy PRAN's data plane uses); FIFO is the baseline.
-/// Server failures drop the jobs on that server and notify the controller,
-/// which re-places the affected cells.
+/// Every job ends in exactly one JobOutcome, reported once through the
+/// completion callback: on time, late, dropped by a server failure (the
+/// controller may re-dispatch it) or abandoned as a compute outage.
 
 #include <cstdint>
 #include <deque>
@@ -23,6 +24,13 @@
 
 namespace pran::cluster {
 
+/// Power draw of a powered-on but idle server (the consolidation prize:
+/// idle servers can be switched off entirely).
+inline constexpr double kIdleWatts = 90.0;
+/// Power draw with every core busy; between idle and busy, draw scales
+/// linearly with the busy-core fraction.
+inline constexpr double kBusyWatts = 250.0;
+
 struct ServerSpec {
   std::string name;
   int cores = 8;
@@ -30,12 +38,6 @@ struct ServerSpec {
   /// vectorised base-band kernel on one modern server core and keeps a
   /// worst-case subframe (~0.32 Gop) inside the 3 ms HARQ budget.
   double gops_per_core = 150.0;
-  /// Power draw of a powered-on but idle server (the consolidation prize:
-  /// idle servers can be switched off entirely).
-  double idle_watts = 90.0;
-  /// Power draw with every core busy; between idle and busy, draw scales
-  /// linearly with the busy-core fraction.
-  double busy_watts = 250.0;
   /// Maximum cores one job may fan out over (code-block parallelism).
   /// 1 disables intra-job parallelism; the realistic setting is "many",
   /// since a loaded subframe carries tens of independent code blocks.
@@ -47,7 +49,7 @@ struct ServerSpec {
   }
   /// Extra watts one busy core adds on top of idle.
   double watts_per_busy_core() const noexcept {
-    return (busy_watts - idle_watts) / static_cast<double>(cores);
+    return (kBusyWatts - kIdleWatts) / static_cast<double>(cores);
   }
 };
 
@@ -78,10 +80,10 @@ struct JobOutcome {
 
 class Executor {
  public:
+  /// Called once per outcome, in completion order. A dropped outcome
+  /// (`dropped` set) is a job lost to a server failure, which the
+  /// controller may re-dispatch from here.
   using CompletionCallback = std::function<void(const JobOutcome&)>;
-  /// Called for every job lost to a failure (queued or running), so the
-  /// controller can re-dispatch it.
-  using DropCallback = std::function<void(const lte::SubframeJob&, int)>;
 
   Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
            SchedPolicy policy);
@@ -91,8 +93,8 @@ class Executor {
   SchedPolicy policy() const noexcept { return policy_; }
 
   /// Queues `job` on `server_id`. The job becomes runnable at
-  /// max(job.release, now). Submitting to a failed server drops the job
-  /// immediately (and fires the drop callback).
+  /// max(job.release, now). A job arriving at a failed server is dropped
+  /// on arrival.
   void submit(int server_id, const lte::SubframeJob& job);
 
   /// Fails a server: all queued and in-flight jobs are dropped.
@@ -130,15 +132,14 @@ class Executor {
   /// Records a computational outage for `job` without ever queueing it:
   /// the overload controller decided the server cannot finish it before
   /// its deadline and abandons the work to protect jobs that can still
-  /// make theirs. Fires the completion callback (with compute_outage set)
-  /// so HARQ accounting sees the loss; does NOT fire the drop callback —
-  /// drops mean fault-induced loss eligible for resubmission.
+  /// make theirs. Reported with compute_outage set and dropped clear, so
+  /// HARQ accounting sees the loss but nothing resubmits it — drops mean
+  /// fault-induced loss eligible for resubmission.
   void record_compute_outage(int server_id, const lte::SubframeJob& job);
 
   void set_completion_callback(CompletionCallback cb) {
     on_complete_ = std::move(cb);
   }
-  void set_drop_callback(DropCallback cb) { on_drop_ = std::move(cb); }
 
   /// All finished/dropped jobs in completion order.
   const std::vector<JobOutcome>& outcomes() const noexcept {
@@ -201,9 +202,10 @@ class Executor {
     Stats stats;  ///< Tally of this server's recorded outcomes.
   };
 
-  /// Appends `outcome` to the log and tallies it. Callbacks then get the
-  /// caller's copy: a drop callback may record another outcome.
-  void record(const JobOutcome& outcome);
+  /// Appends `outcome` to the log, tallies it and reports it to the
+  /// completion callback. The callback gets the caller's copy, not the
+  /// log's: it may record another outcome, which can grow the log.
+  void finish(const JobOutcome& outcome);
   int free_cores(const Server& s) const;
   void start_job(int server_id, const lte::SubframeJob& job);
   void on_job_done(int server_id, std::uint64_t token,
@@ -222,7 +224,6 @@ class Executor {
   std::vector<JobOutcome> outcomes_;
   Stats stats_;  ///< Tally of every recorded outcome.
   CompletionCallback on_complete_;
-  DropCallback on_drop_;
 };
 
 }  // namespace pran::cluster

@@ -15,7 +15,7 @@ Controller::Controller(ControllerConfig config, std::unique_ptr<Placer> placer,
       available_(servers_.size(), true),
       quarantined_(servers_.size(), false),
       quarantined_until_(servers_.size(), 0),
-      backoff_(servers_.size(), config.quarantine_base),
+      backoff_(servers_.size(), kQuarantineBase),
       failure_times_(servers_.size()),
       demand_(std::move(initial_demand)),
       placement_(demand_.size(), -1) {
@@ -25,12 +25,6 @@ Controller::Controller(ControllerConfig config, std::unique_ptr<Placer> placer,
   PRAN_REQUIRE(config_.headroom > 0.0 && config_.headroom <= 1.0,
                "headroom outside (0, 1]");
   PRAN_REQUIRE(config_.demand_safety >= 1.0, "safety factor below 1");
-  if (config_.quarantine) {
-    PRAN_REQUIRE(config_.flap_threshold >= 1, "flap threshold below 1");
-    PRAN_REQUIRE(config_.flap_window > 0, "flap window must be positive");
-    PRAN_REQUIRE(config_.quarantine_base > 0,
-                 "quarantine backoff must be positive");
-  }
 }
 
 void Controller::observe(int cell_index, double gops) {
@@ -152,9 +146,10 @@ EpochReport Controller::replan() {
         // A sink-owned move is a migration *plan*, not a teleport: the
         // cell keeps running on its current server until the protocol
         // commits and complete_migration() flips it.
-        if (migration_sink_ &&
-            migration_sink_(static_cast<int>(c), placement_[c], next[c]))
+        if (migration_sink_) {
+          migration_sink_(static_cast<int>(c), placement_[c], next[c]);
           next[c] = placement_[c];
+        }
       }
     }
     placement_ = std::move(next);
@@ -203,12 +198,12 @@ int Controller::handle_failure(int server_id, sim::Time now) {
                "unknown server id");
   const auto idx = static_cast<std::size_t>(server_id);
   if (config_.quarantine) {
-    // Failures arrive in time order, so the newest flap_threshold of them
-    // are all handle_recovery() needs to tell whether flap_threshold fell
+    // Failures arrive in time order, so the newest kFlapThreshold of them
+    // are all handle_recovery() needs to tell whether kFlapThreshold fell
     // inside the window.
     auto& times = failure_times_[idx];
     times.push_back(now);
-    if (static_cast<int>(times.size()) > config_.flap_threshold)
+    if (static_cast<int>(times.size()) > kFlapThreshold)
       times.erase(times.begin());
   }
   if (quarantined_[idx]) {
@@ -273,11 +268,11 @@ RecoveryDecision Controller::handle_recovery(int server_id, sim::Time now) {
   PRAN_REQUIRE(!available_[idx], "server is not failed");
   if (config_.quarantine) {
     auto& times = failure_times_[idx];
-    const sim::Time cutoff = now - config_.flap_window;
+    const sim::Time cutoff = now - kFlapWindow;
     times.erase(std::remove_if(times.begin(), times.end(),
                                [&](sim::Time t) { return t < cutoff; }),
                 times.end());
-    if (static_cast<int>(times.size()) >= config_.flap_threshold) {
+    if (static_cast<int>(times.size()) >= kFlapThreshold) {
       quarantined_[idx] = true;
       quarantined_until_[idx] = now + backoff_[idx];
       backoff_[idx] = static_cast<sim::Time>(
@@ -285,7 +280,7 @@ RecoveryDecision Controller::handle_recovery(int server_id, sim::Time now) {
       ++quarantine_events_;
       return {false, quarantined_until_[idx]};
     }
-    backoff_[idx] = config_.quarantine_base;
+    backoff_[idx] = kQuarantineBase;
   }
   available_[idx] = true;
   return {true, 0};

@@ -25,8 +25,13 @@ namespace pran::core {
 /// EMA smoothing factor per observation of a cell's subframe cost.
 inline constexpr double kDemandEmaAlpha = 0.05;
 
-/// Growth of a flapping server's quarantine backoff per consecutive
-/// quarantine (see ControllerConfig::quarantine).
+/// Flap quarantine (see ControllerConfig::quarantine): a server that
+/// failed kFlapThreshold times within kFlapWindow of its recovery is held
+/// out for kQuarantineBase, growing by kQuarantineBackoffMultiplier per
+/// consecutive quarantine.
+inline constexpr int kFlapThreshold = 2;
+inline constexpr sim::Time kFlapWindow = 5 * sim::kSecond;
+inline constexpr sim::Time kQuarantineBase = sim::kSecond;
 inline constexpr double kQuarantineBackoffMultiplier = 2.0;
 
 struct ControllerConfig {
@@ -46,15 +51,12 @@ struct ControllerConfig {
   /// PlacementProblem::survivable). Costs extra active servers.
   bool survivable = false;
 
-  /// Flap quarantine: a server that failed `flap_threshold` times within
-  /// `flap_window` of its recovery is NOT returned to the placement pool;
+  /// Flap quarantine: a server that failed kFlapThreshold times within
+  /// kFlapWindow of its recovery is NOT returned to the placement pool;
   /// it is held out for an exponentially growing backoff
-  /// (quarantine_base, then x kQuarantineBackoffMultiplier per consecutive
+  /// (kQuarantineBase, then x kQuarantineBackoffMultiplier per consecutive
   /// quarantine) before release_quarantines() readmits it.
   bool quarantine = false;
-  int flap_threshold = 3;
-  sim::Time flap_window = 10 * sim::kSecond;
-  sim::Time quarantine_base = 2 * sim::kSecond;
 };
 
 /// Outcome of Controller::handle_recovery.
@@ -116,10 +118,9 @@ class Controller {
 
   /// Migration sink: when installed, replan() hands every changed-cell
   /// reassignment (old >= 0, new >= 0, new != old) to the sink instead of
-  /// teleporting the cell. A sink returning true owns the move — the cell
-  /// keeps its old placement until complete_migration() flips it; false
-  /// falls back to the legacy instant flip.
-  void set_migration_sink(std::function<bool(int cell, int from, int to)> sink) {
+  /// teleporting the cell. The sink owns the move: the cell keeps its old
+  /// placement until complete_migration() flips it.
+  void set_migration_sink(std::function<void(int cell, int from, int to)> sink) {
     migration_sink_ = std::move(sink);
   }
 
@@ -144,8 +145,8 @@ class Controller {
   int handle_failure(int server_id, sim::Time now = 0);
 
   /// Returns a failed server to the available pool (cells migrate back only
-  /// at the next replan) — unless it flapped `flap_threshold` times within
-  /// `flap_window`, in which case it is quarantined until the returned
+  /// at the next replan) — unless it flapped kFlapThreshold times within
+  /// kFlapWindow, in which case it is quarantined until the returned
   /// backoff expiry (quarantine must be enabled in the config).
   RecoveryDecision handle_recovery(int server_id, sim::Time now = 0);
 
@@ -178,7 +179,7 @@ class Controller {
   std::vector<bool> quarantined_;
   std::vector<sim::Time> quarantined_until_;
   std::vector<sim::Time> backoff_;
-  /// The newest flap_threshold failure times per server (quarantine only).
+  /// The newest kFlapThreshold failure times per server (quarantine only).
   std::vector<std::vector<sim::Time>> failure_times_;
   int quarantine_events_ = 0;
   std::vector<CellDemand> demand_;      ///< EMA state (un-inflated).
@@ -187,7 +188,7 @@ class Controller {
   std::vector<int> placement_;          ///< Current cell -> server (-1 outage).
   EpochTotals totals_;
   EpochReport last_report_;
-  std::function<bool(int, int, int)> migration_sink_;
+  std::function<void(int, int, int)> migration_sink_;
   std::function<bool(int)> failover_filter_;
   int total_migrations_ = 0;  ///< Planned moves (sink-owned ones included).
 };

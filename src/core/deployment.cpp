@@ -140,39 +140,32 @@ Deployment::Deployment(DeploymentConfig config)
         });
     controller_->set_migration_sink([this](int cell, int from, int to) {
       migration_->begin(cell, from, to);
-      // Handled regardless of outcome: with the manager on, placement
-      // never teleports — deferred/in-flight cells stay on their source.
-      return true;
     });
     controller_->set_failover_filter(
         [this](int cell) { return migration_->holds_failover(cell); });
   }
 
-  // Dropped jobs are failovers in flight: resubmit to the cell's (already
-  // re-planned) new server if one exists; otherwise the subframe is gone
-  // over the air and owes its HARQ consequence like any missed decode.
-  executor_->set_drop_callback(
-      [this](const lte::SubframeJob& job, int server_id) {
-        if (monitor_ && executor_->is_failed(server_id) &&
-            !monitor_->believes_down(server_id))
-          ++blind_window_drops_;
-        const int placed = controller_->server_of(job.cell_id);
-        const int target =
-            migration_
-                ? migration_->routed_server(job.cell_id, engine_.now(), placed)
-                : placed;
-        if (target >= 0 && !executor_->is_failed(target) &&
-            engine_.now() < job.deadline) {
-          executor_->submit(target, job);
-          return;
-        }
-        handle_harq_loss(job);
-      });
-
-  // HARQ feedback: a missed uplink decode means no ACK reached the UE, so
+  // A dropped job is a failover in flight, handled before it is counted:
+  // resubmitted to the cell's (already re-planned) new server if one
+  // exists, otherwise gone over the air with the HARQ debt of any missed
+  // decode. A missed or abandoned decode means no ACK reached the UE, so
   // the same transport block arrives again 8 TTIs later — real extra load.
-  // Dropped jobs already settled their HARQ debt in the drop callback.
   executor_->set_completion_callback([this](const cluster::JobOutcome& o) {
+    if (o.dropped) {
+      if (monitor_ && executor_->is_failed(o.server_id) &&
+          !monitor_->believes_down(o.server_id))
+        ++blind_window_drops_;
+      const int placed = controller_->server_of(o.job.cell_id);
+      const int target =
+          migration_
+              ? migration_->routed_server(o.job.cell_id, engine_.now(), placed)
+              : placed;
+      if (target >= 0 && !executor_->is_failed(target) &&
+          engine_.now() < o.job.deadline)
+        executor_->submit(target, o.job);
+      else
+        handle_harq_loss(o.job);
+    }
     // Every terminal outcome counts one subframe (the SLO denominators).
     PRAN_COUNTER_INC(metrics_, "deployment.subframes");
     const auto cell = static_cast<std::size_t>(o.job.cell_id);
@@ -200,11 +193,10 @@ Deployment::Deployment(DeploymentConfig config)
     if (o.missed_deadline()) {
       PRAN_COUNTER_INC(metrics_, "deployment.deadline_misses");
       cell_misses_->inc(cell);
+      handle_harq_loss(o.job);
     } else if (!o.dropped) {
       delivered_tb_bits_ += o.job.tb_bits;  // on-time: goodput numerator
     }
-    if (o.dropped || !o.missed_deadline()) return;
-    handle_harq_loss(o.job);
   });
 
   // Fault delivery: scripted plans and stochastic MTBF/MTTR processes both
@@ -332,7 +324,7 @@ void Deployment::tick() {
     MigrationManager::TickDecision mig;
     mig.server = controller_->server_of(static_cast<int>(c));
     if (migration_)
-      mig = migration_->on_tick(static_cast<int>(c), tti_counter_, mig.server);
+      mig = migration_->on_tick(static_cast<int>(c), mig.server);
 
     if (degradation_ && degradation_->cell_quarantined(static_cast<int>(c))) {
       // Ladder took the cell out of service: radio off, so no I/Q hits
@@ -613,9 +605,10 @@ void Deployment::on_server_fault(int server_id, faults::FaultKind kind) {
   fault_time_[static_cast<std::size_t>(server_id)] = engine_.now();
   if (monitor_) return;  // the controller stays blind until detection
   // Oracle mode: re-place cells *before* the injector fails the executor,
-  // so the drop callback forwards in-flight jobs to their new homes. The
-  // migration manager hears first — commit-phase cells with a dead source
-  // resolve by lease takeover and must be filtered out of the failover.
+  // so the completion callback forwards dropped jobs to their new homes.
+  // The migration manager hears first — commit-phase cells with a dead
+  // source resolve by lease takeover and must be filtered out of the
+  // failover.
   close_energy_interval();
   if (migration_) migration_->on_server_failed(server_id);
   failover_outages_ +=
@@ -804,7 +797,7 @@ DeploymentKpis Deployment::kpis() const {
       active_server_seconds_ +
       sim::to_seconds(engine_.now() - energy_mark_) *
           static_cast<double>(current_active_servers_);
-  k.energy_joules = config_.server.idle_watts * powered_seconds +
+  k.energy_joules = cluster::kIdleWatts * powered_seconds +
                     config_.server.watts_per_busy_core() *
                         stats.total_busy_seconds;
   const EpochTotals& epochs = controller_->epoch_totals();

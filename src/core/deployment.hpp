@@ -140,101 +140,109 @@ struct DeploymentConfig {
   TimelineConfig timeline;
 };
 
+/// Every DeploymentKpis field that export_kpis() publishes, as
+/// X(type, name) in declaration and export order; each becomes the
+/// `kpi.<name>` gauge. Expand it with a two-argument macro.
+#define PRAN_DEPLOYMENT_KPIS(X)                                              \
+  X(std::uint64_t, subframes_processed)                                      \
+  X(std::uint64_t, deadline_misses)                                          \
+  X(std::uint64_t, dropped)                                                  \
+  X(double, miss_ratio)                                                      \
+  X(int, migrations)                                                         \
+  X(double, mean_active_servers)                                             \
+  X(int, failover_outage_cells)                                              \
+  /* Epochs whose replan came back infeasible (stale placement kept). */     \
+  X(int, infeasible_epochs)                                                  \
+  /* Sum over epochs of cells shed by admission control. */                  \
+  X(int, shed_cell_epochs)                                                   \
+  /* Cell-TTIs skipped because the cell had no server (outage). */           \
+  X(std::uint64_t, outage_cell_ttis)                                         \
+  /* HARQ retransmissions triggered by missed decode deadlines. */           \
+  X(std::uint64_t, harq_retransmissions)                                     \
+  /* Transport blocks lost after exhausting HARQ retransmissions. */         \
+  X(std::uint64_t, lost_transport_blocks)                                    \
+  /* Cluster energy consumed (idle draw of active servers + busy-core        \
+     increments), in joules. */                                              \
+  X(double, energy_joules)                                                   \
+  /* Faults delivered by the injector (scripted + stochastic). */            \
+  X(int, faults_injected)                                                    \
+  /* Degrade (straggler) faults among those. */                              \
+  X(int, degrade_events)                                                     \
+  /* Crashes the health monitor declared (equals crashes in oracle mode). */ \
+  X(int, fault_detections)                                                   \
+  /* Mean fault-to-declaration latency (0 in oracle mode). */                \
+  X(double, mean_detection_latency_ms)                                       \
+  /* Jobs dropped on a dead server before the monitor declared it down. */   \
+  X(std::uint64_t, blind_window_drops)                                       \
+  /* Recoveries the controller refused because the server was flapping. */   \
+  X(int, quarantine_events)                                                  \
+  /* I/Q bursts dropped on the fronthaul by the impairment model. */         \
+  X(std::uint64_t, fronthaul_lost_bursts)                                    \
+  /* Bursts whose queueing + jitter exceeded the late threshold. */          \
+  X(std::uint64_t, fronthaul_late_bursts)                                    \
+  /* Link-capacity brownout episodes delivered. */                           \
+  X(std::uint64_t, fronthaul_brownouts)                                      \
+  /* Doomed subframes shed at ingress by the degradation ladder. */          \
+  X(std::uint64_t, shed_subframes)                                           \
+  /* Transport blocks failed by the ladder's compression EVM penalty. */     \
+  X(std::uint64_t, compression_tb_failures)                                  \
+  /* Cell-TTIs skipped because the ladder quarantined the cell. */           \
+  X(std::uint64_t, quarantined_cell_ttis)                                    \
+  /* Degradation rung at the end of the run (0 = normal). */                 \
+  X(int, ladder_rung)                                                        \
+  /* Total ladder transitions (up + down) over the run. */                   \
+  X(std::uint64_t, ladder_transitions)                                       \
+  /* Subframe jobs abandoned for lack of compute before their deadline —     \
+     the computational-outage outcome (never queued; distinct from           \
+     `dropped`, which is fault-induced, and from `deadline_misses`, where    \
+     the decode ran but finished late). */                                   \
+  X(std::uint64_t, compute_outage_jobs)                                      \
+  /* Transport blocks inside those jobs. */                                  \
+  X(std::uint64_t, compute_outage_tbs)                                       \
+  /* Fraction of offered jobs abandoned for lack of compute. */              \
+  X(double, compute_outage_ratio)                                            \
+  /* Transport blocks whose turbo-iteration budget was clamped below the     \
+     sampled demand (by the backpressure loop or an effort rung). */         \
+  X(std::uint64_t, effort_capped_tbs)                                        \
+  /* Turbo iterations the channel demanded across submitted + abandoned      \
+     jobs, and the iterations actually granted (the honest spend). */        \
+  X(std::uint64_t, decode_iterations_needed)                                 \
+  X(std::uint64_t, decode_iterations_realized)                               \
+  /* Goodput accounting: transport-block bits offered to the pool, and       \
+     bits of jobs that completed inside their deadline. */                   \
+  X(double, offered_tb_bits)                                                 \
+  X(double, delivered_tb_bits)                                               \
+  /* Worst per-server compute backlog seen over the run, in TTIs. */         \
+  X(double, peak_compute_pressure)                                           \
+  /* Cell-migration protocol outcomes (all zero unless migration.enabled;    \
+     `migrations` above still counts *planned* moves). */                    \
+  X(std::uint64_t, migrations_started)                                       \
+  X(std::uint64_t, migrations_committed)                                     \
+  X(std::uint64_t, migrations_aborted)                                       \
+  X(std::uint64_t, migrations_rolled_back)                                   \
+  /* Lease-expiry takeovers (source crashed after the state transfer). */    \
+  X(std::uint64_t, migrations_taken_over)                                    \
+  X(std::uint64_t, migration_retries)                                        \
+  X(std::uint64_t, migrations_deferred)                                      \
+  X(std::uint64_t, migration_deadline_expired)                               \
+  /* Fenced duplicates / reordered strays rejected by token checks. */       \
+  X(std::uint64_t, migration_stale_messages)                                 \
+  /* Cell-TTIs unowned because of a migration window (fence gap, takeover    \
+     wait, or the naive baseline's dark transfer). */                        \
+  X(std::uint64_t, migration_blackout_ttis)                                  \
+  /* Cell-TTIs granted to two servers. Zero by construction — a nonzero      \
+     value is a ContractViolation before it is a KPI. */                     \
+  X(std::uint64_t, migration_dual_executions)                                \
+  X(double, mean_handoff_latency_ms)
+
 /// Aggregate KPIs over a run.
 struct DeploymentKpis {
-  std::uint64_t subframes_processed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t dropped = 0;
-  double miss_ratio = 0.0;
-  int migrations = 0;
-  double mean_active_servers = 0.0;
+#define PRAN_KPI_FIELD(type, name) type name{};
+  PRAN_DEPLOYMENT_KPIS(PRAN_KPI_FIELD)
+#undef PRAN_KPI_FIELD
   /// Host wall time of the mean replan: the one host-time field, so no
   /// export writes it (`span_us.controller_replan` holds every replan).
   double mean_plan_seconds = 0.0;
-  int failover_outage_cells = 0;
-  /// Epochs whose replan came back infeasible (stale placement kept).
-  int infeasible_epochs = 0;
-  /// Sum over epochs of cells shed by admission control.
-  int shed_cell_epochs = 0;
-  /// Cell-TTIs skipped because the cell had no server (outage).
-  std::uint64_t outage_cell_ttis = 0;
-  /// HARQ retransmissions triggered by missed decode deadlines.
-  std::uint64_t harq_retransmissions = 0;
-  /// Transport blocks lost after exhausting HARQ retransmissions.
-  std::uint64_t lost_transport_blocks = 0;
-  /// Cluster energy consumed (idle draw of active servers + busy-core
-  /// increments), in joules.
-  double energy_joules = 0.0;
-  /// Faults delivered by the injector (scripted + stochastic).
-  int faults_injected = 0;
-  /// Degrade (straggler) faults among those.
-  int degrade_events = 0;
-  /// Crashes the health monitor declared (equals crashes in oracle mode).
-  int fault_detections = 0;
-  /// Mean fault-to-declaration latency (0 in oracle mode).
-  double mean_detection_latency_ms = 0.0;
-  /// Jobs dropped on a dead server before the monitor declared it down.
-  std::uint64_t blind_window_drops = 0;
-  /// Recoveries the controller refused because the server was flapping.
-  int quarantine_events = 0;
-  /// I/Q bursts dropped on the fronthaul by the impairment model.
-  std::uint64_t fronthaul_lost_bursts = 0;
-  /// Bursts whose queueing + jitter exceeded the late threshold.
-  std::uint64_t fronthaul_late_bursts = 0;
-  /// Link-capacity brownout episodes delivered.
-  std::uint64_t fronthaul_brownouts = 0;
-  /// Doomed subframes shed at ingress by the degradation ladder.
-  std::uint64_t shed_subframes = 0;
-  /// Transport blocks failed by the ladder's compression EVM penalty.
-  std::uint64_t compression_tb_failures = 0;
-  /// Cell-TTIs skipped because the ladder quarantined the cell.
-  std::uint64_t quarantined_cell_ttis = 0;
-  /// Degradation rung at the end of the run (0 = normal).
-  int ladder_rung = 0;
-  /// Total ladder transitions (up + down) over the run.
-  std::uint64_t ladder_transitions = 0;
-  /// Subframe jobs abandoned for lack of compute before their deadline —
-  /// the computational-outage outcome (never queued; distinct from
-  /// `dropped`, which is fault-induced, and from `deadline_misses`, where
-  /// the decode ran but finished late).
-  std::uint64_t compute_outage_jobs = 0;
-  /// Transport blocks inside those jobs.
-  std::uint64_t compute_outage_tbs = 0;
-  /// Fraction of offered jobs abandoned for lack of compute.
-  double compute_outage_ratio = 0.0;
-  /// Transport blocks whose turbo-iteration budget was clamped below the
-  /// sampled demand (by the backpressure loop or an effort rung).
-  std::uint64_t effort_capped_tbs = 0;
-  /// Turbo iterations the channel demanded across submitted + abandoned
-  /// jobs, and the iterations actually granted (the honest spend).
-  std::uint64_t decode_iterations_needed = 0;
-  std::uint64_t decode_iterations_realized = 0;
-  /// Goodput accounting: transport-block bits offered to the pool, and
-  /// bits of jobs that completed inside their deadline.
-  double offered_tb_bits = 0.0;
-  double delivered_tb_bits = 0.0;
-  /// Worst per-server compute backlog seen over the run, in TTIs.
-  double peak_compute_pressure = 0.0;
-  /// Cell-migration protocol outcomes (all zero unless migration.enabled;
-  /// `migrations` above still counts *planned* moves).
-  std::uint64_t migrations_started = 0;
-  std::uint64_t migrations_committed = 0;
-  std::uint64_t migrations_aborted = 0;
-  std::uint64_t migrations_rolled_back = 0;
-  /// Lease-expiry takeovers (source crashed after the state transfer).
-  std::uint64_t migrations_taken_over = 0;
-  std::uint64_t migration_retries = 0;
-  std::uint64_t migrations_deferred = 0;
-  std::uint64_t migration_deadline_expired = 0;
-  /// Fenced duplicates / reordered strays rejected by token checks.
-  std::uint64_t migration_stale_messages = 0;
-  /// Cell-TTIs unowned because of a migration window (fence gap, takeover
-  /// wait, or the naive baseline's dark transfer).
-  std::uint64_t migration_blackout_ttis = 0;
-  /// Cell-TTIs granted to two servers. Zero by construction — a nonzero
-  /// value is a ContractViolation before it is a KPI.
-  std::uint64_t migration_dual_executions = 0;
-  double mean_handoff_latency_ms = 0.0;
 };
 
 class Deployment {

@@ -11,10 +11,10 @@
 
 namespace pran::core {
 
-/// Sets one `kpi.<field>` gauge per DeploymentKpis field except the
-/// host-time `mean_plan_seconds`. A deployment also calls it on its own
-/// registry at every timeline window, so a window (and any post-mortem it
-/// triggers) carries live KPI values.
+/// Sets one `kpi.<name>` gauge per PRAN_DEPLOYMENT_KPIS entry: every
+/// DeploymentKpis field but the host-time `mean_plan_seconds`. A
+/// deployment also calls it on its own registry at every timeline window,
+/// so a window (and any post-mortem it triggers) carries live KPI values.
 void export_kpis(const DeploymentKpis& kpis,
                  telemetry::MetricsRegistry& registry);
 

@@ -8,14 +8,7 @@
 namespace pran::core {
 
 void validate(const MigrationConfig& config) {
-  PRAN_REQUIRE(config.lease_ttl > 0, "lease TTL must be positive");
-  PRAN_REQUIRE(config.transfer_ttis >= 1,
-               "transfer budget must be at least one TTI");
-  PRAN_REQUIRE(config.transfer_bits >= 0.0,
-               "transfer bits must be non-negative");
   PRAN_REQUIRE(config.deadline > 0, "migration deadline must be positive");
-  PRAN_REQUIRE(config.max_retries >= 0, "retry budget must be non-negative");
-  PRAN_REQUIRE(config.retry_backoff > 0, "retry backoff must be positive");
 }
 
 MigrationManager::MigrationManager(const MigrationConfig& config,
@@ -65,10 +58,9 @@ MigrationManager::Migration* MigrationManager::find(int cell,
 }
 
 sim::Time MigrationManager::backoff_delay(int attempts_done) const {
-  // Exponential: backoff, 2*backoff, 4*backoff ... (shift capped so a
-  // misconfigured retry budget cannot overflow the 64-bit time base).
-  const int shift = std::min(std::max(attempts_done - 1, 0), 16);
-  return config_.retry_backoff * (sim::Time{1} << shift);
+  // Exponential: backoff, 2*backoff, 4*backoff ... over at most
+  // kMaxRetries + 1 sends.
+  return kRetryBackoff * (sim::Time{1} << std::max(attempts_done - 1, 0));
 }
 
 void MigrationManager::count_stale() {
@@ -158,20 +150,15 @@ void MigrationManager::start_instant(Migration& m) {
   m.token = ++token_counter_;
   record_of(m).token = m.token;
   leases_[m.cell].source_until = engine_.now();
-  Transfer t;
-  t.ttis_left = config_.transfer_ttis;
-  t.bits_per_tti =
-      config_.transfer_bits / static_cast<double>(config_.transfer_ttis);
-  transfers_[m.cell] = t;
-  const sim::Time dark =
-      static_cast<sim::Time>(config_.transfer_ttis) * sim::kTti;
-  grant_target(m, MigrationState::kCommitted, engine_.now() + dark);
+  transfers_[m.cell] = kTransferTtis;
+  grant_target(m, MigrationState::kCommitted,
+               engine_.now() + kTransferTtis * sim::kTti);
 }
 
 void MigrationManager::attempt_prepare(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
   if (m == nullptr || m->state != MigrationState::kPreparing) return;
-  if (m->attempts > config_.max_retries) {
+  if (m->attempts > kMaxRetries) {
     PRAN_COUNTER_INC(metrics_, "migration.retry_exhausted");
     resolve(*m, MigrationState::kAborted, "prepare retries exhausted",
             "retry_exhausted");
@@ -212,17 +199,10 @@ void MigrationManager::on_prepare_ack(int cell, std::uint64_t id) {
   m->state = MigrationState::kTransferring;
   record_of(*m).state = MigrationState::kTransferring;
   m->attempts = 0;
-  // Meter the soft-buffer transfer over the fronthaul: transfer_bits
-  // spread evenly across the transfer budget while the source keeps
-  // executing (make-before-break).
-  Transfer t;
-  t.ttis_left = config_.transfer_ttis;
-  t.bits_per_tti =
-      config_.transfer_bits / static_cast<double>(config_.transfer_ttis);
-  transfers_[cell] = t;
-  const sim::Time duration =
-      static_cast<sim::Time>(config_.transfer_ttis) * sim::kTti;
-  engine_.schedule_in(duration,
+  // Meter the soft-buffer transfer over the fronthaul while the source
+  // keeps executing (make-before-break).
+  transfers_[cell] = kTransferTtis;
+  engine_.schedule_in(kTransferTtis * sim::kTti,
                       [this, cell, id] { on_transfer_complete(cell, id); });
 }
 
@@ -235,7 +215,7 @@ void MigrationManager::on_transfer_complete(int cell, std::uint64_t id) {
   // Commit decision: the controller stops renewing the source lease. The
   // source self-fences at the TTL with no message required — this is what
   // lets a lost COMMIT resolve by lease expiry instead of dual ownership.
-  m->fence_at = engine_.now() + config_.lease_ttl;
+  m->fence_at = engine_.now() + kLeaseTtl;
   m->token = ++token_counter_;
   record_of(*m).token = m->token;
   leases_[cell].source_until = m->fence_at;
@@ -245,7 +225,7 @@ void MigrationManager::on_transfer_complete(int cell, std::uint64_t id) {
 void MigrationManager::attempt_commit(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
   if (m == nullptr || m->state != MigrationState::kCommitting) return;
-  if (m->attempts > config_.max_retries) {
+  if (m->attempts > kMaxRetries) {
     PRAN_COUNTER_INC(metrics_, "migration.retry_exhausted");
     if (m->source_dead) {
       // Lease-expiry takeover: the target holds the complete state and
@@ -396,14 +376,14 @@ void MigrationManager::resolve(Migration& m, MigrationState final_state,
 }
 
 MigrationManager::TickDecision MigrationManager::on_tick(
-    int cell, std::int64_t tti, int placement_server) {
+    int cell, int placement_server) {
   PRAN_REQUIRE(cell >= 0 && cell < static_cast<int>(last_exec_tti_.size()),
                "unknown cell");
   TickDecision out;
   const auto tit = transfers_.find(cell);
   if (tit != transfers_.end()) {
-    out.transfer_bits = tit->second.bits_per_tti;
-    if (--tit->second.ttis_left <= 0) transfers_.erase(tit);
+    out.transfer_bits = kTransferBits / kTransferTtis;
+    if (--tit->second <= 0) transfers_.erase(tit);
   }
   const auto it = leases_.find(cell);
   if (it != leases_.end()) {
@@ -425,7 +405,6 @@ MigrationManager::TickDecision MigrationManager::on_tick(
     out.blackout = true;
     PRAN_COUNTER_INC(metrics_, "migration.blackout_ttis");
   }
-  (void)tti;
   return out;
 }
 

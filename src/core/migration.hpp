@@ -12,14 +12,14 @@
 /// makes all three explicit:
 ///
 ///   * two-phase handoff — PREPARE/PREPARE_ACK arm the target, a
-///     `transfer_ttis`-long state transfer streams the soft buffers
+///     kTransferTtis-long state transfer streams the soft buffers
 ///     (charged against the shared fronthaul), then COMMIT flips
 ///     ownership. The source keeps executing until its lease is fenced,
 ///     so the happy path has zero blackout (make-before-break);
 ///   * lease fencing — ownership is a (server, token) lease with
 ///     monotonically increasing tokens. At commit decision the controller
 ///     stops renewing the source lease: the source self-fences at
-///     `commit decision + lease_ttl` with no message required, which is
+///     `commit decision + kLeaseTtl` with no message required, which is
 ///     how a lost COMMIT resolves (lease expiry), never by dual ownership.
 ///     A reordered stale COMMIT carries an old token and is rejected;
 ///   * bounded failure handling — per-migration deadline, bounded
@@ -31,7 +31,7 @@
 ///
 /// The naive baseline (`make_before_break = false`) models today's
 /// instant reassignment honestly: ownership flips immediately and the
-/// target spends `transfer_ttis` dark while the state streams *after* the
+/// target spends kTransferTtis dark while the state streams *after* the
 /// switch — break-before-make. Every dark TTI is a real blackout that
 /// costs HARQ debt, which is exactly the cost bench_e22 measures the
 /// protocol against.
@@ -71,6 +71,21 @@ enum class MigrationState {
                   ///< source-lease expiry.
 };
 
+/// Source-lease TTL: how long after the commit decision the source may
+/// still execute. A lost COMMIT resolves this much later at worst.
+inline constexpr sim::Time kLeaseTtl = 20 * sim::kMillisecond;
+/// State-transfer budget: the handoff streams the soft buffers over this
+/// many TTIs, charging kTransferBits spread across them against the
+/// shared fronthaul.
+inline constexpr int kTransferTtis = 8;
+inline constexpr double kTransferBits = 8.0e6;
+/// Retries per protocol message beyond the first send.
+inline constexpr int kMaxRetries = 3;
+/// Backoff before the first retry; doubles per attempt.
+inline constexpr sim::Time kRetryBackoff = 4 * sim::kMillisecond;
+static_assert(kTransferTtis >= 1, "the transfer spans at least one TTI");
+static_assert(kRetryBackoff > 0, "each retry must come after its send");
+
 struct MigrationConfig {
   /// Master switch: off keeps the legacy instant-teleport behaviour with
   /// no migration cost (existing benches and tests are unaffected).
@@ -79,21 +94,9 @@ struct MigrationConfig {
   /// reassignment baseline (flip first, stream state after, eat the
   /// blackout) — what bench_e22 compares against.
   bool make_before_break = true;
-  /// Source-lease TTL: how long after the commit decision the source may
-  /// still execute. A lost COMMIT resolves this much later at worst.
-  sim::Time lease_ttl = 20 * sim::kMillisecond;
-  /// State-transfer budget: the handoff streams the soft buffers over
-  /// this many TTIs, charging `transfer_bits` spread across them against
-  /// the shared fronthaul.
-  int transfer_ttis = 8;
-  double transfer_bits = 8.0e6;
   /// A migration not committed this long after begin() is rolled back
   /// (or aborted when the transfer never started).
   sim::Time deadline = 200 * sim::kMillisecond;
-  /// Retries per protocol message beyond the first send.
-  int max_retries = 3;
-  /// Backoff before the first retry; doubles per attempt.
-  sim::Time retry_backoff = 4 * sim::kMillisecond;
   /// Controller <-> server command-channel impairments.
   faults::ControlPlaneImpairmentConfig control_plane;
 };
@@ -182,11 +185,11 @@ class MigrationManager {
   void set_deferral(bool deferred) noexcept { deferral_ = deferred; }
   bool deferral() const noexcept { return deferral_; }
 
-  /// The routing decision for `cell` at TTI `tti`; `placement_server` is
-  /// the controller's mapping, used when no lease is active. Counts
-  /// blackout TTIs and meters out state-transfer bits — call exactly once
-  /// per (cell, TTI).
-  TickDecision on_tick(int cell, std::int64_t tti, int placement_server);
+  /// The routing decision for `cell` at the current TTI;
+  /// `placement_server` is the controller's mapping, used when no lease is
+  /// active. Counts blackout TTIs and meters out state-transfer bits —
+  /// call exactly once per (cell, TTI).
+  TickDecision on_tick(int cell, int placement_server);
 
   /// Side-effect-free routing (HARQ retransmissions and the failover drop
   /// path): where `cell` executes at `now`, -1 when unowned.
@@ -244,7 +247,7 @@ class MigrationManager {
     int to = -1;
     MigrationState state = MigrationState::kPreparing;
     sim::Time started_at = 0;
-    sim::Time fence_at = kNever;  ///< commit decision + lease_ttl.
+    sim::Time fence_at = kNever;  ///< commit decision + kLeaseTtl.
     std::uint64_t token = 0;      ///< Target's fencing token (commit phase).
     int attempts = 0;             ///< Sends of the current phase's message.
     bool source_dead = false;
@@ -284,12 +287,9 @@ class MigrationManager {
   /// the channel's send sequence must not depend on hash order.
   std::map<int, Migration> active_;
   std::map<int, Lease> leases_;
-  /// Pending state-transfer metering: bits per TTI, TTIs left.
-  struct Transfer {
-    double bits_per_tti = 0.0;
-    int ttis_left = 0;
-  };
-  std::map<int, Transfer> transfers_;
+  /// TTIs of state transfer left per cell; each TTI charges an even
+  /// share of kTransferBits.
+  std::map<int, int> transfers_;
   std::vector<bool> failed_;  ///< Per-server crash state (index = server).
   /// Last execution grant per cell, for the dual-execution invariant.
   std::vector<std::int64_t> last_exec_tti_;

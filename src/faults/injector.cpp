@@ -93,7 +93,8 @@ void FaultInjector::deliver_fault(int server_id, FaultKind kind,
             .recovered_at = engine_.now();
       }
       // Listener first (oracle-mode re-placement), then the actual loss, so
-      // the executor's drop callback sees the post-failover placement.
+      // the executor reports each dropped job under the post-failover
+      // placement.
       if (on_fault_) on_fault_(server_id, kind);
       executor_.fail_server(server_id);
       st = State::kDown;

@@ -10,9 +10,10 @@
 ///
 /// Delivery contract: the fault callback fires *before* the executor state
 /// changes, so a listener running in oracle mode can re-place the victim's
-/// cells first and the executor's drop callback then forwards in-flight
-/// jobs to their new homes (the ordering bench E8 depends on). The
-/// recovery callback fires *after* the executor is healthy again.
+/// cells first and the executor's completion callback then forwards the
+/// dropped in-flight jobs to their new homes (the ordering bench E8
+/// depends on). The recovery callback fires *after* the executor is
+/// healthy again.
 
 #include <functional>
 #include <vector>

@@ -123,13 +123,12 @@ MilpResult MilpSolver::solve(const Model& root) const {
     // Find the most fractional integer variable.
     int branch_var = -1;
     double branch_val = 0.0;
-    double best_frac_score = kIntegralityTol;
+    double best_frac = kIntegralityTol;
     for (int j : int_vars) {
       const double v = relax.x[static_cast<std::size_t>(j)];
-      const double frac = std::abs(v - std::round(v));
-      const double score = std::min(frac, 1.0 - frac) + frac * 0.0;
-      if (frac > kIntegralityTol && score > best_frac_score) {
-        best_frac_score = score;
+      const double frac = std::abs(v - std::round(v));  // in [0, 0.5]
+      if (frac > best_frac) {
+        best_frac = frac;
         branch_var = j;
         branch_val = v;
       }

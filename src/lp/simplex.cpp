@@ -32,7 +32,7 @@ class Tableau {
       for (std::size_t j = artificial_begin_; j < num_cols_; ++j)
         phase1_cost[j] = 1.0;
       set_cost(phase1_cost);
-      const auto status = optimize(result.iterations, /*phase1=*/true);
+      const auto status = optimize(result.iterations);
       if (status == LpStatus::kIterationLimit) {
         result.status = status;
         return result;
@@ -47,7 +47,7 @@ class Tableau {
     // Phase 2: original costs (converted to minimisation).
     set_cost(structural_cost_);
     forbid_artificials();
-    const auto status = optimize(result.iterations, /*phase1=*/false);
+    const auto status = optimize(result.iterations);
     if (status != LpStatus::kOptimal) {
       result.status = status;
       return result;
@@ -198,8 +198,7 @@ class Tableau {
     }
   }
 
-  LpStatus optimize(long& iterations, bool phase1) {
-    (void)phase1;
+  LpStatus optimize(long& iterations) {
     long local = 0;
     for (;;) {
       if (iterations >= kMaxPivots)

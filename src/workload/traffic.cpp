@@ -153,7 +153,7 @@ double TrafficModel::peak_subframe_gops() const {
 }
 
 Fleet make_fleet(int num_cells, std::uint64_t seed, lte::CellConfig config,
-                 double peak_prb_utilization, double profile_jitter_sigma) {
+                 double peak_prb_utilization) {
   PRAN_REQUIRE(num_cells >= 1, "fleet needs at least one cell");
   Fleet fleet;
   fleet.cells.reserve(static_cast<std::size_t>(num_cells));
@@ -167,7 +167,7 @@ Fleet make_fleet(int num_cells, std::uint64_t seed, lte::CellConfig config,
     site.kind = kinds[static_cast<std::size_t>(c) % 4];
     site.peak_prb_utilization = peak_prb_utilization;
     DiurnalProfile profile =
-        DiurnalProfile::canonical(site.kind).jittered(rng, profile_jitter_sigma);
+        DiurnalProfile::canonical(site.kind).jittered(rng, kProfileJitterSigma);
     fleet.cells.emplace_back(site, profile, lte::CostModel{}, rng.fork()());
   }
   return fleet;

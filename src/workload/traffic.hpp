@@ -84,6 +84,10 @@ class TrafficModel {
   Rng rng_;
 };
 
+/// Log-normal sigma of the per-cell jitter make_fleet applies to each
+/// canonical diurnal profile.
+inline constexpr double kProfileJitterSigma = 0.15;
+
 /// Builds a fleet of heterogeneous cell sites: site kinds are assigned
 /// round-robin over {office, residential, mixed, transport} and each cell's
 /// profile is jittered so no two cells are identical.
@@ -92,7 +96,6 @@ struct Fleet {
 };
 Fleet make_fleet(int num_cells, std::uint64_t seed,
                  lte::CellConfig config = {},
-                 double peak_prb_utilization = 0.85,
-                 double profile_jitter_sigma = 0.15);
+                 double peak_prb_utilization = 0.85);
 
 }  // namespace pran::workload

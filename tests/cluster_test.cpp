@@ -108,7 +108,7 @@ TEST(Executor, FailureDropsQueuedAndRunning) {
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
   int drops = 0;
-  ex.set_drop_callback([&](const lte::SubframeJob&, int) { ++drops; });
+  ex.set_completion_callback([&](const JobOutcome& o) { drops += o.dropped; });
   ex.submit(0, make_job(0, 1.0, 0, 50 * sim::kMillisecond));  // 10 ms run
   ex.submit(0, make_job(1, 0.1, 0, 50 * sim::kMillisecond));  // queued
   engine.schedule_at(2 * sim::kMillisecond, [&] { ex.fail_server(0); });
@@ -165,21 +165,20 @@ TEST(Executor, CrashedJobsCompletionIsIgnoredAfterRestore) {
 }
 
 TEST(Executor, DropThatSettlesAsOutageReportsBothOutcomes) {
-  // A drop callback may record an outcome of its own, as Deployment's does
-  // when a lost job settles as a compute outage. The completion callback
+  // The completion callback may record an outcome of its own from a drop,
+  // as Deployment's does when a lost job settles as a compute outage. It
   // must still see every outcome exactly once: each drop and each outage.
   sim::Engine engine;
   Executor ex(engine, {one_core(100.0), one_core(100.0)}, SchedPolicy::kEdf);
-  ex.set_drop_callback([&](const lte::SubframeJob& job, int) {
-    lte::SubframeJob outage = job;
-    outage.cell_id += 100;
-    ex.record_compute_outage(1, outage);
-  });
   std::map<int, int> reports_per_cell;
   ex.set_completion_callback([&](const JobOutcome& o) {
     ++reports_per_cell[o.job.cell_id];
     EXPECT_EQ(o.dropped, o.job.cell_id < 100);
     EXPECT_EQ(o.compute_outage, o.job.cell_id >= 100);
+    if (!o.dropped) return;
+    lte::SubframeJob outage = o.job;
+    outage.cell_id += 100;
+    ex.record_compute_outage(1, outage);
   });
   ex.submit(0, make_job(7, 1.0, 0, 50 * sim::kMillisecond));  // running
   ex.submit(0, make_job(8, 0.1, 0, 50 * sim::kMillisecond));  // queued
@@ -262,13 +261,12 @@ TEST(Executor, ComputeOutageIsItsOwnOutcome) {
   Executor ex(engine, {one_core(100.0)}, SchedPolicy::kEdf);
   int completions = 0;
   bool saw_outage_flag = false;
+  bool saw_dropped_flag = false;
   ex.set_completion_callback([&](const JobOutcome& o) {
     ++completions;
     saw_outage_flag = o.compute_outage;
+    saw_dropped_flag = o.dropped;
   });
-  bool drop_fired = false;
-  ex.set_drop_callback(
-      [&](const lte::SubframeJob&, int) { drop_fired = true; });
   ex.record_compute_outage(0, make_job(3, 0.2, 0, sim::kMillisecond));
   ASSERT_EQ(ex.outcomes().size(), 1u);
   const auto& o = ex.outcomes()[0];
@@ -276,11 +274,11 @@ TEST(Executor, ComputeOutageIsItsOwnOutcome) {
   EXPECT_FALSE(o.dropped);
   // An abandoned job never ran: it is neither a miss nor a drop.
   EXPECT_FALSE(o.missed_deadline());
-  // HARQ accounting rides the completion callback; the drop callback
-  // stays reserved for fault-induced loss.
+  // HARQ accounting rides the completion callback; its one report is not
+  // a drop, which stays reserved for fault-induced loss.
   EXPECT_EQ(completions, 1);
   EXPECT_TRUE(saw_outage_flag);
-  EXPECT_FALSE(drop_fired);
+  EXPECT_FALSE(saw_dropped_flag);
   EXPECT_EQ(ex.stats().compute_outages, 1u);
   EXPECT_EQ(ex.stats().completed, 0u);
   EXPECT_EQ(ex.stats().dropped, 0u);

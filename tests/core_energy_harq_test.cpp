@@ -10,8 +10,8 @@ namespace {
 
 TEST(ServerSpecEnergy, WattIncrements) {
   cluster::ServerSpec spec{"s", 8, 150.0};
-  EXPECT_DOUBLE_EQ(spec.idle_watts, 90.0);
-  EXPECT_DOUBLE_EQ(spec.busy_watts, 250.0);
+  EXPECT_DOUBLE_EQ(cluster::kIdleWatts, 90.0);
+  EXPECT_DOUBLE_EQ(cluster::kBusyWatts, 250.0);
   EXPECT_DOUBLE_EQ(spec.watts_per_busy_core(), 20.0);
 }
 
@@ -36,8 +36,9 @@ TEST(Energy, AccruesWithTimeAndLoad) {
   // Sanity bounds: between idle-only and fully-busy for the active count.
   const double seconds = sim::to_seconds(d.now());
   const auto active = d.kpis().mean_active_servers;
-  EXPECT_GE(e2, 0.9 * active * 90.0 * seconds);
-  EXPECT_LE(e2, 1.2 * active * 250.0 * seconds + 90.0 * seconds);
+  EXPECT_GE(e2, 0.9 * active * cluster::kIdleWatts * seconds);
+  EXPECT_LE(e2, 1.2 * active * cluster::kBusyWatts * seconds +
+                    cluster::kIdleWatts * seconds);
 }
 
 TEST(Energy, ConsolidationUsesLessThanStaticPeak) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -74,9 +75,6 @@ DeploymentConfig control_plane_config() {
   config.heartbeat_period = 5 * sim::kMillisecond;
   config.heartbeat_miss_threshold = 2;
   config.controller.quarantine = true;
-  config.controller.flap_threshold = 2;
-  config.controller.flap_window = 5 * sim::kSecond;
-  config.controller.quarantine_base = 300 * sim::kMillisecond;
 
   config.shared_fronthaul =
       fronthaul::LinkParams{units::BitRate{40e9}, 25 * sim::kMicrosecond};
@@ -98,9 +96,6 @@ DeploymentConfig control_plane_config() {
 
   config.migration.enabled = true;
   config.migration.make_before_break = true;
-  config.migration.lease_ttl = 20 * sim::kMillisecond;
-  config.migration.transfer_ttis = 8;
-  config.migration.transfer_bits = 8.0e6;
   config.migration.deadline = 100 * sim::kMillisecond;
   return config;
 }
@@ -152,6 +147,47 @@ TEST(KpiExport, EachControlPlaneEventIsCountedOnce) {
   EXPECT_EQ(exported.counter_value("controller.epochs"), epochs);
   EXPECT_FALSE(names_trace_series(exported.snapshot()));
   EXPECT_FALSE(names_trace_series(telemetry::registry().snapshot()));
+}
+
+TEST(KpiExport, EveryKpiIsExportedUnderItsName) {
+  // HARQ, the ladder, overload control, lossy migration and two crashes
+  // of a busy server, so most fields are nonzero and a field exported
+  // under another's name reads back wrong.
+  DeploymentConfig config = control_plane_config();
+  config.overload.enabled = true;
+  config.migration.control_plane.loss_probability = 0.2;
+  Deployment d(config);
+  const int victim = d.controller().server_of(0);
+  d.fail_server_at(300 * sim::kMillisecond, victim);
+  d.restore_server_at(400 * sim::kMillisecond, victim);
+  d.fail_server_at(600 * sim::kMillisecond, victim);
+  d.restore_server_at(700 * sim::kMillisecond, victim);
+  d.run_for(2 * sim::kSecond);
+  const DeploymentKpis kpis = d.kpis();
+  EXPECT_GT(kpis.dropped, 0u);
+  EXPECT_GT(kpis.harq_retransmissions, 0u);
+  EXPECT_GT(kpis.ladder_transitions, 0u);
+  EXPECT_GT(kpis.compute_outage_jobs, 0u);
+  EXPECT_GT(kpis.migrations_committed, 0u);
+  EXPECT_GT(kpis.migration_retries, 0u);
+
+  telemetry::MetricsRegistry registry;
+  export_kpis(kpis, registry);
+  std::map<std::string, double> exported;
+  for (const auto& g : registry.snapshot().gauges)
+    if (g.name.rfind("kpi.", 0) == 0) exported[g.name] = g.value;
+
+  std::size_t entries = 0;
+#define PRAN_EXPECT_EXPORTED(type, name)                                 \
+  ++entries;                                                            \
+  ASSERT_EQ(exported.count("kpi." #name), 1u) << #name;                 \
+  EXPECT_EQ(exported.at("kpi." #name), static_cast<double>(kpis.name)) \
+      << #name;
+  PRAN_DEPLOYMENT_KPIS(PRAN_EXPECT_EXPORTED)
+#undef PRAN_EXPECT_EXPORTED
+  EXPECT_EQ(entries, 48u);
+  EXPECT_EQ(exported.size(), 48u);
+  EXPECT_EQ(exported.count("kpi.mean_plan_seconds"), 0u);
 }
 
 TEST(KpiExport, SpanHistogramsCountEveryTickAndEpochReplan) {

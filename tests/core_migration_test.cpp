@@ -35,12 +35,7 @@ MigrationConfig two_phase_config() {
   MigrationConfig config;
   config.enabled = true;
   config.make_before_break = true;
-  config.lease_ttl = 20 * sim::kMillisecond;
-  config.transfer_ttis = 8;
-  config.transfer_bits = 8.0e6;
   config.deadline = 200 * sim::kMillisecond;
-  config.max_retries = 3;
-  config.retry_backoff = 4 * sim::kMillisecond;
   return config;
 }
 
@@ -62,7 +57,7 @@ struct Harness {
   void tick_to(std::int64_t last_tti, int cell, int placement) {
     for (; next_tti <= last_tti; ++next_tti) {
       engine.run_until(next_tti * sim::kTti);
-      const auto d = mgr.on_tick(cell, next_tti, placement);
+      const auto d = mgr.on_tick(cell, placement);
       servers.push_back(d.server);
       if (d.blackout) ++blackouts;
       transfer_bits += d.transfer_bits;
@@ -82,15 +77,9 @@ struct Harness {
 };
 
 TEST(Migration, ValidateRejectsBadConfig) {
-  auto no_transfer = two_phase_config();
-  no_transfer.transfer_ttis = 0;
-  EXPECT_THROW(core::validate(no_transfer), ContractViolation);
   auto no_deadline = two_phase_config();
   no_deadline.deadline = 0;
   EXPECT_THROW(core::validate(no_deadline), ContractViolation);
-  auto no_backoff = two_phase_config();
-  no_backoff.retry_backoff = 0;
-  EXPECT_THROW(core::validate(no_backoff), ContractViolation);
 }
 
 TEST(Migration, HappyPathCommitsWithZeroBlackout) {
@@ -110,7 +99,7 @@ TEST(Migration, HappyPathCommitsWithZeroBlackout) {
   EXPECT_EQ(c.dual_executions, 0u);
   EXPECT_EQ(h.blackouts, 0u);
   // The whole soft-buffer debt was streamed, spread across the transfer.
-  EXPECT_DOUBLE_EQ(h.transfer_bits, 8.0e6);
+  EXPECT_DOUBLE_EQ(h.transfer_bits, core::kTransferBits);
   // Source executes through prepare + transfer + lease fence, then the
   // target takes over — never neither, never both.
   EXPECT_EQ(h.servers.front(), 0);
@@ -147,6 +136,7 @@ TEST(Migration, LostPrepareRetriesAndStillCommits) {
 TEST(Migration, LostCommitWithLiveSourceRollsBackUnderFreshToken) {
   auto config = two_phase_config();
   // seq 0 = PREPARE, 1 = PREPARE_ACK, 2..5 = COMMIT + its 3 retries.
+  static_assert(core::kMaxRetries == 3);
   config.control_plane.scripted_drops = {2, 3, 4, 5};
   Harness h(config);
   ASSERT_EQ(h.mgr.begin(0, 0, 1), MigrationManager::BeginResult::kStarted);
@@ -156,7 +146,7 @@ TEST(Migration, LostCommitWithLiveSourceRollsBackUnderFreshToken) {
   EXPECT_EQ(c.committed, 0u);
   EXPECT_EQ(c.rolled_back, 1u);
   EXPECT_EQ(c.retry_exhaustions, 1u);
-  EXPECT_EQ(c.retries, 3u);
+  EXPECT_EQ(c.retries, static_cast<std::uint64_t>(core::kMaxRetries));
   // The source keeps the cell, re-granted under a bumped fencing token so
   // any straggler COMMIT would bounce as stale.
   EXPECT_EQ(h.mgr.routed_server(0, h.engine.now(), 0), 0);
@@ -261,19 +251,19 @@ TEST(Migration, RetryBackoffScheduleIsExponential) {
   const auto& c = h.mgr.counters();
   EXPECT_EQ(c.retry_exhaustions, 1u);
   EXPECT_EQ(c.aborted, 1u);
-  EXPECT_EQ(c.retries, 3u);
+  EXPECT_EQ(c.retries, static_cast<std::uint64_t>(core::kMaxRetries));
   // Sends at t0, t0+4ms, t0+12ms, t0+28ms: backoff 4 -> 8 -> 16 ms.
   const auto& log = h.mgr.channel().log();
-  ASSERT_EQ(log.size(), 4u);
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(core::kMaxRetries + 1));
   std::vector<sim::Time> sends;
   for (const auto& d : log) {
     EXPECT_FALSE(d.lost);
     sends.push_back(d.deliver_at - faults::kControlPlaneBaseDelay -
                     config.control_plane.reorder_delay);
   }
-  EXPECT_EQ(sends[1] - sends[0], 4 * sim::kMillisecond);
-  EXPECT_EQ(sends[2] - sends[1], 8 * sim::kMillisecond);
-  EXPECT_EQ(sends[3] - sends[2], 16 * sim::kMillisecond);
+  EXPECT_EQ(sends[1] - sends[0], core::kRetryBackoff);
+  EXPECT_EQ(sends[2] - sends[1], 2 * core::kRetryBackoff);
+  EXPECT_EQ(sends[3] - sends[2], 4 * core::kRetryBackoff);
   // All four PREPAREs eventually land on a migration that no longer
   // exists: fenced as stale, not acted on.
   EXPECT_EQ(c.stale_messages, 4u);
@@ -361,9 +351,10 @@ TEST(Migration, NaiveInstantFlipGoesDarkForTheTransferWindow) {
   EXPECT_EQ(c.committed, 1u);
   // Break-before-make: ownership flipped instantly, and the cell had no
   // live owner for the whole 8-TTI state stream.
-  EXPECT_EQ(c.blackout_ttis, 8u);
-  EXPECT_EQ(h.blackouts, 8u);
-  EXPECT_DOUBLE_EQ(h.transfer_bits, 8.0e6);
+  const auto transfer_ttis = static_cast<std::uint64_t>(core::kTransferTtis);
+  EXPECT_EQ(c.blackout_ttis, transfer_ttis);
+  EXPECT_EQ(h.blackouts, transfer_ttis);
+  EXPECT_DOUBLE_EQ(h.transfer_bits, core::kTransferBits);
   EXPECT_EQ(h.servers.back(), 1);
   EXPECT_NEAR(c.mean_handoff_latency_ms(), 8.0, 0.1);
   ASSERT_EQ(h.completions.size(), 1u);

@@ -39,9 +39,6 @@ std::vector<Kpi> sweep(unsigned threads) {
     config.stochastic_faults.mttr_seconds = 0.05;
     config.heartbeat_period = 10 * sim::kMillisecond;
     config.controller.quarantine = true;
-    config.controller.flap_threshold = 2;
-    config.controller.flap_window = 2 * sim::kSecond;
-    config.controller.quarantine_base = 500 * sim::kMillisecond;
     core::Deployment d(config);
     d.run_for(2 * sim::kSecond);
     const auto k = d.kpis();

@@ -299,45 +299,51 @@ core::ControllerConfig quarantine_config() {
   config.headroom = 1.0;
   config.demand_safety = 1.0;
   config.quarantine = true;
-  config.flap_threshold = 3;
-  config.flap_window = 10 * sim::kSecond;
-  config.quarantine_base = 2 * sim::kSecond;
   return config;
 }
 
 TEST(Controller, FlapQuarantineWithExponentialBackoff) {
+  // One failure a second: the newest kFlapThreshold stay inside the window.
+  static_assert(core::kFlapThreshold * sim::kSecond < core::kFlapWindow);
   core::Controller ctrl(quarantine_config(),
                         std::make_unique<core::FirstFitPlacer>(),
                         {budget_server(1.0), budget_server(1.0)},
                         demands({0.4, 0.4}));
   ASSERT_TRUE(ctrl.replan().feasible);
 
-  // Two fail/recover cycles inside the window: both recoveries accepted.
-  ctrl.handle_failure(1, 1 * sim::kSecond);
-  EXPECT_TRUE(ctrl.handle_recovery(1, 1 * sim::kSecond + 100).accepted);
-  ctrl.handle_failure(1, 2 * sim::kSecond);
-  EXPECT_TRUE(ctrl.handle_recovery(1, 2 * sim::kSecond + 100).accepted);
+  // kFlapThreshold - 1 fail/recover cycles inside the window: accepted.
+  sim::Time t = 0;
+  for (int i = 1; i < core::kFlapThreshold; ++i) {
+    t += sim::kSecond;
+    ctrl.handle_failure(1, t);
+    EXPECT_TRUE(ctrl.handle_recovery(1, t + 100).accepted);
+  }
 
-  // Third failure within the 10 s window: recovery refused, backoff 2 s.
-  ctrl.handle_failure(1, 3 * sim::kSecond);
-  const auto d3 = ctrl.handle_recovery(1, 3 * sim::kSecond);
-  EXPECT_FALSE(d3.accepted);
-  EXPECT_EQ(d3.quarantined_until, 5 * sim::kSecond);
+  // The kFlapThreshold-th failure inside the window: recovery refused for
+  // the base backoff.
+  t += sim::kSecond;
+  ctrl.handle_failure(1, t);
+  const auto first = ctrl.handle_recovery(1, t);
+  EXPECT_FALSE(first.accepted);
+  EXPECT_EQ(first.quarantined_until, t + core::kQuarantineBase);
   EXPECT_TRUE(ctrl.server_quarantined(1));
   EXPECT_FALSE(ctrl.server_available(1));
   EXPECT_EQ(ctrl.quarantine_events(), 1);
 
   // Not released before the backoff expires; released after.
-  EXPECT_EQ(ctrl.release_quarantines(4 * sim::kSecond), 0);
-  EXPECT_EQ(ctrl.release_quarantines(5 * sim::kSecond), 1);
+  EXPECT_EQ(ctrl.release_quarantines(first.quarantined_until - 1), 0);
+  EXPECT_EQ(ctrl.release_quarantines(first.quarantined_until), 1);
   EXPECT_TRUE(ctrl.server_available(1));
   EXPECT_FALSE(ctrl.server_quarantined(1));
 
-  // Still flapping: next refusal doubles the backoff to 4 s.
-  ctrl.handle_failure(1, 6 * sim::kSecond);
-  const auto d4 = ctrl.handle_recovery(1, 6 * sim::kSecond);
-  EXPECT_FALSE(d4.accepted);
-  EXPECT_EQ(d4.quarantined_until, 10 * sim::kSecond);
+  // Still flapping: the next refusal doubles the backoff.
+  t += sim::kSecond;
+  ctrl.handle_failure(1, t);
+  const auto second = ctrl.handle_recovery(1, t);
+  EXPECT_FALSE(second.accepted);
+  EXPECT_EQ(second.quarantined_until,
+            t + static_cast<sim::Time>(core::kQuarantineBackoffMultiplier *
+                                       core::kQuarantineBase));
   EXPECT_EQ(ctrl.quarantine_events(), 2);
 }
 
@@ -348,7 +354,7 @@ TEST(Controller, AcceptedRecoveryOutsideWindowResetsBackoff) {
                         demands({0.4}));
   ASSERT_TRUE(ctrl.replan().feasible);
   for (int round = 0; round < 3; ++round) {
-    // Failures 100 s apart: the flap window never accumulates 3 entries.
+    // Failures 100 s apart: the flap window never holds two of them.
     const sim::Time t = (1 + 100 * round) * sim::kSecond;
     ctrl.handle_failure(1, t);
     EXPECT_TRUE(ctrl.handle_recovery(1, t + sim::kSecond).accepted);
@@ -362,8 +368,10 @@ TEST(Controller, FailureWhileQuarantinedIsHandled) {
                         {budget_server(1.0), budget_server(1.0)},
                         demands({0.4}));
   ASSERT_TRUE(ctrl.replan().feasible);
-  for (sim::Time t = sim::kSecond; t <= 3 * sim::kSecond; t += sim::kSecond)
-    ctrl.handle_failure(1, t), ctrl.handle_recovery(1, t);
+  for (int i = 1; i <= core::kFlapThreshold; ++i) {
+    ctrl.handle_failure(1, i * sim::kSecond);
+    ctrl.handle_recovery(1, i * sim::kSecond);
+  }
   ASSERT_TRUE(ctrl.server_quarantined(1));
 
   // The quarantined server dies again: no cells to rescue, no throw.
@@ -626,9 +634,6 @@ TEST(DeploymentFaults, QuarantineSuppressesFlapChurn) {
     // flaps translate directly into migration churn.
     config.placer = DeploymentConfig::PlacerKind::kFirstFitNoSticky;
     config.controller.quarantine = quarantine;
-    config.controller.flap_threshold = 2;
-    config.controller.flap_window = 5 * sim::kSecond;
-    config.controller.quarantine_base = sim::kSecond;
     Deployment d(config);
     // Six fail/restore cycles on the server hosting cell 0.
     d.run_for(100 * sim::kMillisecond);

@@ -60,12 +60,7 @@ core::DeploymentConfig stress_config(std::uint64_t seed, bool two_phase) {
       fronthaul::LinkParams{units::BitRate{50e9}, 25 * sim::kMicrosecond};
   config.migration.enabled = true;
   config.migration.make_before_break = two_phase;
-  config.migration.lease_ttl = 20 * sim::kMillisecond;
-  config.migration.transfer_ttis = 8;
-  config.migration.transfer_bits = 8.0e6;
   config.migration.deadline = 100 * sim::kMillisecond;
-  config.migration.max_retries = 3;
-  config.migration.retry_backoff = 4 * sim::kMillisecond;
   config.migration.control_plane.loss_probability = 0.25;
   config.migration.control_plane.max_jitter = 1 * sim::kMillisecond;
   config.migration.control_plane.reorder_probability = 0.15;
