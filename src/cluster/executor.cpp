@@ -7,34 +7,6 @@
 
 namespace pran::cluster {
 
-const char* sched_policy_name(SchedPolicy p) noexcept {
-  switch (p) {
-    case SchedPolicy::kEdf:
-      return "edf";
-    case SchedPolicy::kFifo:
-      return "fifo";
-  }
-  return "?";
-}
-
-namespace {
-
-void tally(Executor::Stats& st, const JobOutcome& o) {
-  if (o.dropped) {
-    ++st.dropped;
-    return;
-  }
-  if (o.compute_outage) {
-    ++st.compute_outages;
-    return;
-  }
-  ++st.completed;
-  if (o.missed_deadline()) ++st.missed;
-  st.total_busy_seconds += sim::to_seconds(o.finish - o.start) * o.cores_used;
-}
-
-}  // namespace
-
 Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
                    SchedPolicy policy)
     : engine_(engine), policy_(policy) {
@@ -43,7 +15,7 @@ Executor::Executor(sim::Engine& engine, std::vector<ServerSpec> specs,
   for (auto& spec : specs) {
     PRAN_REQUIRE(spec.cores >= 1, "server needs at least one core");
     PRAN_REQUIRE(spec.gops_per_core > 0.0, "core capacity must be positive");
-    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0, {}});
+    servers_.push_back(Server{std::move(spec), false, 1.0, {}, {}, 0, 0.0});
   }
 }
 
@@ -244,20 +216,26 @@ void Executor::record_compute_outage(int server_id,
 
 void Executor::finish(const JobOutcome& outcome) {
   outcomes_.push_back(outcome);
-  tally(stats_, outcome);
-  tally(servers_[static_cast<std::size_t>(outcome.server_id)].stats, outcome);
+  if (outcome.dropped) {
+    ++stats_.dropped;
+  } else if (outcome.compute_outage) {
+    ++stats_.compute_outages;
+  } else {
+    ++stats_.completed;
+    if (outcome.missed_deadline()) ++stats_.missed;
+    const double busy =
+        sim::to_seconds(outcome.finish - outcome.start) * outcome.cores_used;
+    stats_.total_busy_seconds += busy;
+    servers_[static_cast<std::size_t>(outcome.server_id)].busy_seconds += busy;
+  }
   if (on_complete_) on_complete_(outcome);
-}
-
-Executor::Stats Executor::stats_for_server(int server_id) const {
-  return server(server_id).stats;
 }
 
 double Executor::utilization(int server_id, sim::Time window) const {
   PRAN_REQUIRE(window > 0, "window must be positive");
   PRAN_REQUIRE(window >= engine_.now(), "window ends before now");
   const Server& s = server(server_id);
-  double busy = s.stats.total_busy_seconds;
+  double busy = s.busy_seconds;
   for (const auto& r : s.running)
     busy += sim::to_seconds(engine_.now() - r.start) * r.width;
   return busy /

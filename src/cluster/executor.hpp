@@ -55,8 +55,6 @@ struct ServerSpec {
 
 enum class SchedPolicy { kEdf, kFifo };
 
-const char* sched_policy_name(SchedPolicy p) noexcept;
-
 /// Final record of one job's execution.
 struct JobOutcome {
   lte::SubframeJob job;
@@ -147,10 +145,10 @@ class Executor {
   }
 
   /// Aggregate statistics of the recorded outcomes. The executor keeps
-  /// them as running tallies, one global and one per server, updated as
-  /// each outcome is recorded, so reading them costs O(1) at any run
-  /// length. They equal a rescan of outcomes() bit for bit: busy time is
-  /// summed per outcome, in completion order.
+  /// them as one running tally, updated as each outcome is recorded, so
+  /// reading them costs O(1) at any run length. They equal a rescan of
+  /// outcomes() bit for bit: busy time is summed per outcome, in
+  /// completion order.
   struct Stats {
     std::uint64_t completed = 0;
     std::uint64_t missed = 0;
@@ -174,7 +172,6 @@ class Executor {
     }
   };
   Stats stats() const noexcept { return stats_; }
-  Stats stats_for_server(int server_id) const;
 
   /// Busy fraction of a server's cores over [0, window]: its tallied busy
   /// time plus its in-flight jobs' time up to now(), over window × cores.
@@ -199,7 +196,9 @@ class Executor {
     /// Crash generation: fail_server() bumps it, so a completion scheduled
     /// before the crash recognises itself as stale and does nothing.
     std::uint64_t generation = 0;
-    Stats stats;  ///< Tally of this server's recorded outcomes.
+    /// Core-seconds of this server's jobs that ran, summed in completion
+    /// order (what utilization() reads).
+    double busy_seconds = 0.0;
   };
 
   /// Appends `outcome` to the log, tallies it and reports it to the

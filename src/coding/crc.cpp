@@ -50,9 +50,4 @@ bool check_crc(const Bits& data_with_crc) {
   return check_crc(data_with_crc.data(), data_with_crc.size());
 }
 
-Bits strip_crc(const Bits& data_with_crc) {
-  PRAN_REQUIRE(check_crc(data_with_crc), "CRC check failed");
-  return Bits(data_with_crc.begin(), data_with_crc.end() - kCrcBits);
-}
-
 }  // namespace pran::coding

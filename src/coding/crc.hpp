@@ -35,7 +35,4 @@ bool check_crc(const Bits& data_with_crc);
 /// Pointer-span form of check_crc; performs no allocation.
 bool check_crc(const std::uint8_t* bits, std::size_t n);
 
-/// Strips a verified CRC; requires check_crc() to be true.
-Bits strip_crc(const Bits& data_with_crc);
-
 }  // namespace pran::coding

@@ -135,15 +135,4 @@ std::uint32_t Rng::poisson(double mean) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double pick = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
-    if (pick < 0.0) return i;
-  }
-  return weights.empty() ? 0 : weights.size() - 1;
-}
-
 }  // namespace pran

@@ -10,7 +10,6 @@
 /// reproducible given the seed.
 
 #include <cstdint>
-#include <vector>
 
 namespace pran {
 
@@ -68,20 +67,6 @@ class Rng {
 
   /// Bernoulli trial with probability p clamped to [0, 1].
   bool bernoulli(double p) noexcept;
-
-  /// Samples an index in [0, weights.size()) proportionally to the weights
-  /// (all >= 0, at least one > 0).
-  std::size_t weighted_index(const std::vector<double>& weights) noexcept;
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      using std::swap;
-      swap(v[i - 1], v[static_cast<std::size_t>(
-                         uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-    }
-  }
 
  private:
   std::uint64_t s_[4];

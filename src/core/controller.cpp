@@ -167,8 +167,6 @@ void Controller::record(const EpochReport& report) {
     totals_.active_servers += report.active_servers;
     totals_.solve_seconds += report.solve_seconds;
     ++totals_.feasible;
-  } else {
-    ++totals_.infeasible;
   }
   last_report_ = report;
 }
@@ -277,7 +275,6 @@ RecoveryDecision Controller::handle_recovery(int server_id, sim::Time now) {
       quarantined_until_[idx] = now + backoff_[idx];
       backoff_[idx] = static_cast<sim::Time>(
           static_cast<double>(backoff_[idx]) * kQuarantineBackoffMultiplier);
-      ++quarantine_events_;
       return {false, quarantined_until_[idx]};
     }
     backoff_[idx] = kQuarantineBase;

@@ -77,9 +77,9 @@ struct EpochReport {
 
 /// Running totals over every replan() so far: what the deployment KPIs
 /// read, kept instead of a per-epoch log that would grow with the run.
+/// Infeasible replans are `replans - feasible`.
 struct EpochTotals {
   std::int64_t replans = 0;  ///< replan() calls, the initial plan included.
-  int infeasible = 0;  ///< Replans that came back infeasible.
   int shed_cells = 0;  ///< EpochReport::shed_cells summed over replans.
   int feasible = 0;    ///< Feasible replans, the count behind the two sums.
   double active_servers = 0.0;  ///< Summed over feasible replans.
@@ -156,7 +156,6 @@ class Controller {
 
   bool server_available(int server_id) const;
   bool server_quarantined(int server_id) const;
-  int quarantine_events() const noexcept { return quarantine_events_; }
   int num_cells() const noexcept { return static_cast<int>(demand_.size()); }
   int num_servers() const noexcept {
     return static_cast<int>(servers_.size());
@@ -181,7 +180,6 @@ class Controller {
   std::vector<sim::Time> backoff_;
   /// The newest kFlapThreshold failure times per server (quarantine only).
   std::vector<std::vector<sim::Time>> failure_times_;
-  int quarantine_events_ = 0;
   std::vector<CellDemand> demand_;      ///< EMA state (un-inflated).
   std::vector<double> demand_scale_;    ///< Forecast multipliers (optional).
   std::vector<bool> cell_quarantined_;  ///< Ladder quarantine (optional).

@@ -88,7 +88,6 @@ bool DegradationController::update(sim::Time now,
 
   if (stressed_epochs_ >= config_.up_epochs && rung_ < max_rung()) {
     ++rung_;
-    ++transitions_;
     stressed_epochs_ = 0;
     if (recovering_) {
       // Re-escalation after a step-down: the link is marginal at this
@@ -101,7 +100,6 @@ bool DegradationController::update(sim::Time now,
   }
   if (calm_epochs_ >= down_hold_ && rung_ > 0) {
     --rung_;
-    ++transitions_;
     calm_epochs_ = 0;
     recovering_ = true;
     return true;

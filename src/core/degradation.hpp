@@ -41,7 +41,6 @@
 /// deployment and is driven entirely through update(), which keeps it
 /// deterministic and trivially testable.
 
-#include <cstdint>
 #include <vector>
 
 #include "lte/cost_model.hpp"
@@ -178,8 +177,6 @@ class DegradationController {
   /// True when `cell` is quarantined by the current rung.
   bool cell_quarantined(int cell) const;
 
-  /// Total rung transitions so far (up + down).
-  std::uint64_t transitions() const noexcept { return transitions_; }
   /// Current calm-epoch requirement for the next step-down (grows with
   /// the exponential backoff; exposed for tests and KPIs).
   int current_down_hold() const noexcept { return down_hold_; }
@@ -211,7 +208,6 @@ class DegradationController {
   int calm_epochs_ = 0;
   int down_hold_;           ///< Calm epochs needed for the next step-down.
   bool recovering_ = false; ///< A step-down happened since the last step-up.
-  std::uint64_t transitions_ = 0;
   std::vector<sim::Time> dwell_;  ///< Per-rung time, size max_rung() + 1.
   sim::Time dwell_mark_ = 0;      ///< update() timestamp last accounted.
 };

@@ -1,6 +1,7 @@
 #include "core/deployment.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "core/kpi_export.hpp"
@@ -154,7 +155,7 @@ Deployment::Deployment(DeploymentConfig config)
     if (o.dropped) {
       if (monitor_ && executor_->is_failed(o.server_id) &&
           !monitor_->believes_down(o.server_id))
-        ++blind_window_drops_;
+        PRAN_COUNTER_INC(metrics_, "monitor.blind_window_drops");
       const int placed = controller_->server_of(o.job.cell_id);
       const int target =
           migration_
@@ -228,13 +229,7 @@ Deployment::Deployment(DeploymentConfig config)
       detection_latency_total_ += latency;
       PRAN_HIST_OBSERVE(metrics_, "monitor.detection_latency_ms",
                         sim::to_seconds(latency) * 1e3);
-      close_energy_interval();
-      // Detection order matters: the migration manager first (it decides
-      // which cells resolve by lease takeover), then the failover.
-      if (migration_) migration_->on_server_failed(server_id);
-      failover_outages_ += controller_->handle_failure(server_id, at);
-      current_active_servers_ =
-          PlacementResult{controller_->placement()}.active_servers();
+      fail_over(server_id);
     });
     monitor_->set_up_callback([this](int server_id, sim::Time at) {
       record_recovery_decision(server_id, at);
@@ -330,7 +325,7 @@ void Deployment::tick() {
       // Ladder took the cell out of service: radio off, so no I/Q hits
       // the wire — quarantine is the one rung that relieves the fibre
       // itself. Demand estimation stays warm for readmission.
-      ++quarantined_cell_ttis_;
+      PRAN_COUNTER_INC(metrics_, "fronthaul.quarantined_cell_ttis");
       controller_->observe(static_cast<int>(c), job.total_gops());
       continue;
     }
@@ -373,7 +368,8 @@ void Deployment::tick() {
         // cost E22 measures.
         handle_harq_loss(job);
       } else {
-        ++outage_cell_ttis_;  // cell in outage: traffic lost this TTI
+        // Cell in outage: traffic lost this TTI.
+        PRAN_COUNTER_INC(metrics_, "deployment.outage_cell_ttis");
       }
       continue;
     }
@@ -606,13 +602,21 @@ void Deployment::on_server_fault(int server_id, faults::FaultKind kind) {
   if (monitor_) return;  // the controller stays blind until detection
   // Oracle mode: re-place cells *before* the injector fails the executor,
   // so the completion callback forwards dropped jobs to their new homes.
-  // The migration manager hears first — commit-phase cells with a dead
+  fail_over(server_id);
+}
+
+void Deployment::fail_over(int server_id) {
+  close_energy_interval();
+  // The migration manager hears first: commit-phase cells with a dead
   // source resolve by lease takeover and must be filtered out of the
   // failover.
-  close_energy_interval();
   if (migration_) migration_->on_server_failed(server_id);
-  failover_outages_ +=
-      controller_->handle_failure(server_id, engine_.now());
+  const int outages = controller_->handle_failure(server_id, engine_.now());
+  // Adding 0 would register the counter: a run without failover outages
+  // exports no series for them.
+  if (outages > 0)
+    PRAN_COUNTER_ADD(metrics_, "controller.failover_outage_cells",
+                     static_cast<std::uint64_t>(outages));
   current_active_servers_ =
       PlacementResult{controller_->placement()}.active_servers();
 }
@@ -660,7 +664,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       job.direction != lte::Direction::kUplink)
     return;
   if (job.harq_retx >= lte::kMaxHarqRetx) {
-    ++lost_tbs_;
+    PRAN_COUNTER_INC(metrics_, "deployment.lost_transport_blocks");
     return;
   }
   lte::SubframeJob retx = job;
@@ -672,7 +676,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       migration_ ? migration_->routed_server(retx.cell_id, engine_.now(), placed)
                  : placed;
   if (target < 0 || executor_->is_failed(target)) {
-    ++lost_tbs_;
+    PRAN_COUNTER_INC(metrics_, "deployment.lost_transport_blocks");
     return;
   }
   if (degradation_ && degradation_->shedding()) {
@@ -703,7 +707,7 @@ void Deployment::handle_harq_loss(const lte::SubframeJob& job) {
       return;
     }
   }
-  ++harq_retx_count_;
+  PRAN_COUNTER_INC(metrics_, "deployment.harq_retransmissions");
   executor_->submit(target, retx);
 }
 
@@ -733,29 +737,34 @@ DeploymentKpis Deployment::kpis() const {
   k.dropped = stats.dropped;
   k.miss_ratio = stats.miss_ratio();
   k.migrations = controller_->total_migrations();
-  k.failover_outage_cells = failover_outages_;
 
-  k.outage_cell_ttis = outage_cell_ttis_;
-  k.harq_retransmissions = harq_retx_count_;
-  k.lost_transport_blocks = lost_tbs_;
+  // Counted KPIs: each is one counter of this deployment's registry, so a
+  // KPI and its counter cannot disagree. counter_value() never registers
+  // a name: a fact this run never counted reads 0 and exports no series.
+  const auto count = [this](std::string_view name) {
+    return metrics_.counter_value(name);
+  };
+  k.failover_outage_cells =
+      static_cast<int>(count("controller.failover_outage_cells"));
+  k.infeasible_epochs = static_cast<int>(count("controller.infeasible_epochs"));
+  k.quarantine_events = static_cast<int>(count("controller.quarantine_events"));
+  k.outage_cell_ttis = count("deployment.outage_cell_ttis");
+  k.harq_retransmissions = count("deployment.harq_retransmissions");
+  k.lost_transport_blocks = count("deployment.lost_transport_blocks");
+  k.blind_window_drops = count("monitor.blind_window_drops");
+  k.fronthaul_lost_bursts = count("fronthaul.lost_bursts");
+  k.fronthaul_late_bursts = count("fronthaul.late_bursts");
+  k.shed_subframes = count("fronthaul.shed_subframes");
+  k.compression_tb_failures = count("fronthaul.compression_tb_failures");
+  k.quarantined_cell_ttis = count("fronthaul.quarantined_cell_ttis");
+  k.ladder_transitions = count("fronthaul.ladder_transitions");
+  k.compute_outage_tbs = count("compute.outage_tbs");
+  k.effort_capped_tbs = count("compute.capped_tbs");
 
-  if (fronthaul_link_) {
-    k.fronthaul_lost_bursts = fronthaul_link_->bursts_lost();
-    k.fronthaul_late_bursts = fronthaul_link_->late_bursts();
-  }
   if (impairments_) k.fronthaul_brownouts = impairments_->brownouts();
-  k.shed_subframes = metrics_.counter_value("fronthaul.shed_subframes");
-  k.compression_tb_failures =
-      metrics_.counter_value("fronthaul.compression_tb_failures");
-  k.quarantined_cell_ttis = quarantined_cell_ttis_;
-  if (degradation_) {
-    k.ladder_rung = degradation_->rung();
-    k.ladder_transitions = degradation_->transitions();
-  }
+  if (degradation_) k.ladder_rung = degradation_->rung();
   k.compute_outage_jobs = stats.compute_outages;
-  k.compute_outage_tbs = metrics_.counter_value("compute.outage_tbs");
   k.compute_outage_ratio = stats.compute_outage_ratio();
-  k.effort_capped_tbs = metrics_.counter_value("compute.capped_tbs");
   k.decode_iterations_needed = decode_iterations_needed_;
   k.decode_iterations_realized = decode_iterations_realized_;
   k.offered_tb_bits = offered_tb_bits_;
@@ -780,8 +789,6 @@ DeploymentKpis Deployment::kpis() const {
 
   k.faults_injected = injector_->faults_delivered();
   k.degrade_events = injector_->degrade_faults();
-  k.quarantine_events = controller_->quarantine_events();
-  k.blind_window_drops = blind_window_drops_;
   if (monitor_) {
     k.fault_detections = monitor_->detections();
     if (k.fault_detections > 0)
@@ -801,7 +808,6 @@ DeploymentKpis Deployment::kpis() const {
                     config_.server.watts_per_busy_core() *
                         stats.total_busy_seconds;
   const EpochTotals& epochs = controller_->epoch_totals();
-  k.infeasible_epochs = epochs.infeasible;
   k.shed_cell_epochs = epochs.shed_cells;
   if (epochs.feasible) {
     k.mean_active_servers = epochs.active_servers / epochs.feasible;

@@ -337,6 +337,11 @@ class Deployment {
   /// test in tick() and the HARQ storm-breaker.
   sim::Time admission_exec_estimate(int server, double job_gops) const;
   void close_energy_interval();
+  /// Failover of a crashed server, once the controller knows of it (at
+  /// the fault instant in oracle mode, at detection with a monitor):
+  /// closes the energy interval, tells the migration manager, re-packs the
+  /// server's cells and counts those left in outage.
+  void fail_over(int server_id);
   void on_server_fault(int server_id, faults::FaultKind kind);
   void on_server_recovery(int server_id, faults::FaultKind kind);
   void record_recovery_decision(int server_id, sim::Time now);
@@ -378,21 +383,15 @@ class Deployment {
   /// compute-pressure signal) and over the whole run.
   double epoch_peak_pressure_ = 0.0;
   double peak_compute_pressure_ = 0.0;
-  std::uint64_t quarantined_cell_ttis_ = 0;
   /// Executor-stat marks for per-epoch deadline-miss-rate deltas.
   std::uint64_t epoch_completed_mark_ = 0;
   std::uint64_t epoch_missed_mark_ = 0;
   Pipeline pipeline_;
   std::int64_t tti_counter_ = 0;
-  int failover_outages_ = 0;
-  std::uint64_t outage_cell_ttis_ = 0;
   /// Fault bookkeeping: when each server last crashed (for detection
-  /// latency), accumulated latency, and drops inside the blind window.
+  /// latency) and the accumulated latency.
   std::vector<sim::Time> fault_time_;
   sim::Time detection_latency_total_ = 0;
-  std::uint64_t blind_window_drops_ = 0;
-  std::uint64_t harq_retx_count_ = 0;
-  std::uint64_t lost_tbs_ = 0;
   /// Energy accounting: powered-server-seconds accrued so far plus the
   /// currently active count since the last accrual mark.
   double active_server_seconds_ = 0.0;

@@ -55,7 +55,6 @@ ControlDelivery ControlPlaneChannel::send(sim::Time now) {
   if (config_.reorder_probability > 0.0 &&
       reorder_draw < config_.reorder_probability) {
     out.reordered = true;
-    ++reordered_;
     delay += config_.reorder_delay;
   }
   out.deliver_at = now + delay;

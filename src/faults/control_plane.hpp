@@ -87,7 +87,6 @@ class ControlPlaneChannel {
 
   std::uint64_t messages_sent() const noexcept { return sent_; }
   std::uint64_t messages_lost() const noexcept { return lost_; }
-  std::uint64_t messages_reordered() const noexcept { return reordered_; }
 
   /// Every send outcome so far, in send order (tests assert retry/backoff
   /// schedules from the send times embedded in deliver_at - delays).
@@ -100,7 +99,6 @@ class ControlPlaneChannel {
   Rng reorder_rng_;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
-  std::uint64_t reordered_ = 0;
   std::vector<ControlDelivery> log_;
 };
 

@@ -73,10 +73,7 @@ fronthaul::BurstImpairment FronthaulImpairments::apply(sim::Time ready,
     }
     const double p_loss =
         bad_state_ ? config_.loss.loss_bad : kGoodStateLoss;
-    if (loss_draw < p_loss) {
-      out.lost = true;
-      ++bursts_lost_;
-    }
+    out.lost = loss_draw < p_loss;
   }
 
   if (config_.jitter.enabled()) {

@@ -101,7 +101,6 @@ class FronthaulImpairments {
   /// nondecreasing across calls (the link's FIFO ingress order).
   fronthaul::BurstImpairment apply(sim::Time ready, units::Bits bits);
 
-  std::uint64_t bursts_lost() const noexcept { return bursts_lost_; }
   /// Completed + in-progress brownout episodes so far.
   std::uint64_t brownouts() const noexcept { return brownouts_; }
 
@@ -115,7 +114,6 @@ class FronthaulImpairments {
   bool bad_state_ = false;
   bool in_brownout_ = false;
   sim::Time brownout_edge_ = 0;  ///< Next on/off transition time.
-  std::uint64_t bursts_lost_ = 0;
   std::uint64_t brownouts_ = 0;
 };
 

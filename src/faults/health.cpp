@@ -49,7 +49,6 @@ void HealthMonitor::heartbeat() {
       believed_down_[i] = false;
       healthy_[i] = 0;
       missed_[i] = 0;
-      ++recoveries_;
       if (on_up_) on_up_(s, engine_.now());
     }
   }

@@ -52,7 +52,6 @@ class HealthMonitor {
   bool believes_down(int server_id) const;
 
   int detections() const noexcept { return detections_; }
-  int recoveries_observed() const noexcept { return recoveries_; }
   const HealthMonitorConfig& config() const noexcept { return config_; }
 
  private:
@@ -65,7 +64,6 @@ class HealthMonitor {
   std::vector<int> healthy_;       ///< Consecutive good beats while believed down.
   std::vector<bool> believed_down_;
   int detections_ = 0;
-  int recoveries_ = 0;
   TransitionCallback on_down_;
   TransitionCallback on_up_;
 };

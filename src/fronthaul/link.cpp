@@ -36,13 +36,10 @@ BurstOutcome FronthaulLink::enqueue_burst(sim::Time ready, Bits bits) {
                "impairment jitter must be non-negative");
   }
 
-  bits_offered_ += bits;
   ++window_.bursts;
   if (impairment.lost) {
     // Ingress drop: the eCPRI packet died in the switch fabric before the
     // wire, so it consumes no serialisation time and never arrives.
-    bits_dropped_ += bits;
-    ++bursts_lost_;
     ++window_.lost;
     return BurstOutcome{true, 0, 0};
   }
@@ -57,13 +54,9 @@ BurstOutcome FronthaulLink::enqueue_burst(sim::Time ready, Bits bits) {
   const sim::Time queue_delay = start - ready;
   max_queue_delay_ = std::max(max_queue_delay_, queue_delay);
   window_.max_queue_delay = std::max(window_.max_queue_delay, queue_delay);
-  bits_carried_ += bits;
-  ++bursts_;
-  const bool late = queue_delay + impairment.extra_delay > late_threshold_;
-  if (late) ++late_bursts_;
   return BurstOutcome{
       false, next_free_ + params_.propagation + impairment.extra_delay,
-      queue_delay, late};
+      queue_delay, queue_delay + impairment.extra_delay > late_threshold_};
 }
 
 double FronthaulLink::utilization(sim::Time horizon, bool* saturated) const {

@@ -22,10 +22,13 @@
 /// (per-packet forwarding jitter — the delivery is late but the wire
 /// schedule is untouched, so the eager FIFO contract survives), or shrink
 /// the effective capacity for its serialisation (a link-rate brownout).
-/// The link accounts offered vs carried vs dropped bits so
-/// `bits_carried() == bits_offered() - bits_dropped()` holds exactly, and
-/// counts bursts whose queueing + jitter delay exceeded the configured
-/// late threshold.
+///
+/// Accounting: the link reports each burst's fate in the BurstOutcome it
+/// returns (lost, or carried and maybe late past the configured
+/// threshold), and its caller counts it; the deployment counts
+/// `fronthaul.lost_bursts` and `fronthaul.late_bursts`. The link itself
+/// keeps only its busy time (for utilization()), the worst queueing delay
+/// and the per-epoch Window the degradation ladder reads.
 ///
 /// Burst sizes are exact `units::Bits` and the fibre capacity a
 /// `units::BitRate`, so a byte count (or a compressed fractional rate)
@@ -95,13 +98,6 @@ class FronthaulLink {
   /// must be nondecreasing across calls (FIFO ingress).
   BurstOutcome enqueue_burst(sim::Time ready, units::Bits bits);
 
-  /// Total bits accepted onto the wire so far (excludes dropped bursts).
-  units::Bits bits_carried() const noexcept { return bits_carried_; }
-  /// Total bits presented at ingress (carried + dropped).
-  units::Bits bits_offered() const noexcept { return bits_offered_; }
-  /// Bits of bursts the impairment hook dropped at ingress.
-  units::Bits bits_dropped() const noexcept { return bits_dropped_; }
-
   /// Time the transmitter has spent serialising.
   sim::Time busy_time() const noexcept { return busy_; }
 
@@ -116,15 +112,8 @@ class FronthaulLink {
   /// clamped ratio.
   double utilization(sim::Time horizon, bool* saturated = nullptr) const;
 
-  /// Number of bursts carried (excludes dropped bursts).
-  std::uint64_t bursts() const noexcept { return bursts_; }
-  /// Bursts dropped at ingress by the impairment hook.
-  std::uint64_t bursts_lost() const noexcept { return bursts_lost_; }
-  /// Bursts whose queueing + jitter delay exceeded the late threshold.
-  std::uint64_t late_bursts() const noexcept { return late_bursts_; }
-
   /// Returns the statistics accumulated since the previous call and
-  /// resets the window. Cumulative counters are unaffected.
+  /// resets the window. busy_time() and max_queue_delay() are unaffected.
   Window take_window();
 
  private:
@@ -135,12 +124,6 @@ class FronthaulLink {
   sim::Time last_ready_ = 0;
   sim::Time busy_ = 0;
   sim::Time max_queue_delay_ = 0;
-  units::Bits bits_carried_{0};
-  units::Bits bits_offered_{0};
-  units::Bits bits_dropped_{0};
-  std::uint64_t bursts_ = 0;
-  std::uint64_t bursts_lost_ = 0;
-  std::uint64_t late_bursts_ = 0;
   Window window_;
 };
 

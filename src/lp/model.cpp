@@ -49,13 +49,6 @@ void Model::set_objective(Sense sense, LinearExpr objective) {
   objective_ = std::move(objective);
 }
 
-int Model::num_integer_variables() const noexcept {
-  int n = 0;
-  for (const auto& v : variables_)
-    if (v.type != VarType::kContinuous) ++n;
-  return n;
-}
-
 const VariableInfo& Model::variable(Variable v) const {
   PRAN_REQUIRE(v.index >= 0 && v.index < num_variables(),
                "unknown variable handle");

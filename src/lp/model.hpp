@@ -60,7 +60,6 @@ class Model {
   int num_constraints() const noexcept {
     return static_cast<int>(constraints_.size());
   }
-  int num_integer_variables() const noexcept;
 
   const VariableInfo& variable(Variable v) const;
   const std::vector<VariableInfo>& variables() const noexcept {

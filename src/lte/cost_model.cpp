@@ -128,9 +128,4 @@ StageCost CostModel::peak_cost(const CellConfig& cell, Direction dir,
   return subframe_cost(cell, allocs, dir);
 }
 
-units::Micros CostModel::time_us(const StageCost& cost, double core_gops) {
-  PRAN_REQUIRE(core_gops > 0.0, "core capacity must be positive");
-  return units::Micros{cost.total() / core_gops * 1e6};
-}
-
 }  // namespace pran::lte

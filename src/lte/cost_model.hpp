@@ -145,10 +145,6 @@ class CostModel {
   StageCost peak_cost(const CellConfig& cell, Direction dir,
                       int turbo_iterations = kMaxTurboIterations) const;
 
-  /// Wall-clock time to execute `cost` on a core sustaining `core_gops`
-  /// giga-operations per second.
-  static units::Micros time_us(const StageCost& cost, double core_gops);
-
  private:
   CostParams params_;
 };

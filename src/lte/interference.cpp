@@ -32,19 +32,6 @@ units::Db InterferenceMap::received_dbm(double x_m, double y_m,
   return budget_.tx_power_dbm - pathloss_db(dist);
 }
 
-int InterferenceMap::best_server(double x_m, double y_m) const {
-  int best = cells_.front().cell_id;
-  units::Db best_dbm = received_dbm(x_m, y_m, best);
-  for (const auto& c : cells_) {
-    const units::Db dbm = received_dbm(x_m, y_m, c.cell_id);
-    if (dbm > best_dbm + units::Db{1e-12}) {
-      best = c.cell_id;
-      best_dbm = dbm;
-    }
-  }
-  return best;
-}
-
 units::Db InterferenceMap::sinr_db(double x_m, double y_m, int serving_cell,
                                    const std::vector<double>& activity) const {
   PRAN_REQUIRE(activity.size() == cells_.size(),
@@ -83,22 +70,6 @@ std::vector<SitePosition> linear_layout(int n, double spacing_m) {
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     out.push_back(SitePosition{i, spacing_m * i, 0.0});
-  return out;
-}
-
-std::vector<SitePosition> grid_layout(int rows, int cols, double pitch_m) {
-  PRAN_REQUIRE(rows >= 1 && cols >= 1, "grid needs positive dimensions");
-  PRAN_REQUIRE(pitch_m > 0.0, "pitch must be positive");
-  std::vector<SitePosition> out;
-  out.reserve(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-  int id = 0;
-  for (int r = 0; r < rows; ++r) {
-    // Offset odd rows by half a pitch for a hex-like packing.
-    const double x0 = (r % 2) ? pitch_m / 2.0 : 0.0;
-    for (int c = 0; c < cols; ++c)
-      out.push_back(SitePosition{id++, x0 + pitch_m * c,
-                                 pitch_m * 0.866 * r});
-  }
   return out;
 }
 

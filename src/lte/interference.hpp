@@ -36,10 +36,6 @@ class InterferenceMap {
   /// Received power in dBm at (x, y) from the given cell.
   units::Db received_dbm(double x_m, double y_m, int cell_id) const;
 
-  /// Cell with the strongest received power at (x, y) (lowest id wins
-  /// ties) — the natural serving cell.
-  int best_server(double x_m, double y_m) const;
-
   /// SINR at (x, y) served by `serving_cell`, given each cell's
   /// activity factor in [0, 1] (index-aligned with cells()). The serving
   /// cell's own activity does not matter for its UE's SINR.
@@ -59,8 +55,5 @@ class InterferenceMap {
 /// Standard layouts for experiments: `n` cells evenly spaced on a line
 /// with `spacing_m` between neighbours.
 std::vector<SitePosition> linear_layout(int n, double spacing_m);
-
-/// Hexagonal-ish 2D layout: cells on a grid with the given pitch.
-std::vector<SitePosition> grid_layout(int rows, int cols, double pitch_m);
 
 }  // namespace pran::lte

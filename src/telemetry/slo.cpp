@@ -84,7 +84,6 @@ std::vector<std::string> SloEngine::on_window(const WindowSample& window) {
     const bool above = st.burn_short >= st.spec.burn_threshold &&
                        st.burn_long >= st.spec.burn_threshold;
     if (above && !st.tripping) {
-      ++st.trips;
       registry_.add(per.trips);
       tripped.push_back(st.spec.name);
     }

@@ -49,8 +49,9 @@ struct SloStatus {
   /// Fraction of the whole-run error budget consumed so far
   /// (cumulative bad / (objective * cumulative total)).
   double budget_consumed = 0.0;
-  std::uint64_t trips = 0;        ///< Rising-edge trip count.
-  bool tripping = false;          ///< Currently above threshold.
+  /// Currently above threshold; each rising edge counts one
+  /// `slo.<name>.trips`.
+  bool tripping = false;
 };
 
 /// Feeds WindowSamples to every registered SLO and exports

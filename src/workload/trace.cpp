@@ -51,22 +51,6 @@ int DayTrace::busiest_slot() const {
   return best;
 }
 
-double DayTrace::sum_of_cell_peaks() const {
-  double sum = 0.0;
-  for (const auto& c : cells_) {
-    double peak = 0.0;
-    for (double g : c.gops) peak = std::max(peak, g);
-    sum += peak;
-  }
-  return sum;
-}
-
-double DayTrace::peak_of_sum() const {
-  double peak = 0.0;
-  for (int s = 0; s < slots_; ++s) peak = std::max(peak, total_gops(s));
-  return peak;
-}
-
 std::string DayTrace::to_csv() const {
   std::vector<CsvRow> rows;
   rows.push_back({"slot", "hour", "cell", "kind", "gops", "utilization"});

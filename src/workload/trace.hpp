@@ -42,15 +42,6 @@ class DayTrace {
   /// Slot with the highest fleet-wide aggregate demand.
   int busiest_slot() const;
 
-  /// Sum over cells of each cell's own *maximum* slot demand — what
-  /// per-cell peak provisioning must budget for.
-  double sum_of_cell_peaks() const;
-
-  /// Maximum over slots of the fleet aggregate — what a pooled deployment
-  /// must budget for. sum_of_cell_peaks() / peak_of_sum() is the
-  /// statistical-multiplexing (pooling) gain.
-  double peak_of_sum() const;
-
   /// CSV round trip (header: slot,hour,cell,kind,gops,utilization).
   std::string to_csv() const;
   static DayTrace from_csv(const std::string& csv);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <vector>
 
 #include "common/rng.hpp"
 
@@ -147,27 +146,6 @@ TEST(Rng, BernoulliMatchesProbability) {
   for (int i = 0; i < n; ++i)
     if (r.bernoulli(0.3)) ++hits;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng r(37);
-  std::vector<double> w{1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[r.weighted_index(w)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng r(41);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  auto sorted = v;
-  r.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
 }
 
 }  // namespace

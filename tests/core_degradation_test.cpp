@@ -91,12 +91,13 @@ TEST(DegradationLadder, BackoffDoublesOnReEscalation) {
   DegradationController ladder(ladder_config(), 8);
   EXPECT_EQ(ladder.current_down_hold(), 4);
   sim::Time t = 0;
+  int transitions = 0;  // update() returns true once per rung change
   auto escalate = [&] {
-    ladder.update(t++, stressed());
-    ladder.update(t++, stressed());
+    transitions += ladder.update(t++, stressed());
+    transitions += ladder.update(t++, stressed());
   };
   auto recover = [&] {
-    while (ladder.rung() > 0) ladder.update(t++, calm());
+    while (ladder.rung() > 0) transitions += ladder.update(t++, calm());
   };
   escalate();
   recover();
@@ -106,7 +107,7 @@ TEST(DegradationLadder, BackoffDoublesOnReEscalation) {
   recover();
   escalate();
   EXPECT_EQ(ladder.current_down_hold(), 16);
-  EXPECT_EQ(ladder.transitions(), 5u);  // 3 up + 2 down
+  EXPECT_EQ(transitions, 5);  // 3 up + 2 down
 }
 
 TEST(DegradationLadder, RungSemantics) {

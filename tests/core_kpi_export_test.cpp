@@ -1,14 +1,18 @@
 // Tests for the end-of-run export (core/kpi_export): a deployment of any
 // server count exports into a registry of default capacity, every
-// control-plane event is counted once, in the counter that owns it, and
-// deployments running side by side count into their own registries.
+// control-plane event is counted once, in the counter that owns it, every
+// counted KPI reads its counter, and deployments running side by side
+// count into their own registries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "core/deployment.hpp"
@@ -188,6 +192,111 @@ TEST(KpiExport, EveryKpiIsExportedUnderItsName) {
   EXPECT_EQ(entries, 48u);
   EXPECT_EQ(exported.size(), 48u);
   EXPECT_EQ(exported.count("kpi.mean_plan_seconds"), 0u);
+}
+
+/// The KPIs kpis() reads from the deployment's registry, each with the
+/// counter it reads.
+std::vector<std::pair<std::string, std::uint64_t>> counted_kpis(
+    const DeploymentKpis& k) {
+  return {
+      {"controller.failover_outage_cells",
+       static_cast<std::uint64_t>(k.failover_outage_cells)},
+      {"controller.infeasible_epochs",
+       static_cast<std::uint64_t>(k.infeasible_epochs)},
+      {"controller.quarantine_events",
+       static_cast<std::uint64_t>(k.quarantine_events)},
+      {"deployment.outage_cell_ttis", k.outage_cell_ttis},
+      {"deployment.harq_retransmissions", k.harq_retransmissions},
+      {"deployment.lost_transport_blocks", k.lost_transport_blocks},
+      {"monitor.blind_window_drops", k.blind_window_drops},
+      {"fronthaul.lost_bursts", k.fronthaul_lost_bursts},
+      {"fronthaul.late_bursts", k.fronthaul_late_bursts},
+      {"fronthaul.quarantined_cell_ttis", k.quarantined_cell_ttis},
+      {"fronthaul.ladder_transitions", k.ladder_transitions},
+  };
+}
+
+/// E18's fleet: 6 cells on 4 servers, late morning, slow diurnal drift.
+DeploymentConfig fault_config() {
+  DeploymentConfig config;
+  config.num_cells = 6;
+  config.num_servers = 4;
+  config.seed = 31;
+  config.start_hour = 11.0;
+  config.day_compression = 60.0;
+  return config;
+}
+
+TEST(KpiExport, CountedKpisAreRegistryCounters) {
+  std::map<std::string, std::uint64_t> most;  // largest KPI per counter
+  const auto check = [&most](const Deployment& d) {
+    for (const auto& [name, kpi] : counted_kpis(d.kpis())) {
+      EXPECT_EQ(d.metrics().counter_value(name), kpi) << name;
+      most[name] = std::max(most[name], kpi);
+    }
+  };
+
+  {
+    // HARQ under stochastic crashes that a 10 ms x 3 heartbeat detects:
+    // the blind window drops subframes, and their transport blocks are
+    // lost, as the controller still routes the retransmissions to the
+    // dead server.
+    DeploymentConfig config = fault_config();
+    config.harq_retransmissions = true;
+    config.stochastic_faults.mtbf_seconds = 0.5;
+    config.stochastic_faults.mttr_seconds = 0.1;
+    config.heartbeat_period = 10 * sim::kMillisecond;
+    config.heartbeat_miss_threshold = 3;
+    Deployment d(config);
+    d.run_for(sim::kSecond);
+    check(d);
+  }
+  {
+    // A crash of the busiest server on a 30-cell, 4-server fleet: the
+    // survivors have no room, so cells go into outage.
+    DeploymentConfig config = fault_config();
+    config.num_cells = 30;
+    Deployment d(config);
+    d.run_for(800 * sim::kMillisecond);
+    std::vector<double> load(static_cast<std::size_t>(config.num_servers));
+    for (int c = 0; c < config.num_cells; ++c)
+      load[static_cast<std::size_t>(d.controller().server_of(c))] +=
+          d.controller().estimated_demand(c);
+    const auto busiest = std::max_element(load.begin(), load.end());
+    d.fail_server_at(d.now(), static_cast<int>(busiest - load.begin()));
+    d.run_for(100 * sim::kMillisecond);
+    check(d);
+  }
+  {
+    // A fibre that keeps losing bursts: each lost burst is retransmitted,
+    // compression and shedding do not help, so the ladder climbs to its
+    // quarantine rung.
+    DeploymentConfig config = fault_config();
+    config.num_cells = 8;
+    config.harq_retransmissions = true;
+    config.epoch = 10 * sim::kMillisecond;
+    config.shared_fronthaul =
+        fronthaul::LinkParams{units::BitRate{40e9}, 25 * sim::kMicrosecond};
+    config.fronthaul_impairments.loss.p_good_to_bad = 0.5;
+    config.fronthaul_impairments.loss.p_bad_to_good = 0.1;
+    config.fronthaul_impairments.loss.loss_bad = 0.5;
+    config.degradation.enabled = true;
+    config.degradation.compression_ladder = {2.0};
+    config.degradation.up_epochs = 1;
+    config.degradation.loss_up = 0.05;
+    config.degradation.loss_down = 0.01;
+    Deployment d(config);
+    d.run_for(200 * sim::kMillisecond);
+    check(d);
+  }
+
+  // Between them the scenarios count each of these facts, so the checks
+  // above compare nonzero values.
+  for (const char* name :
+       {"controller.failover_outage_cells", "deployment.outage_cell_ttis",
+        "deployment.harq_retransmissions", "deployment.lost_transport_blocks",
+        "monitor.blind_window_drops", "fronthaul.quarantined_cell_ttis"})
+    EXPECT_GT(most[name], 0u) << name;
 }
 
 TEST(KpiExport, SpanHistogramsCountEveryTickAndEpochReplan) {

@@ -72,7 +72,7 @@ TEST(DeploymentTimeline, ExportsSloGaugesIntoTheRegistry) {
   EXPECT_TRUE(objective_seen);
   EXPECT_TRUE(burn_seen);
   // A healthy small deployment misses nothing: no trips.
-  EXPECT_EQ(d.slo_engine()->find("deadline_miss_rate")->trips, 0u);
+  EXPECT_EQ(d.metrics().counter_value("slo.deadline_miss_rate.trips"), 0u);
 }
 
 TEST(DeploymentTimeline, StreamsJsonlAndDumpsPostmortemOnDemand) {
@@ -135,10 +135,8 @@ TEST(DeploymentTimeline, EveryWindowSeesItsOwnLateBursts) {
               w.counter_delta("fronthaul.bursts"));
   }
   // A steady burn trips the lateness alert once, not once per epoch.
-  const telemetry::SloStatus* late =
-      d.slo_engine()->find("fronthaul_late_rate");
-  ASSERT_NE(late, nullptr);
-  EXPECT_EQ(late->trips, 1u);
+  ASSERT_NE(d.slo_engine()->find("fronthaul_late_rate"), nullptr);
+  EXPECT_EQ(d.metrics().counter_value("slo.fronthaul_late_rate.trips"), 1u);
 }
 
 TEST(DeploymentTimeline, PostmortemsListOnlyTheirOwnJobs) {

@@ -242,8 +242,12 @@ TEST(HealthMonitor, DetectionLatencyIsBounded) {
   mc.miss_threshold = 3;
   faults::HealthMonitor monitor(rig.engine, rig.executor, mc);
   sim::Time declared_down = -1, declared_up = -1;
+  int recoveries = 0;
   monitor.set_down_callback([&](int, sim::Time at) { declared_down = at; });
-  monitor.set_up_callback([&](int, sim::Time at) { declared_up = at; });
+  monitor.set_up_callback([&](int, sim::Time at) {
+    declared_up = at;
+    ++recoveries;
+  });
 
   const sim::Time fault_at = 25 * sim::kMillisecond;
   faults::FaultEvent ev;
@@ -261,7 +265,7 @@ TEST(HealthMonitor, DetectionLatencyIsBounded) {
   EXPECT_EQ(monitor.detections(), 1);
   ASSERT_GE(declared_up, 0);
   EXPECT_GE(declared_up, 125 * sim::kMillisecond);
-  EXPECT_EQ(monitor.recoveries_observed(), 1);
+  EXPECT_EQ(recoveries, 1);
   EXPECT_FALSE(monitor.believes_down(1));
 }
 
@@ -328,7 +332,6 @@ TEST(Controller, FlapQuarantineWithExponentialBackoff) {
   EXPECT_EQ(first.quarantined_until, t + core::kQuarantineBase);
   EXPECT_TRUE(ctrl.server_quarantined(1));
   EXPECT_FALSE(ctrl.server_available(1));
-  EXPECT_EQ(ctrl.quarantine_events(), 1);
 
   // Not released before the backoff expires; released after.
   EXPECT_EQ(ctrl.release_quarantines(first.quarantined_until - 1), 0);
@@ -344,7 +347,6 @@ TEST(Controller, FlapQuarantineWithExponentialBackoff) {
   EXPECT_EQ(second.quarantined_until,
             t + static_cast<sim::Time>(core::kQuarantineBackoffMultiplier *
                                        core::kQuarantineBase));
-  EXPECT_EQ(ctrl.quarantine_events(), 2);
 }
 
 TEST(Controller, AcceptedRecoveryOutsideWindowResetsBackoff) {
@@ -358,8 +360,8 @@ TEST(Controller, AcceptedRecoveryOutsideWindowResetsBackoff) {
     const sim::Time t = (1 + 100 * round) * sim::kSecond;
     ctrl.handle_failure(1, t);
     EXPECT_TRUE(ctrl.handle_recovery(1, t + sim::kSecond).accepted);
+    EXPECT_FALSE(ctrl.server_quarantined(1));
   }
-  EXPECT_EQ(ctrl.quarantine_events(), 0);
 }
 
 TEST(Controller, FailureWhileQuarantinedIsHandled) {

@@ -117,13 +117,17 @@ TEST(ImpairedLink, BitsConservationUnderLoss) {
     imp.lost = (++n % 3 == 0);  // drop every third burst
     return imp;
   });
-  for (int i = 0; i < 30; ++i)
-    (void)link.enqueue_burst(i * sim::kTti, Bits{1000});
-  EXPECT_EQ(link.bits_offered(), Bits{30'000});
-  EXPECT_EQ(link.bits_dropped(), Bits{10'000});
-  EXPECT_EQ(link.bits_carried(), link.bits_offered() - link.bits_dropped());
-  EXPECT_EQ(link.bursts(), 20u);
-  EXPECT_EQ(link.bursts_lost(), 10u);
+  std::uint64_t carried = 0, lost = 0;
+  for (int i = 0; i < 30; ++i) {
+    if (link.enqueue_burst(i * sim::kTti, Bits{1000}).lost)
+      ++lost;
+    else
+      ++carried;
+  }
+  EXPECT_EQ(carried, 20u);
+  EXPECT_EQ(lost, 10u);
+  // Only the carried bits took the wire: 20 x 1000 bits at 1 Gbps.
+  EXPECT_EQ(link.busy_time(), 20 * sim::kMicrosecond);
 }
 
 TEST(ImpairedLink, FifoViolationRaisesContractViolation) {
@@ -144,10 +148,8 @@ TEST(ImpairedLink, ZeroBitBurstsAreLegal) {
     imp.lost = true;
     return imp;
   });
-  (void)link.enqueue_burst(0, Bits{0});
-  EXPECT_EQ(link.bits_offered(), Bits{0});
-  EXPECT_EQ(link.bits_carried(), link.bits_offered() - link.bits_dropped());
-  EXPECT_EQ(link.bursts_lost(), 1u);
+  EXPECT_TRUE(link.enqueue_burst(0, Bits{0}).lost);
+  EXPECT_EQ(link.busy_time(), 0);
 }
 
 TEST(ImpairedLink, BrownoutStretchesSerialisation) {
@@ -181,16 +183,19 @@ TEST(ImpairedLink, JitterDelaysArrivalNotTheWire) {
 TEST(ImpairedLink, LateAccountingUsesQueueingPlusJitter) {
   FronthaulLink link({BitRate{1e9}, 0});
   link.set_late_threshold(500 * sim::kMicrosecond);
-  (void)link.enqueue_burst(0, Bits{1'000'000});  // no wait: on time
-  (void)link.enqueue_burst(0, Bits{1'000'000});  // waits 1 ms: late
-  EXPECT_EQ(link.late_bursts(), 1u);
+  // No wait: on time.
+  EXPECT_FALSE(link.enqueue_burst(0, Bits{1'000'000}).late);
+  // Waits 1 ms: late.
+  EXPECT_TRUE(link.enqueue_burst(0, Bits{1'000'000}).late);
   link.set_impairment_hook([](sim::Time, Bits) {
     BurstImpairment imp;
     imp.extra_delay = 600 * sim::kMicrosecond;  // jitter alone exceeds it
     return imp;
   });
-  (void)link.enqueue_burst(10 * sim::kMillisecond, Bits{1000});
-  EXPECT_EQ(link.late_bursts(), 2u);
+  const BurstOutcome jittered =
+      link.enqueue_burst(10 * sim::kMillisecond, Bits{1000});
+  EXPECT_EQ(jittered.queue_delay, 0);
+  EXPECT_TRUE(jittered.late);
 }
 
 TEST(ImpairedLink, UtilizationSaturationFlagBothBranches) {
@@ -210,20 +215,26 @@ TEST(ImpairedLink, UtilizationSaturationFlagBothBranches) {
 
 TEST(ImpairedLink, WindowResetsWithoutTouchingCumulatives) {
   FronthaulLink link({BitRate{1e9}, 0});
+  (void)link.enqueue_burst(0, Bits{1'000'000});  // busy until 1 ms
+  (void)link.enqueue_burst(0, Bits{1'000'000});  // waits 1 ms
   link.set_impairment_hook([](sim::Time, Bits) {
     BurstImpairment imp;
     imp.lost = true;
     return imp;
   });
-  (void)link.enqueue_burst(0, Bits{100});
+  EXPECT_TRUE(link.enqueue_burst(0, Bits{100}).lost);
   const auto window = link.take_window();
-  EXPECT_EQ(window.bursts, 1u);
+  EXPECT_EQ(window.bursts, 3u);
   EXPECT_EQ(window.lost, 1u);
-  EXPECT_DOUBLE_EQ(window.loss_rate(), 1.0);
+  EXPECT_EQ(window.max_queue_delay, sim::kMillisecond);
+  EXPECT_DOUBLE_EQ(window.loss_rate(), 1.0 / 3.0);
   const auto empty = link.take_window();
   EXPECT_EQ(empty.bursts, 0u);
+  EXPECT_EQ(empty.max_queue_delay, 0);
   EXPECT_DOUBLE_EQ(empty.loss_rate(), 0.0);
-  EXPECT_EQ(link.bursts_lost(), 1u);  // cumulative survives
+  // The cumulatives survive the window reset.
+  EXPECT_EQ(link.max_queue_delay(), sim::kMillisecond);
+  EXPECT_EQ(link.busy_time(), 2 * sim::kMillisecond);
 }
 
 }  // namespace

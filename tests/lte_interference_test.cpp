@@ -46,12 +46,6 @@ TEST(Interference, EdgeUeSuffersMost) {
   EXPECT_NEAR(mid.value(), 0.0, 1.0);
 }
 
-TEST(Interference, BestServerIsNearest) {
-  auto map = two_cells();
-  EXPECT_EQ(map.best_server(100.0, 0.0), 0);
-  EXPECT_EQ(map.best_server(900.0, 0.0), 1);
-}
-
 TEST(Interference, CqiImprovesWhenNeighbourMutes) {
   auto map = two_cells();
   const int busy = map.cqi_at(450.0, 0.0, 0, {0.0, 1.0});
@@ -68,17 +62,10 @@ TEST(Interference, ValidatesInput) {
   EXPECT_THROW(map.sinr_db(0, 0, 7, {0.0, 0.0}), ContractViolation);
 }
 
-TEST(Layouts, LinearAndGridShapes) {
+TEST(Layouts, LinearShape) {
   const auto line = linear_layout(4, 250.0);
   ASSERT_EQ(line.size(), 4u);
   EXPECT_DOUBLE_EQ(line[3].x_m, 750.0);
-
-  const auto grid = grid_layout(2, 3, 400.0);
-  ASSERT_EQ(grid.size(), 6u);
-  EXPECT_DOUBLE_EQ(grid[0].x_m, 0.0);
-  EXPECT_DOUBLE_EQ(grid[3].x_m, 200.0);  // odd row offset
-  EXPECT_NEAR(grid[3].y_m, 346.4, 0.1);
-  EXPECT_THROW(grid_layout(0, 3, 100.0), ContractViolation);
 }
 
 }  // namespace

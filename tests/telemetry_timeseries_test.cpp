@@ -249,7 +249,10 @@ TEST(SloEngine, BurnRatesTripOnRisingEdgeOnly) {
   ASSERT_NE(st, nullptr);
   EXPECT_NEAR(st->burn_short, 0.1, 1e-12);
   EXPECT_NEAR(st->burn_long, 0.1, 1e-12);
-  EXPECT_EQ(st->trips, 0u);
+  const auto trips = [&registry] {
+    return registry.counter_value("slo.miss_rate.trips");
+  };
+  EXPECT_EQ(trips(), 0u);
 
   // One bad window alone (burn_short spikes, burn_long still diluted by
   // five healthy windows) must NOT trip: 101 bad over 6005 total is
@@ -258,7 +261,7 @@ TEST(SloEngine, BurnRatesTripOnRisingEdgeOnly) {
   EXPECT_TRUE(scripted_window(registry, rec, engine, 100, 1000, now).empty());
   EXPECT_GE(st->burn_short, 4.0);
   EXPECT_LT(st->burn_long, 4.0);
-  EXPECT_EQ(st->trips, 0u);
+  EXPECT_EQ(trips(), 0u);
 
   // Sustained badness: the long window catches up and the alert fires
   // exactly once (rising edge), then stays silent while still above.
@@ -273,7 +276,7 @@ TEST(SloEngine, BurnRatesTripOnRisingEdgeOnly) {
     }
   }
   EXPECT_EQ(trips_seen, 1u);
-  EXPECT_EQ(st->trips, 1u);
+  EXPECT_EQ(trips(), 1u);
   EXPECT_TRUE(st->tripping);
 
   // Recovery clears the episode; a relapse trips again (a second episode).
@@ -289,7 +292,7 @@ TEST(SloEngine, BurnRatesTripOnRisingEdgeOnly) {
         scripted_window(registry, rec, engine, 100, 1000, now).size();
   }
   EXPECT_EQ(relapse_trips, 1u);
-  EXPECT_EQ(st->trips, 2u);
+  EXPECT_EQ(trips(), 2u);
 }
 
 TEST(SloEngine, ExportsGaugesAndTripCounterIntoTheRegistry) {
