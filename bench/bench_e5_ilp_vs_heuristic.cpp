@@ -4,6 +4,9 @@
 // optimum in practice; (ii) its solve time is orders of magnitude smaller,
 // which is what makes per-epoch re-planning viable at line rate. This is
 // the "workshop-grade ILP plus heuristic" comparison from the calibration.
+// Each row reports how many instances it averages and how many the MILP
+// failed to place while first-fit placed them, which must be 0: the MILP
+// starts from first-fit's packing.
 
 #include <cstdio>
 
@@ -21,14 +24,14 @@ int main() {
       "instances per size\n\n",
       trials);
 
-  Table table({"cells", "servers", "milp_servers", "ffd_servers",
-               "gap_servers", "proven_pct", "milp_ms", "ffd_us", "speedup_x",
-               "milp_nodes"});
+  Table table({"cells", "servers", "instances", "milp_failed_ffd_packed",
+               "milp_servers", "ffd_servers", "gap_servers", "proven_pct",
+               "milp_ms", "ffd_us", "speedup_x", "milp_nodes"});
 
-  for (int cells : {4, 6, 8, 10, 12, 16}) {
+  for (int cells : {4, 6, 8, 10, 12, 16, 24, 32}) {
     const int servers = cells / 2 + 2;
     RunningStats milp_srv, ffd_srv, gap, milp_time, ffd_time, nodes;
-    int proven = 0, compared = 0;
+    int proven = 0, compared = 0, milp_failed = 0;
     for (int t = 0; t < trials; ++t) {
       Rng rng(1000 + static_cast<std::uint64_t>(cells) * 17 +
               static_cast<std::uint64_t>(t));
@@ -45,6 +48,8 @@ int main() {
       opts.time_limit_s = 5.0;
       const auto exact = core::MilpPlacer{opts}.place(p);
       const auto heur = core::FirstFitPlacer{}.place(p);
+      // A row averages the instances both placers place.
+      if (!exact.feasible && heur.feasible) ++milp_failed;
       if (!exact.feasible || !heur.feasible) continue;
 
       milp_srv.add(exact.active_servers());
@@ -63,6 +68,8 @@ int main() {
     table.row()
         .cell(cells)
         .cell(servers)
+        .cell(compared)
+        .cell(milp_failed)
         .cell(milp_srv.mean(), 2)
         .cell(ffd_srv.mean(), 2)
         .cell(gap.count() ? gap.mean() : 0.0, 2)
@@ -74,7 +81,7 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "reading: gap_servers ~ 0 (heuristic near-optimal); speedup grows "
-      "with instance size\n");
+      "reading: gap_servers ~ 0 (heuristic near-optimal); the MILP's time "
+      "is set by how many nodes its proof needs, not by size alone\n");
   return 0;
 }

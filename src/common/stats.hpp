@@ -6,6 +6,7 @@
 /// Jain's fairness index.
 
 #include <cstddef>
+#include <deque>
 #include <vector>
 
 namespace pran {
@@ -36,16 +37,20 @@ class RunningStats {
 };
 
 /// Sample container with quantile / CI queries. Stores all samples; intended
-/// for offline experiment analysis, not the hot path.
+/// for offline experiment analysis, not the hot path. The samples sit in
+/// fixed-size blocks, so a long log never copies itself into one block
+/// twice its size as it grows: a benchmark that logs one time per
+/// operation keeps its peak memory near the log's own size.
 class Samples {
  public:
   Samples() = default;
-  explicit Samples(std::vector<double> values) : values_(std::move(values)) {}
+  explicit Samples(const std::vector<double>& values)
+      : values_(values.begin(), values.end()) {}
 
   void add(double x) { values_.push_back(x); }
   std::size_t count() const noexcept { return values_.size(); }
   bool empty() const noexcept { return values_.empty(); }
-  const std::vector<double>& values() const noexcept { return values_; }
+  const std::deque<double>& values() const noexcept { return values_; }
 
   double mean() const noexcept;
   double stddev() const noexcept;
@@ -63,7 +68,7 @@ class Samples {
   double ci_half_width(double level = 0.95) const;
 
  private:
-  mutable std::vector<double> values_;
+  mutable std::deque<double> values_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
 };

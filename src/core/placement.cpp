@@ -166,10 +166,12 @@ lp::Model build_placement_model(const PlacementProblem& problem) {
   }
 
   // Symmetry breaking for runs of identical servers: y_s >= y_{s+1}.
+  auto same_spec = [&](std::size_t a, std::size_t b) {
+    return problem.servers[a].cores == problem.servers[b].cores &&
+           problem.servers[a].gops_per_core == problem.servers[b].gops_per_core;
+  };
   for (std::size_t s = 0; s + 1 < S; ++s) {
-    const auto& a = problem.servers[s];
-    const auto& b = problem.servers[s + 1];
-    if (a.cores == b.cores && a.gops_per_core == b.gops_per_core) {
+    if (same_spec(s, s + 1)) {
       model.add_constraint(
           "sym_s" + std::to_string(s),
           lp::LinearExpr(y[s]) - lp::LinearExpr(y[s + 1]) >= 0.0);
@@ -190,6 +192,33 @@ lp::Model build_placement_model(const PlacementProblem& problem) {
     }
   }
   model.set_objective(lp::Sense::kMinimize, objective);
+
+  // Start point: first-fit's packing, sticky when there is a previous
+  // placement. Within each run of identical servers the used ones are
+  // renumbered from the run's first server, so that the packing meets the
+  // sym_s rows.
+  const PlacementResult ffd =
+      FirstFitPlacer(problem.previous.has_value()).place(problem);
+  if (ffd.feasible) {
+    std::vector<int> label(S);
+    std::vector<bool> used(S, false);
+    for (const int s : ffd.server_of_cell)
+      used[static_cast<std::size_t>(s)] = true;
+    std::size_t next_label = 0;
+    for (std::size_t s = 0; s < S; ++s) {
+      if (s == 0 || !same_spec(s - 1, s)) next_label = s;
+      if (used[s]) label[s] = static_cast<int>(next_label++);
+    }
+    std::vector<double> start(C * S + S, 0.0);
+    for (std::size_t c = 0; c < C; ++c) {
+      const auto s =
+          static_cast<std::size_t>(label[static_cast<std::size_t>(
+              ffd.server_of_cell[c])]);
+      start[c * S + s] = 1.0;
+      start[C * S + s] = 1.0;
+    }
+    model.set_start(std::move(start));
+  }
   return model;
 }
 

@@ -96,7 +96,11 @@ bool placement_survives_any_single_failure(const PlacementProblem& problem,
                                            const std::vector<int>& assignment);
 
 /// Builds the MILP formulation (exposed for tests and the solver-scaling
-/// bench). Variables are ordered x_{c,s} row-major, then y_s.
+/// bench). Variables are ordered x_{c,s} row-major, then y_s. The model's
+/// start point is first-fit's packing (sticky when the problem has a
+/// previous placement) whenever first-fit finds one; when the packing
+/// meets the model's rows the exact solver starts from it, and so never
+/// powers more servers than the heuristic.
 lp::Model build_placement_model(const PlacementProblem& problem);
 
 class Placer {

@@ -1,6 +1,7 @@
 #include "lp/branch_and_bound.hpp"
 
 #include <cmath>
+#include <memory>
 #include <queue>
 
 #include "common/check.hpp"
@@ -21,29 +22,49 @@ namespace {
 /// the margin by which a node's bound must beat the incumbent to be kept.
 constexpr double kIntegralityTol = 1e-6;
 
-/// Bound tightenings that define a node relative to the root model.
+/// A bound tightening that defines a node relative to the root model.
 struct BoundChange {
-  Variable var;
+  std::size_t var;
   double lower;
   double upper;
 };
 
 struct Node {
   std::vector<BoundChange> changes;
-  double bound;  ///< Parent relaxation objective (internal minimise sense).
+  /// The parent's optimal basis; null at the root, which is solved cold.
+  std::shared_ptr<const Basis> basis;
+  /// Bound on the subtree (internal minimise sense): the parent's
+  /// relaxation objective until the node itself is solved.
+  double bound;
   long seq;      ///< Insertion order, for deterministic tie-breaks.
 };
 
-struct WorseBound {
+/// Best-first order on the node bound, ties to the oldest node. With an
+/// integral objective a bound counts rounded up, since bounds that round
+/// to the same integer promise the same, and ties go to the newest node:
+/// the search then dives, and a child usually re-solves from the tableau
+/// its parent left.
+struct NodeOrder {
+  bool integral;
+  double key(const Node& n) const noexcept {
+    return integral ? std::ceil(n.bound - kIntegralityTol) : n.bound;
+  }
   bool operator()(const Node& a, const Node& b) const noexcept {
-    if (a.bound != b.bound) return a.bound > b.bound;
-    return a.seq > b.seq;
+    const double ka = key(a), kb = key(b);
+    if (ka != kb) return ka > kb;
+    return integral ? a.seq < b.seq : a.seq > b.seq;
   }
 };
 
-/// Applies a node's bound changes to a scratch copy of the root model.
-void apply_changes(Model& model, const std::vector<BoundChange>& changes) {
-  for (const auto& ch : changes) model.set_bounds(ch.var, ch.lower, ch.upper);
+/// True when the objective takes only integer values at integer points:
+/// an integer constant and integer coefficients on integer variables only.
+bool has_integral_objective(const Model& model) {
+  const LinearExpr& objective = model.objective();
+  if (std::floor(objective.constant()) != objective.constant()) return false;
+  for (const auto& [v, c] : objective.terms())
+    if (model.variable(v).type == VarType::kContinuous || std::floor(c) != c)
+      return false;
+  return true;
 }
 
 }  // namespace
@@ -58,14 +79,21 @@ MilpResult MilpSolver::solve(const Model& root) const {
   auto to_internal = [&](double v) { return sense_sign * v; };
   auto to_model = [&](double v) { return sense_sign * v; };
 
-  const SimplexSolver lp_solver{};
+  Simplex simplex(root);
   MilpResult result;
 
-  std::vector<int> int_vars;
-  for (int j = 0; j < root.num_variables(); ++j)
-    if (root.variables()[static_cast<std::size_t>(j)].type !=
-        VarType::kContinuous)
-      int_vars.push_back(j);
+  std::vector<std::size_t> int_vars;
+  std::vector<double> root_lower, root_upper;
+  for (std::size_t j = 0; j < root.variables().size(); ++j) {
+    const auto& info = root.variables()[j];
+    if (info.type != VarType::kContinuous) int_vars.push_back(j);
+    root_lower.push_back(info.lower);
+    root_upper.push_back(info.upper);
+  }
+  std::vector<double> weight(root_lower.size(), 0.0);
+  for (const auto& [v, c] : root.objective().terms())
+    weight[static_cast<std::size_t>(v.index)] = std::abs(c);
+  std::vector<double> lower, upper;
 
   double incumbent_internal = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent_x;
@@ -77,9 +105,19 @@ MilpResult MilpSolver::solve(const Model& root) const {
       incumbent_x = x;
     }
   };
+  if (!root.start().empty() && root.is_feasible(root.start(), kFeasibilityTol))
+    try_incumbent(root.start());
 
-  std::priority_queue<Node, std::vector<Node>, WorseBound> open;
-  open.push(Node{{}, -std::numeric_limits<double>::infinity(), 0});
+  // A node is kept only while its bound can beat the incumbent; with an
+  // integral objective, only by a whole unit. Rounding up only past the
+  // tolerance keeps a bound of 2 + 1e-10 at 2.
+  const NodeOrder order{has_integral_objective(root)};
+  auto cannot_improve = [&](const Node& node) {
+    return order.key(node) >= incumbent_internal - kIntegralityTol;
+  };
+
+  std::priority_queue<Node, std::vector<Node>, NodeOrder> open(order);
+  open.push(Node{{}, nullptr, -std::numeric_limits<double>::infinity(), 0});
   long seq = 1;
   double best_open_bound = -std::numeric_limits<double>::infinity();
   bool any_limit_hit = false;
@@ -88,7 +126,7 @@ MilpResult MilpSolver::solve(const Model& root) const {
   while (!open.empty()) {
     if (result.nodes >= options_.max_nodes || elapsed() > options_.time_limit_s) {
       any_limit_hit = true;
-      best_open_bound = open.top().bound;
+      best_open_bound = order.key(open.top());
       break;
     }
     Node node = open.top();
@@ -96,12 +134,16 @@ MilpResult MilpSolver::solve(const Model& root) const {
 
     // Bound pruning against the incumbent (queue is bound-ordered, but
     // the incumbent may have improved since this node was pushed).
-    if (node.bound >= incumbent_internal - kIntegralityTol) continue;
+    if (cannot_improve(node)) continue;
 
-    Model scratch = root;
-    apply_changes(scratch, node.changes);
-
-    const LpResult relax = lp_solver.solve(scratch);
+    lower = root_lower;
+    upper = root_upper;
+    for (const auto& ch : node.changes) {
+      lower[ch.var] = ch.lower;
+      upper[ch.var] = ch.upper;
+    }
+    const LpResult relax =
+        node.basis ? simplex.solve(lower, upper, *node.basis) : simplex.solve();
     ++result.nodes;
     result.lp_iterations += relax.iterations;
 
@@ -117,63 +159,51 @@ MilpResult MilpSolver::solve(const Model& root) const {
       continue;
     }
 
-    const double node_bound = to_internal(relax.objective);
-    if (node_bound >= incumbent_internal - kIntegralityTol) continue;
+    node.bound = to_internal(relax.objective);
+    if (cannot_improve(node)) continue;
 
-    // Find the most fractional integer variable.
-    int branch_var = -1;
+    // Find the fractional integer variable of largest objective weight,
+    // the most fractional among equals.
+    std::size_t branch_var = root_lower.size();
     double branch_val = 0.0;
-    double best_frac = kIntegralityTol;
-    for (int j : int_vars) {
-      const double v = relax.x[static_cast<std::size_t>(j)];
+    double best_frac = 0.0;
+    for (const std::size_t j : int_vars) {
+      const double v = relax.x[j];
       const double frac = std::abs(v - std::round(v));  // in [0, 0.5]
-      if (frac > best_frac) {
+      if (frac <= kIntegralityTol) continue;
+      const bool better =
+          branch_var == root_lower.size() || weight[j] > weight[branch_var] ||
+          (weight[j] == weight[branch_var] && frac > best_frac);
+      if (better) {
         best_frac = frac;
         branch_var = j;
         branch_val = v;
       }
     }
 
-    if (branch_var < 0) {
-      // Integral relaxation: round off the tolerance noise and accept.
-      std::vector<double> x = relax.x;
-      for (int j : int_vars)
-        x[static_cast<std::size_t>(j)] =
-            std::round(x[static_cast<std::size_t>(j)]);
-      if (root.is_feasible(x, kFeasibilityTol)) try_incumbent(x);
-      continue;
-    }
-
-    // Round-and-check primal heuristic.
+    // Round the integer variables: an integral relaxation loses only its
+    // tolerance noise, a fractional one gets a round-and-check try.
     std::vector<double> rounded = relax.x;
-    for (int j : int_vars)
-      rounded[static_cast<std::size_t>(j)] =
-          std::round(rounded[static_cast<std::size_t>(j)]);
+    for (const std::size_t j : int_vars) rounded[j] = std::round(rounded[j]);
     if (root.is_feasible(rounded, kFeasibilityTol)) try_incumbent(rounded);
+    if (branch_var == root_lower.size()) continue;
 
-    // Branch on floor / ceil of the fractional value, keeping the scratch
-    // model's (possibly already tightened) bounds as the base.
-    const auto& info =
-        scratch.variables()[static_cast<std::size_t>(branch_var)];
+    // Branch on floor / ceil of the fractional value within the node's
+    // (possibly already tightened) bounds. Both children re-solve from this
+    // node's basis.
+    const auto basis = std::make_shared<const Basis>(simplex.basis());
     const double floor_v = std::floor(branch_val);
     const double ceil_v = std::ceil(branch_val);
-
-    if (floor_v >= info.lower - kIntegralityTol) {
-      Node child = node;
+    auto push_child = [&](double child_lower, double child_upper) {
+      Node child{node.changes, basis, node.bound, seq++};
       child.changes.push_back(
-          BoundChange{Variable{branch_var}, info.lower, floor_v});
-      child.bound = node_bound;
-      child.seq = seq++;
+          BoundChange{branch_var, child_lower, child_upper});
       open.push(std::move(child));
-    }
-    if (ceil_v <= info.upper + kIntegralityTol) {
-      Node child = node;
-      child.changes.push_back(
-          BoundChange{Variable{branch_var}, ceil_v, info.upper});
-      child.bound = node_bound;
-      child.seq = seq++;
-      open.push(std::move(child));
-    }
+    };
+    if (floor_v >= lower[branch_var] - kIntegralityTol)
+      push_child(lower[branch_var], floor_v);
+    if (ceil_v <= upper[branch_var] + kIntegralityTol)
+      push_child(ceil_v, upper[branch_var]);
   }
 
   result.solve_seconds = elapsed();
@@ -200,7 +230,7 @@ MilpResult MilpSolver::solve(const Model& root) const {
   // incumbent or inside an open subtree, so the valid global bound is the
   // smaller of the incumbent value and the best open-node bound.
   double bound_internal =
-      open.empty() ? best_open_bound : open.top().bound;
+      open.empty() ? best_open_bound : order.key(open.top());
   if (have_incumbent)
     bound_internal = std::isfinite(bound_internal)
                          ? std::min(bound_internal, incumbent_internal)

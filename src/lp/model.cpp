@@ -64,6 +64,12 @@ void Model::set_bounds(Variable v, double lower, double upper) {
   info.upper = upper;
 }
 
+void Model::set_start(std::vector<double> x) {
+  PRAN_REQUIRE(x.size() == variables_.size(),
+               "start point dimension does not match the model");
+  start_ = std::move(x);
+}
+
 double Model::objective_value(const std::vector<double>& x) const {
   PRAN_REQUIRE(x.size() == variables_.size(),
                "point dimension does not match the model");

@@ -4,7 +4,9 @@
 /// Mixed-integer linear program container. Plays the role CPLEX's model API
 /// played in the paper's experiments: formulations are built through
 /// add_variable / add_constraint and handed to SimplexSolver (LP relaxation)
-/// or MilpSolver (branch and bound).
+/// or MilpSolver (branch and bound). A model may carry a start point (a MIP
+/// start), which MilpSolver takes as its first incumbent when it is
+/// feasible.
 
 #include <limits>
 #include <string>
@@ -71,11 +73,13 @@ class Model {
   Sense sense() const noexcept { return sense_; }
   const LinearExpr& objective() const noexcept { return objective_; }
 
-  /// Tightens a variable's bounds (used by branch and bound). New bounds
-  /// must stay within [current lower, current upper] ordering (lo <= hi is
-  /// checked; crossing bounds indicate an infeasible branch and are allowed
-  /// to be rejected by the caller instead).
+  /// Replaces a variable's bounds; lower <= upper is checked.
   void set_bounds(Variable v, double lower, double upper);
+
+  /// Sets the start point, one value per variable.
+  void set_start(std::vector<double> x);
+  /// The start point; empty when there is none.
+  const std::vector<double>& start() const noexcept { return start_; }
 
   /// Evaluates the objective (including constant) at a point.
   double objective_value(const std::vector<double>& x) const;
@@ -90,6 +94,7 @@ class Model {
   std::vector<ConstraintInfo> constraints_;
   LinearExpr objective_;
   Sense sense_ = Sense::kMinimize;
+  std::vector<double> start_;
 };
 
 }  // namespace pran::lp

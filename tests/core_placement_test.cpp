@@ -88,6 +88,22 @@ TEST(MilpPlacer, AcceptsLoadWithinSolverTolerance) {
   }
 }
 
+TEST(MilpPlacer, ProvesAFivePackingOnFourServersInfeasible) {
+  // placement_milp seed 104, instance 490: no two of the five largest cells
+  // share a 0.24 budget, so they need five servers and there are four.
+  PlacementProblem p;
+  for (const double d : {0.1238, 0.1357, 0.0748, 0.1171, 0.1322, 0.1360})
+    p.cells.push_back({static_cast<int>(p.cells.size()), d, d});
+  for (int s = 0; s < 4; ++s) p.servers.push_back(cluster::ServerSpec{"s", 2});
+  ASSERT_NEAR(p.headroom * p.servers[0].gops_per_tti(), 0.24, 1e-12);
+
+  const auto model = build_placement_model(p);
+  EXPECT_TRUE(model.start().empty());
+  EXPECT_EQ(lp::MilpSolver{}.solve(model).status, lp::MilpStatus::kInfeasible);
+  EXPECT_FALSE(FirstFitPlacer{}.place(p).feasible);
+  EXPECT_FALSE(MilpPlacer{}.place(p).feasible);
+}
+
 TEST(MilpPlacer, MigrationWeightPrefersStability) {
   auto p = small_problem();
   // Previous placement uses 2 servers in a specific pattern; an unweighted
@@ -110,6 +126,27 @@ TEST(MilpPlacer, MigrationWeightDoesNotSacrificeServers) {
   const auto r = MilpPlacer{}.place(p);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.active_servers(), 2);
+}
+
+TEST(MilpPlacer, MigrationWeightedOverflowIsProvenInFewNodes) {
+  // An epoch of E9's day: ten cells, all last on server 0, whose total
+  // (0.9633) just exceeds one 0.96 budget. The relaxation spills a sliver
+  // of one cell onto a sliver of server 1; branching on the assignments
+  // first would fix cell after cell before y_1, while branching on y_1
+  // first proves "two servers, one move" in a few dozen nodes.
+  PlacementProblem p;
+  for (const double d : {0.0807, 0.0974, 0.0635, 0.1857, 0.0771, 0.0846,
+                         0.0895, 0.1602, 0.0592, 0.0654})
+    p.cells.push_back({static_cast<int>(p.cells.size()), d, 0.3339});
+  for (int s = 0; s < 6; ++s) p.servers.push_back(cluster::ServerSpec{"s", 8});
+  p.previous = std::vector<int>(p.cells.size(), 0);
+  p.migration_weight = 0.02;
+  const auto r = MilpPlacer{}.place(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.active_servers(), 2);
+  EXPECT_EQ(r.migrations_from(*p.previous), 1);
+  EXPECT_LE(r.milp_nodes, 100);
 }
 
 TEST(FirstFitPlacer, ProducesFeasiblePacking) {
@@ -189,6 +226,24 @@ TEST(BuildModel, ShapesMatchFormulation) {
     EXPECT_NE(v.type, lp::VarType::kContinuous);
 }
 
+TEST(BuildModel, StartIsFirstFitRenumberedForSymmetry) {
+  auto p = small_problem();
+  // Sticky first-fit keeps cells 0 and 2 on server 3 and cells 1 and 3 on
+  // server 1; the start renumbers them to servers 1 and 0, since y_0 >= y_1
+  // >= y_2 >= y_3 among identical servers.
+  p.previous = std::vector<int>{3, 1, 3, 1};
+  ASSERT_EQ(FirstFitPlacer(true).place(p).server_of_cell,
+            (std::vector<int>{3, 1, 3, 1}));
+  const auto model = build_placement_model(p);
+  const auto& start = model.start();
+  ASSERT_EQ(start.size(), 20u);
+  EXPECT_TRUE(model.is_feasible(start));
+  const std::vector<double> y(start.begin() + 16, start.end());
+  EXPECT_EQ(y, (std::vector<double>{1.0, 1.0, 0.0, 0.0}));
+  EXPECT_EQ(start[0 * 4 + 1], 1.0);  // cell 0 on server 1
+  EXPECT_EQ(start[1 * 4 + 0], 1.0);  // cell 1 on server 0
+}
+
 TEST(BuildModel, ValidatesInput) {
   PlacementProblem p;
   EXPECT_THROW(build_placement_model(p), pran::ContractViolation);
@@ -200,12 +255,9 @@ TEST(BuildModel, ValidatesInput) {
   EXPECT_THROW(build_placement_model(p), pran::ContractViolation);
 }
 
-/// Property: on random instances, FFD is feasible whenever the MILP is, and
-/// never uses fewer servers than the proven optimum.
-class PlacerComparison : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PlacerComparison, HeuristicDominatedByOptimum) {
-  Rng rng(GetParam() * 2654435761ULL + 1);
+/// 4-10 cells of demand 0.05-0.5 on 3-6 unit servers.
+PlacementProblem random_problem(std::uint64_t seed) {
+  Rng rng(seed * 2654435761ULL + 1);
   PlacementProblem p;
   p.headroom = 0.9;
   const int cells = 4 + static_cast<int>(rng.uniform_int(0, 6));
@@ -215,7 +267,15 @@ TEST_P(PlacerComparison, HeuristicDominatedByOptimum) {
     p.cells.push_back({c, demand, demand * rng.uniform(1.0, 2.0)});
   }
   for (int s = 0; s < servers; ++s) p.servers.push_back(server(1.0));
+  return p;
+}
 
+/// Property: on random instances, FFD is feasible whenever the MILP is, and
+/// never uses fewer servers than the proven optimum.
+class PlacerComparison : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PlacerComparison, HeuristicDominatedByOptimum) {
+  const PlacementProblem p = random_problem(GetParam());
   const auto exact = MilpPlacer{}.place(p);
   const auto heur = FirstFitPlacer{}.place(p);
 
@@ -231,6 +291,20 @@ TEST_P(PlacerComparison, HeuristicDominatedByOptimum) {
   } else {
     EXPECT_FALSE(heur.feasible) << "heuristic found a packing MILP missed";
   }
+}
+
+/// Property: with its node budget cut to the root, the MILP still places
+/// every instance first-fit places, on no more servers.
+TEST_P(PlacerComparison, MilpAtOneNodeIsNeverWorseThanFirstFit) {
+  const PlacementProblem p = random_problem(GetParam());
+  lp::MilpOptions opts;
+  opts.max_nodes = 1;
+  const auto exact = MilpPlacer{opts}.place(p);
+  const auto heur = FirstFitPlacer{}.place(p);
+  if (!heur.feasible) return;
+  ASSERT_TRUE(exact.feasible) << "seed " << GetParam();
+  EXPECT_TRUE(placement_fits(p, exact.server_of_cell));
+  EXPECT_LE(exact.active_servers(), heur.active_servers());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacerComparison,

@@ -241,5 +241,115 @@ TEST(BranchAndBound, ReportsNodeAndIterationCounts) {
   EXPECT_GE(r.solve_seconds, 0.0);
 }
 
+/// min k*y + extra over an integer y >= 0.5 with start y = 1: the root
+/// relaxation sits half a unit below the start.
+Model half_unit_model(double k, bool continuous_term, double constant) {
+  Model m;
+  const auto y = m.add_integer("y", 0, 5);
+  LinearExpr objective = k * LinearExpr(y) + LinearExpr(constant);
+  std::vector<double> start{1.0};
+  if (continuous_term) {
+    objective += LinearExpr(m.add_continuous("z", 0.0, 0.0));
+    start.push_back(0.0);
+  }
+  m.add_constraint("half", LinearExpr(y) >= 0.5);
+  m.set_objective(Sense::kMinimize, objective);
+  m.set_start(start);
+  return m;
+}
+
+TEST(BranchAndBound, IntegralObjectivePrunesOnAWholeUnit) {
+  // Bound 0.5 cannot beat the start's 1 by a whole unit: proven at the
+  // root.
+  const auto r = MilpSolver{}.solve(half_unit_model(1.0, false, 0.0));
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_EQ(r.nodes, 1);
+  EXPECT_NEAR(r.objective, 1.0, kTol);
+}
+
+TEST(BranchAndBound, NonIntegralObjectiveKeepsTheExactPrune) {
+  // A fractional coefficient, a continuous variable in the objective or a
+  // fractional constant each turn the whole-unit rule off, so the root
+  // branches (y <= 0 is infeasible, y >= 1 matches the start).
+  struct Case {
+    const char* what;
+    double k;
+    bool continuous_term;
+    double constant;
+    double optimum;
+  };
+  for (const Case& c : {Case{"fractional coefficient", 1.5, false, 0.0, 1.5},
+                        Case{"continuous variable", 1.0, true, 0.0, 1.0},
+                        Case{"fractional constant", 1.0, false, 0.5, 1.5}}) {
+    const auto r =
+        MilpSolver{}.solve(half_unit_model(c.k, c.continuous_term, c.constant));
+    ASSERT_EQ(r.status, MilpStatus::kOptimal) << c.what;
+    EXPECT_EQ(r.nodes, 3) << c.what;
+    EXPECT_NEAR(r.objective, c.optimum, kTol) << c.what;
+  }
+}
+
+TEST(BranchAndBound, IntegralBoundRoundsUpOnlyPastTheTolerance) {
+  // min y1 + y2 over 2*y1 + 2*y2 >= 4 + 1e-10: the relaxation's 2 + 5e-11
+  // must stay 2, so the start at 3 is beaten by the integer point at 2.
+  Model m;
+  const auto y1 = m.add_integer("y1", 0, 3);
+  const auto y2 = m.add_integer("y2", 0, 3);
+  m.add_constraint("c", 2.0 * LinearExpr(y1) + 2.0 * LinearExpr(y2) >=
+                            4.0 + 1e-10);
+  m.set_objective(Sense::kMinimize, LinearExpr(y1) + LinearExpr(y2));
+  m.set_start({3.0, 0.0});
+  const auto r = MilpSolver{}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, kTol);
+  EXPECT_TRUE(m.is_feasible(r.x));
+}
+
+/// max 5a + 4b + 3c under 2a + 3b + c <= 4, a + b + 2c <= 3, binary.
+Model small_knapsack() {
+  Model m;
+  const auto a = m.add_binary("a");
+  const auto b = m.add_binary("b");
+  const auto c = m.add_binary("c");
+  m.add_constraint("w", 2.0 * LinearExpr(a) + 3.0 * LinearExpr(b) +
+                            LinearExpr(c) <= 4.0);
+  m.add_constraint("v", LinearExpr(a) + LinearExpr(b) + 2.0 * LinearExpr(c) <=
+                            3.0);
+  m.set_objective(Sense::kMaximize, 5.0 * LinearExpr(a) +
+                                        4.0 * LinearExpr(b) +
+                                        3.0 * LinearExpr(c));
+  return m;
+}
+
+TEST(BranchAndBound, FeasibleStartIsTheFirstIncumbent) {
+  Model m = small_knapsack();
+  m.set_start({0.0, 1.0, 0.0});
+  MilpOptions opts;
+  opts.max_nodes = 0;  // no node solved: only the start can be reported
+  const auto r = MilpSolver{opts}.solve(m);
+  ASSERT_EQ(r.status, MilpStatus::kFeasible);
+  EXPECT_EQ(r.x, m.start());
+  EXPECT_NEAR(r.objective, 4.0, kTol);
+
+  const auto full = MilpSolver{}.solve(m);
+  ASSERT_EQ(full.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(full.objective, 8.0, kTol);  // a + c
+}
+
+TEST(BranchAndBound, InfeasibleStartIsIgnored) {
+  Model m = small_knapsack();
+  m.set_start({1.0, 1.0, 0.0});  // 2 + 3 > 4
+  MilpOptions opts;
+  opts.max_nodes = 0;
+  const auto r = MilpSolver{opts}.solve(m);
+  EXPECT_EQ(r.status, MilpStatus::kLimit);
+  EXPECT_FALSE(r.has_solution());
+
+  const auto full = MilpSolver{}.solve(m);
+  ASSERT_EQ(full.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(full.objective, 8.0, kTol);
+  EXPECT_TRUE(m.is_feasible(full.x));
+}
+
 }  // namespace
 }  // namespace pran::lp

@@ -94,5 +94,15 @@ TEST(Model, SetBoundsTightensForBranching) {
   EXPECT_DOUBLE_EQ(m.variable(x).upper, 7.0);
 }
 
+TEST(Model, StartPointMatchesTheVariables) {
+  Model m;
+  (void)m.add_binary("x");
+  (void)m.add_binary("y");
+  EXPECT_TRUE(m.start().empty());
+  m.set_start({1.0, 0.0});
+  EXPECT_EQ(m.start(), (std::vector<double>{1.0, 0.0}));
+  EXPECT_THROW(m.set_start({1.0}), ContractViolation);
+}
+
 }  // namespace
 }  // namespace pran::lp

@@ -167,6 +167,51 @@ TEST_P(MilpVsBruteForce, PreFixedBinaryFamily) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpVsBruteForce,
                          ::testing::Range<std::uint64_t>(0, 40));
 
+/// Continuous LP over 3-7 variables in [0, ub_j] with 2-5 nonnegative <=
+/// rows and a nonnegative objective to maximise. Draws from `rng`, which
+/// the caller goes on using.
+struct ContinuousInstance {
+  Model model;
+  int n = 0;
+  int n_rows = 0;
+  std::vector<double> ub, c, rhs;
+  std::vector<std::vector<double>> rows;
+};
+
+ContinuousInstance make_continuous_instance(std::uint64_t seed,
+                                            pran::Rng& rng) {
+  ContinuousInstance inst;
+  inst.n = 3 + static_cast<int>(seed % 5);
+  inst.n_rows = 2 + static_cast<int>(seed % 4);
+  const int n = inst.n;
+  Model& m = inst.model;
+  std::vector<Variable> vars;
+  for (int j = 0; j < n; ++j) {
+    inst.ub.push_back(rng.uniform(1.0, 10.0));
+    vars.push_back(m.add_continuous(indexed("x", j), 0.0, inst.ub.back()));
+  }
+  for (int i = 0; i < inst.n_rows; ++i) {
+    LinearExpr row;
+    inst.rows.emplace_back();
+    double sum = 0.0;
+    for (int j = 0; j < n; ++j) {
+      const double a = rng.uniform(0.0, 3.0);
+      inst.rows.back().push_back(a);
+      sum += a * inst.ub[static_cast<std::size_t>(j)];
+      row += a * LinearExpr(vars[j]);
+    }
+    inst.rhs.push_back(rng.uniform(0.3, 0.9) * sum);
+    m.add_constraint(indexed("r", i), row <= inst.rhs.back());
+  }
+  LinearExpr objective;
+  for (int j = 0; j < n; ++j) {
+    inst.c.push_back(rng.uniform(0.0, 5.0));
+    objective += inst.c.back() * LinearExpr(vars[j]);
+  }
+  m.set_objective(Sense::kMaximize, objective);
+  return inst;
+}
+
 /// LP sanity: simplex optimum must (a) be feasible and (b) dominate every
 /// random feasible point we can sample.
 class SimplexDominance : public ::testing::TestWithParam<std::uint64_t> {};
@@ -174,38 +219,14 @@ class SimplexDominance : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
   const std::uint64_t seed = GetParam();
   pran::Rng rng(seed ^ 0xabcdefULL);
-  const int n = 3 + static_cast<int>(seed % 5);
-  const int n_rows = 2 + static_cast<int>(seed % 4);
-
-  Model m;
-  std::vector<Variable> vars;
-  std::vector<double> ub;
-  for (int j = 0; j < n; ++j) {
-    ub.push_back(rng.uniform(1.0, 10.0));
-    vars.push_back(m.add_continuous(indexed("x", j), 0.0, ub.back()));
-  }
-  std::vector<std::vector<double>> rows;
-  std::vector<double> rhs;
-  for (int i = 0; i < n_rows; ++i) {
-    LinearExpr row;
-    rows.emplace_back();
-    double sum = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const double a = rng.uniform(0.0, 3.0);
-      rows.back().push_back(a);
-      sum += a * ub[static_cast<std::size_t>(j)];
-      row += a * LinearExpr(vars[j]);
-    }
-    rhs.push_back(rng.uniform(0.3, 0.9) * sum);
-    m.add_constraint(indexed("r", i), row <= rhs.back());
-  }
-  LinearExpr objective;
-  std::vector<double> c;
-  for (int j = 0; j < n; ++j) {
-    c.push_back(rng.uniform(0.0, 5.0));
-    objective += c.back() * LinearExpr(vars[j]);
-  }
-  m.set_objective(Sense::kMaximize, objective);
+  const ContinuousInstance inst = make_continuous_instance(seed, rng);
+  const Model& m = inst.model;
+  const int n = inst.n;
+  const int n_rows = inst.n_rows;
+  const auto& ub = inst.ub;
+  const auto& rows = inst.rows;
+  const auto& rhs = inst.rhs;
+  const auto& c = inst.c;
 
   const auto r = SimplexSolver{}.solve(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal) << "seed=" << seed;
@@ -243,28 +264,45 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexDominance,
 /// continuous variable, so the check is exact).
 class MixedIntegerGrid : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MixedIntegerGrid, MatchesGridEnumeration) {
-  const std::uint64_t seed = GetParam();
-  pran::Rng rng(seed * 1315423911ULL + 3);
-  const int grid = 4;  // integer vars in [0, 4]
+/// Integers i1, i2 in [0, 4] and a continuous y in [0, 10] under one
+/// capacity row, maximised.
+struct GridInstance {
+  Model model;
+  double a1, a2, ay, cap, c1, c2, cy;
+};
+constexpr int kGrid = 4;
 
-  Model m;
-  const auto i1 = m.add_integer("i1", 0, grid);
-  const auto i2 = m.add_integer("i2", 0, grid);
+GridInstance make_grid_instance(std::uint64_t seed) {
+  pran::Rng rng(seed * 1315423911ULL + 3);
+  GridInstance g;
+  Model& m = g.model;
+  const auto i1 = m.add_integer("i1", 0, kGrid);
+  const auto i2 = m.add_integer("i2", 0, kGrid);
   const auto y = m.add_continuous("y", 0.0, 10.0);
 
-  const double a1 = rng.uniform(0.5, 3.0);
-  const double a2 = rng.uniform(0.5, 3.0);
-  const double ay = rng.uniform(0.5, 3.0);
-  const double cap = rng.uniform(5.0, 18.0);
-  m.add_constraint("cap", a1 * LinearExpr(i1) + a2 * LinearExpr(i2) +
-                              ay * LinearExpr(y) <=
-                          cap);
-  const double c1 = rng.uniform(1.0, 5.0);
-  const double c2 = rng.uniform(1.0, 5.0);
-  const double cy = rng.uniform(0.1, 4.0);
-  m.set_objective(Sense::kMaximize, c1 * LinearExpr(i1) + c2 * LinearExpr(i2) +
-                                        cy * LinearExpr(y));
+  g.a1 = rng.uniform(0.5, 3.0);
+  g.a2 = rng.uniform(0.5, 3.0);
+  g.ay = rng.uniform(0.5, 3.0);
+  g.cap = rng.uniform(5.0, 18.0);
+  m.add_constraint("cap", g.a1 * LinearExpr(i1) + g.a2 * LinearExpr(i2) +
+                              g.ay * LinearExpr(y) <=
+                          g.cap);
+  g.c1 = rng.uniform(1.0, 5.0);
+  g.c2 = rng.uniform(1.0, 5.0);
+  g.cy = rng.uniform(0.1, 4.0);
+  m.set_objective(Sense::kMaximize, g.c1 * LinearExpr(i1) +
+                                        g.c2 * LinearExpr(i2) +
+                                        g.cy * LinearExpr(y));
+  return g;
+}
+
+TEST_P(MixedIntegerGrid, MatchesGridEnumeration) {
+  const std::uint64_t seed = GetParam();
+  const GridInstance g = make_grid_instance(seed);
+  const Model& m = g.model;
+  const int grid = kGrid;
+  const double a1 = g.a1, a2 = g.a2, ay = g.ay, cap = g.cap;
+  const double c1 = g.c1, c2 = g.c2, cy = g.cy;
 
   const auto r = MilpSolver{}.solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -283,6 +321,91 @@ TEST_P(MixedIntegerGrid, MatchesGridEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedIntegerGrid,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+/// Warm re-solves: after random bound tightenings, a re-solve from the
+/// last optimal basis (as branch and bound does for a child) must reach the
+/// same status as a cold solve of the tightened model, and the same
+/// objective within 1e-9. Each family tightens its model eight times in a
+/// chain, re-solving each step from the previous optimal basis.
+class WarmResolve : public ::testing::TestWithParam<std::uint64_t> {};
+
+void check_warm_resolves(const Model& model, std::uint64_t seed) {
+  pran::Rng rng(seed * 6364136223846793005ULL + 1442695040888963407ULL);
+  Simplex simplex(model);
+  const LpResult root = simplex.solve();
+  if (root.status != LpStatus::kOptimal) return;
+  Basis basis = simplex.basis();
+  std::vector<double> lower, upper;
+  for (const auto& v : model.variables()) {
+    lower.push_back(v.lower);
+    upper.push_back(v.upper);
+  }
+  for (int step = 0; step < 8; ++step) {
+    // Tighten one or two variables: integers to an integer sub-range,
+    // continuous ones to a random sub-interval.
+    const int changes = 1 + static_cast<int>(rng.uniform_int(0, 1));
+    for (int k = 0; k < changes; ++k) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, model.num_variables() - 1));
+      double a = 0.0, b = 0.0;
+      if (model.variables()[j].type == VarType::kContinuous) {
+        a = rng.uniform(lower[j], upper[j]);
+        b = rng.uniform(lower[j], upper[j]);
+      } else {
+        const double lo = std::ceil(lower[j]), hi = std::floor(upper[j]);
+        if (lo > hi) continue;
+        const auto span = static_cast<std::int64_t>(hi - lo);
+        a = lo + static_cast<double>(rng.uniform_int(0, span));
+        b = lo + static_cast<double>(rng.uniform_int(0, span));
+      }
+      lower[j] = std::min(a, b);
+      upper[j] = std::max(a, b);
+    }
+    Model tightened = model;
+    for (int j = 0; j < model.num_variables(); ++j)
+      tightened.set_bounds(Variable{j}, lower[static_cast<std::size_t>(j)],
+                           upper[static_cast<std::size_t>(j)]);
+
+    const LpResult warm = simplex.solve(lower, upper, basis);
+    const LpResult cold = SimplexSolver{}.solve(tightened);
+    ASSERT_EQ(warm.status, cold.status) << "seed=" << seed << " step=" << step;
+    if (cold.status != LpStatus::kOptimal) return;
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9)
+        << "seed=" << seed << " step=" << step;
+    for (std::size_t j = 0; j < lower.size(); ++j) {
+      EXPECT_GE(warm.x[j], lower[j] - 1e-9) << "seed=" << seed;
+      EXPECT_LE(warm.x[j], upper[j] + 1e-9) << "seed=" << seed;
+    }
+    basis = simplex.basis();
+  }
+}
+
+TEST_P(WarmResolve, BinaryKnapsackFamily) {
+  const std::uint64_t seed = GetParam();
+  const int n = 4 + static_cast<int>(seed % 7);
+  const int rows = 1 + static_cast<int>(seed % 3);
+  check_warm_resolves(make_binary_instance(seed * 7919 + 17, n, rows).model,
+                      seed);
+}
+
+TEST_P(WarmResolve, PreFixedBinaryFamily) {
+  const std::uint64_t seed = GetParam();
+  check_warm_resolves(make_prefixed_instance(seed * 977 + 5).model, seed);
+}
+
+TEST_P(WarmResolve, ContinuousFamily) {
+  const std::uint64_t seed = GetParam();
+  pran::Rng rng(seed ^ 0xabcdefULL);
+  check_warm_resolves(make_continuous_instance(seed, rng).model, seed);
+}
+
+TEST_P(WarmResolve, MixedIntegerGridFamily) {
+  const std::uint64_t seed = GetParam();
+  check_warm_resolves(make_grid_instance(seed).model, seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WarmResolve,
+                         ::testing::Range<std::uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace pran::lp
