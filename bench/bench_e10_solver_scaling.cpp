@@ -36,7 +36,7 @@ int main() {
       p.servers.push_back(cluster::ServerSpec{"s", 1, 1000.0});
 
     const auto model = core::build_placement_model(p);
-    const auto lp = lp::SimplexSolver{}.solve(model);
+    const auto lp = lp::Simplex(model).solve();
 
     lp::MilpOptions opts;
     opts.time_limit_s = 30.0;

@@ -118,17 +118,6 @@ struct RunResult {
   int unresolved_at_end = 0;      ///< Active or settling when the run ended.
 };
 
-/// A migration begun more than deadline + grace ago that never reached a
-/// terminal state is an orphaned cell — the protocol's liveness failure.
-std::uint64_t count_orphans(const core::MigrationManager& m, sim::Time now,
-                            sim::Time deadline) {
-  const sim::Time grace = 200 * sim::kMillisecond;
-  std::uint64_t n = 0;
-  for (const core::MigrationRecord& rec : m.history())
-    if (rec.resolved_at < 0 && rec.started_at + deadline + grace < now) ++n;
-  return n;
-}
-
 /// Air-interface damage a handoff scheme causes: subframes that decoded
 /// late, transport blocks lost outright, and HARQ retransmissions (every
 /// blackout TTI forces one — spectrum spent re-sending what a live server
@@ -160,7 +149,7 @@ int run_grid(unsigned threads, sim::Time duration) {
     r.kpis = d.kpis();
     const core::MigrationManager* m = d.migration();
     PRAN_CHECK(m != nullptr, "migration manager must be enabled");
-    r.orphans = count_orphans(*m, d.now(), d.config().migration.deadline);
+    r.orphans = static_cast<std::uint64_t>(m->overdue());
     r.msgs_lost = m->channel().messages_lost();
     r.unresolved_at_end = m->unresolved_cells();
     r.metrics = d.metrics().snapshot();

@@ -41,7 +41,6 @@ int main() {
     config.start_hour = 0.0;
     config.day_compression = 7200.0;  // 2 diurnal hours per second
     config.epoch = 250 * sim::kMillisecond;
-    config.controller.migration_weight = 0.02;
     core::Deployment d(config);
     d.run_for(12 * sim::kSecond);
 

@@ -4,7 +4,7 @@
 //   $ ./failover_demo
 //
 // Prints which cells moved where, the jobs lost in flight, the
-// post-recovery steady state, and the injector's fault log.
+// post-recovery steady state, and the faults the injector delivered.
 
 #include <cstdio>
 
@@ -32,10 +32,11 @@ int main() {
   print_placement("placement before failure");
 
   const int victim = d.controller().server_of(0);
+  const sim::Time failed_at = d.now();
   std::printf("\n>>> failing server %d at t=%.3fs <<<\n\n", victim,
-              sim::to_seconds(d.now()));
+              sim::to_seconds(failed_at));
   const auto before = d.kpis();
-  d.fail_server_at(d.now(), victim);
+  d.fail_server_at(failed_at, victim);
   d.run_for(100 * sim::kMillisecond);
 
   print_placement("placement 100 ms after failure");
@@ -45,7 +46,8 @@ int main() {
               after.failover_outage_cells);
 
   std::printf("\nrestoring server %d; continuing one second\n", victim);
-  d.restore_server_at(d.now(), victim);
+  const sim::Time restored_at = d.now();
+  d.restore_server_at(restored_at, victim);
   d.run_for(sim::kSecond);
 
   const auto final_kpis = d.kpis();
@@ -60,13 +62,11 @@ int main() {
   kpis.row().cell("migrations").cell(final_kpis.migrations);
   std::printf("\n%s\n", kpis.render().c_str());
 
-  std::printf("fault log:\n");
-  for (const faults::FaultRecord& f : d.injector().log()) {
-    std::printf("  t=%.3fs server %d %s", sim::to_seconds(f.at), f.server_id,
-                faults::fault_kind_name(f.kind));
-    if (f.recovered_at >= 0)
-      std::printf(", recovered at t=%.3fs", sim::to_seconds(f.recovered_at));
-    std::printf("\n");
-  }
+  std::printf("faults delivered: %d crash, %d degrade\n",
+              d.injector().crash_faults(), d.injector().degrade_faults());
+  std::printf("  t=%.3fs server %d crash, recovered at t=%.3fs (%s now)\n",
+              sim::to_seconds(failed_at), victim,
+              sim::to_seconds(restored_at),
+              d.executor().is_failed(victim) ? "down" : "up");
   return final_kpis.failover_outage_cells == 0 ? 0 : 1;
 }

@@ -47,7 +47,10 @@ class Samples {
   explicit Samples(const std::vector<double>& values)
       : values_(values.begin(), values.end()) {}
 
-  void add(double x) { values_.push_back(x); }
+  void add(double x) {
+    values_.push_back(x);
+    sorted_ = false;
+  }
   std::size_t count() const noexcept { return values_.size(); }
   bool empty() const noexcept { return values_.empty(); }
   const std::deque<double>& values() const noexcept { return values_; }

@@ -100,7 +100,6 @@ EpochReport Controller::replan() {
     if (included.empty()) break;
     PlacementProblem problem;
     problem.headroom = config_.headroom;
-    problem.migration_weight = config_.migration_weight;
     problem.survivable = config_.survivable;
     for (std::size_t s = 0; s < servers_.size(); ++s)
       if (available_[s]) problem.servers.push_back(servers_[s]);

@@ -39,8 +39,6 @@ struct ControllerConfig {
   double headroom = 0.8;
   /// Demand estimate = safety * EMA(observed gops per TTI).
   double demand_safety = 1.25;
-  /// Objective weight of one migration (in "servers"); see PlacementProblem.
-  double migration_weight = 0.01;
   /// Admission control: when a replan is infeasible, shed the
   /// largest-demand cells (into outage) until the rest fit, instead of
   /// keeping a stale overloaded placement.

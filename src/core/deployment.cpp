@@ -122,23 +122,22 @@ Deployment::Deployment(DeploymentConfig config)
     migration_->set_complete_callback([this](int cell, int server) {
       controller_->complete_migration(cell, server);
     });
-    migration_->set_event_callback(
-        [this](const MigrationRecord& rec, std::string_view event) {
-          if (!flight_) return;
-          if (event != "committed")
-            flight_->record_event(engine_.now(), "migration",
-                                  "cell " + std::to_string(rec.cell) + " " +
-                                      std::string(event) +
-                                      (rec.detail.empty() ? ""
-                                                          : ": " + rec.detail));
-          // Burning a whole retry budget means the control plane is in
-          // serious trouble: worth a black-box dump (rate-limited by the
-          // recorder's dump budget).
-          if (event == "retry_exhausted")
-            flight_->trigger(engine_.now(), "migration_retry_exhausted",
-                             "cell " + std::to_string(rec.cell) + ": " +
-                                 rec.detail);
-        });
+    migration_->set_event_callback([this](int cell, std::string_view event,
+                                          std::string_view detail) {
+      if (!flight_) return;
+      if (event != "committed")
+        flight_->record_event(
+            engine_.now(), "migration",
+            "cell " + std::to_string(cell) + " " + std::string(event) +
+                (detail.empty() ? "" : ": " + std::string(detail)));
+      // Burning a whole retry budget means the control plane is in serious
+      // trouble: worth a black-box dump (rate-limited by the recorder's
+      // dump budget).
+      if (event == "retry_exhausted")
+        flight_->trigger(engine_.now(), "migration_retry_exhausted",
+                         "cell " + std::to_string(cell) + ": " +
+                             std::string(detail));
+    });
     controller_->set_migration_sink([this](int cell, int from, int to) {
       migration_->begin(cell, from, to);
     });

@@ -261,7 +261,7 @@ class Deployment {
 
   /// Injects a server crash at absolute time `t` (>= now). Delivered via
   /// the fault injector: crashing an already-down server is a no-op that
-  /// leaves no record in `injector().log()`.
+  /// `kpis().faults_injected` does not count.
   void fail_server_at(sim::Time t, int server_id);
   /// Restores a failed server at absolute time `t` (>= now). Restoring a
   /// healthy server is a no-op.

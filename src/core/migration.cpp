@@ -102,16 +102,6 @@ MigrationManager::BeginResult MigrationManager::begin(int cell, int from,
   m.from = from;
   m.to = to;
   m.started_at = engine_.now();
-  m.record_index = history_.size();
-  {
-    MigrationRecord rec;
-    rec.id = m.id;
-    rec.cell = cell;
-    rec.from = from;
-    rec.to = to;
-    rec.started_at = m.started_at;
-    history_.push_back(rec);
-  }
   PRAN_COUNTER_INC(metrics_, "migration.started");
 
   // The source holds the cell's lease (unbounded until a commit decision
@@ -148,7 +138,6 @@ void MigrationManager::start_instant(Migration& m) {
   // for the whole transfer budget, and every dark TTI costs HARQ debt.
   m.state = MigrationState::kCommitting;
   m.token = ++token_counter_;
-  record_of(m).token = m.token;
   leases_[m.cell].source_until = engine_.now();
   transfers_[m.cell] = kTransferTtis;
   grant_target(m, MigrationState::kCommitted,
@@ -164,10 +153,7 @@ void MigrationManager::attempt_prepare(int cell, std::uint64_t id) {
             "retry_exhausted");
     return;
   }
-  if (m->attempts > 0) {
-    PRAN_COUNTER_INC(metrics_, "migration.retried");
-    ++record_of(*m).retries;
-  }
+  if (m->attempts > 0) PRAN_COUNTER_INC(metrics_, "migration.retried");
   const faults::ControlDelivery d = channel_.send(engine_.now());
   ++m->attempts;
   if (!d.lost)
@@ -197,7 +183,6 @@ void MigrationManager::on_prepare_ack(int cell, std::uint64_t id) {
     return;
   }
   m->state = MigrationState::kTransferring;
-  record_of(*m).state = MigrationState::kTransferring;
   m->attempts = 0;
   // Meter the soft-buffer transfer over the fronthaul while the source
   // keeps executing (make-before-break).
@@ -210,14 +195,12 @@ void MigrationManager::on_transfer_complete(int cell, std::uint64_t id) {
   Migration* m = find(cell, id);
   if (m == nullptr || m->state != MigrationState::kTransferring) return;
   m->state = MigrationState::kCommitting;
-  record_of(*m).state = MigrationState::kCommitting;
   m->attempts = 0;
   // Commit decision: the controller stops renewing the source lease. The
   // source self-fences at the TTL with no message required — this is what
   // lets a lost COMMIT resolve by lease expiry instead of dual ownership.
   m->fence_at = engine_.now() + kLeaseTtl;
   m->token = ++token_counter_;
-  record_of(*m).token = m->token;
   leases_[cell].source_until = m->fence_at;
   attempt_commit(cell, id);
 }
@@ -244,10 +227,7 @@ void MigrationManager::attempt_commit(int cell, std::uint64_t id) {
     }
     return;
   }
-  if (m->attempts > 0) {
-    PRAN_COUNTER_INC(metrics_, "migration.retried");
-    ++record_of(*m).retries;
-  }
+  if (m->attempts > 0) PRAN_COUNTER_INC(metrics_, "migration.retried");
   const std::uint64_t token = m->token;
   const faults::ControlDelivery d = channel_.send(engine_.now());
   ++m->attempts;
@@ -361,18 +341,14 @@ void MigrationManager::resolve(Migration& m, MigrationState final_state,
       PRAN_CHECK(false, "resolve() needs a terminal migration state");
       break;
   }
-  MigrationRecord& rec = record_of(m);
-  rec.state = final_state;
-  rec.resolved_at = engine_.now();
-  rec.detail = std::string(detail);
   // A failed migration stops charging transfer bits; whatever was already
   // streamed stays spent (the fibre carried it either way).
+  const int cell = m.cell;
   if (final_state == MigrationState::kAborted ||
       final_state == MigrationState::kRolledBack)
-    transfers_.erase(m.cell);
-  const MigrationRecord snapshot = rec;
-  active_.erase(m.cell);  // invalidates m
-  if (event_cb_) event_cb_(snapshot, event);
+    transfers_.erase(cell);
+  active_.erase(cell);  // invalidates m
+  if (event_cb_) event_cb_(cell, event, detail);
 }
 
 MigrationManager::TickDecision MigrationManager::on_tick(
@@ -531,6 +507,13 @@ int MigrationManager::unresolved_cells() const noexcept {
   int n = static_cast<int>(active_.size());
   for (const auto& [cell, l] : leases_)
     if (l.target >= 0 && engine_.now() < l.target_from) ++n;
+  return n;
+}
+
+int MigrationManager::overdue() const noexcept {
+  int n = 0;
+  for (const auto& [cell, m] : active_)
+    if (m.started_at + config_.deadline + kOverdueGrace < engine_.now()) ++n;
   return n;
 }
 

@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -83,6 +82,9 @@ inline constexpr double kTransferBits = 8.0e6;
 inline constexpr int kMaxRetries = 3;
 /// Backoff before the first retry; doubles per attempt.
 inline constexpr sim::Time kRetryBackoff = 4 * sim::kMillisecond;
+/// A migration still in flight this long past its deadline is overdue:
+/// an orphaned cell, the protocol's liveness failure (see overdue()).
+inline constexpr sim::Time kOverdueGrace = 200 * sim::kMillisecond;
 static_assert(kTransferTtis >= 1, "the transfer spans at least one TTI");
 static_assert(kRetryBackoff > 0, "each retry must come after its send");
 
@@ -127,20 +129,6 @@ struct MigrationCounters {
   }
 };
 
-/// One migration's lifecycle, kept for tests and post-mortems.
-struct MigrationRecord {
-  std::uint64_t id = 0;
-  int cell = -1;
-  int from = -1;
-  int to = -1;
-  std::uint64_t token = 0;  ///< Fencing token granted to the target.
-  MigrationState state = MigrationState::kPreparing;
-  sim::Time started_at = 0;
-  sim::Time resolved_at = -1;  ///< -1 while in flight.
-  int retries = 0;
-  std::string detail;  ///< Failure reason for terminal failure states.
-};
-
 class MigrationManager {
  public:
   enum class BeginResult {
@@ -171,11 +159,11 @@ class MigrationManager {
   }
   /// Observer for terminal protocol events ("committed", "aborted",
   /// "rolled_back", "taken_over", "retry_exhausted") — the flight
-  /// recorder's hook.
-  void set_event_callback(
-      std::function<void(const MigrationRecord&, std::string_view event)> cb) {
-    event_cb_ = std::move(cb);
-  }
+  /// recorder's hook. `detail` names the failure reason; it is empty for
+  /// a commit.
+  using EventCallback = std::function<void(int cell, std::string_view event,
+                                           std::string_view detail)>;
+  void set_event_callback(EventCallback cb) { event_cb_ = std::move(cb); }
 
   /// Starts (or refuses) a handoff of `cell` from `from` to `to`.
   BeginResult begin(int cell, int from, int to);
@@ -213,15 +201,14 @@ class MigrationManager {
   /// Cells still carrying an unresolved lease entry or an active
   /// migration: must be zero once the system has drained (no orphans).
   int unresolved_cells() const noexcept;
+  /// In-flight migrations that began more than `deadline + kOverdueGrace`
+  /// ago: orphaned cells that neither committed nor failed in time.
+  int overdue() const noexcept;
 
   MigrationCounters counters() const;
-  const std::vector<MigrationRecord>& history() const noexcept {
-    return history_;
-  }
   const faults::ControlPlaneChannel& channel() const noexcept {
     return channel_;
   }
-  const MigrationConfig& config() const noexcept { return config_; }
   /// Highest fencing token granted so far for `cell` (0 = never leased).
   std::uint64_t lease_token(int cell) const;
 
@@ -251,13 +238,9 @@ class MigrationManager {
     std::uint64_t token = 0;      ///< Target's fencing token (commit phase).
     int attempts = 0;             ///< Sends of the current phase's message.
     bool source_dead = false;
-    std::size_t record_index = 0;
   };
 
   Migration* find(int cell, std::uint64_t id);
-  MigrationRecord& record_of(const Migration& m) {
-    return history_[m.record_index];
-  }
   sim::Time backoff_delay(int attempts_done) const;
   void start_two_phase(Migration& m);
   void start_instant(Migration& m);
@@ -279,7 +262,7 @@ class MigrationManager {
   telemetry::MetricsRegistry& metrics_;
   faults::ControlPlaneChannel channel_;
   std::function<void(int, int)> complete_cb_;
-  std::function<void(const MigrationRecord&, std::string_view)> event_cb_;
+  EventCallback event_cb_;
   bool deferral_ = false;
   std::uint64_t next_id_ = 1;
   std::uint64_t token_counter_ = 0;
@@ -299,7 +282,6 @@ class MigrationManager {
   /// fixed-point sum rounds each observation to a microunit.
   double handoff_latency_ms_sum_ = 0.0;
   std::uint64_t handoffs_ = 0;
-  std::vector<MigrationRecord> history_;
 };
 
 }  // namespace pran::core

@@ -20,8 +20,6 @@ void validate(const PlacementProblem& p) {
   if (p.previous)
     PRAN_REQUIRE(p.previous->size() == p.cells.size(),
                  "previous placement has a different cell count");
-  PRAN_REQUIRE(p.migration_weight >= 0.0,
-               "migration weight must be non-negative");
 }
 
 double budget(const PlacementProblem& p, std::size_t s) {
@@ -165,55 +163,100 @@ lp::Model build_placement_model(const PlacementProblem& problem) {
     }
   }
 
-  // Symmetry breaking for runs of identical servers: y_s >= y_{s+1}.
+  // The servers that hosted a cell last epoch: moving a cell off one of
+  // them costs a migration, so they are not interchangeable with the
+  // identical servers beside them.
+  std::vector<bool> hosted(S, false);
+  if (problem.previous)
+    for (const int prev : *problem.previous)
+      if (prev >= 0 && static_cast<std::size_t>(prev) < S)
+        hosted[static_cast<std::size_t>(prev)] = true;
+
+  // Runs of identical servers: [begin, run_end(begin)).
   auto same_spec = [&](std::size_t a, std::size_t b) {
     return problem.servers[a].cores == problem.servers[b].cores &&
            problem.servers[a].gops_per_core == problem.servers[b].gops_per_core;
   };
-  for (std::size_t s = 0; s + 1 < S; ++s) {
-    if (same_spec(s, s + 1)) {
-      model.add_constraint(
-          "sym_s" + std::to_string(s),
-          lp::LinearExpr(y[s]) - lp::LinearExpr(y[s + 1]) >= 0.0);
+  auto run_end = [&](std::size_t begin) {
+    std::size_t end = begin + 1;
+    while (end < S && same_spec(end - 1, end)) ++end;
+    return end;
+  };
+
+  // Symmetry breaking within each run. Its unhosted servers are
+  // interchangeable: y_f >= y_g for each such f and the next such g. A
+  // hosting server h dominates them, since moving an unhosted server's
+  // cells onto an idle h adds no migration: y_h >= y_f for the run's first
+  // unhosted server f.
+  for (std::size_t begin = 0, end = 0; begin < S; begin = end) {
+    end = run_end(begin);
+    std::size_t first_free = S, last_free = S;
+    for (std::size_t s = begin; s < end; ++s) {
+      if (hosted[s]) continue;
+      if (last_free < S)
+        model.add_constraint(
+            "sym_s" + std::to_string(last_free),
+            lp::LinearExpr(y[last_free]) - lp::LinearExpr(y[s]) >= 0.0);
+      else
+        first_free = s;
+      last_free = s;
     }
+    if (first_free == S) continue;
+    for (std::size_t s = begin; s < end; ++s)
+      if (hosted[s])
+        model.add_constraint(
+            "dom_s" + std::to_string(s),
+            lp::LinearExpr(y[s]) - lp::LinearExpr(y[first_free]) >= 0.0);
   }
 
-  // Objective: active servers, plus migration penalties when a previous
-  // placement exists. move_c = 1 - x_{c, prev_c} (linear, no extra vars).
+  // Objective: active servers, then migrations. With a previous placement
+  // one server is worth |cells| + 1, more than moving every cell, so the
+  // server count stays lexicographically dominant and every coefficient
+  // stays integral. move_c = 1 - x_{c, prev_c} (linear, no extra vars).
   lp::LinearExpr objective;
   for (std::size_t s = 0; s < S; ++s) objective += lp::LinearExpr(y[s]);
-  if (problem.previous && problem.migration_weight > 0.0) {
+  if (problem.previous) {
+    objective *= static_cast<double>(C + 1);
     for (std::size_t c = 0; c < C; ++c) {
       const int prev = (*problem.previous)[c];
       if (prev < 0 || static_cast<std::size_t>(prev) >= S) continue;
-      objective += problem.migration_weight *
-                   (lp::LinearExpr(1.0) -
-                    lp::LinearExpr(x[c][static_cast<std::size_t>(prev)]));
+      objective += lp::LinearExpr(1.0) -
+                   lp::LinearExpr(x[c][static_cast<std::size_t>(prev)]);
     }
   }
   model.set_objective(lp::Sense::kMinimize, objective);
 
   // Start point: first-fit's packing, sticky when there is a previous
-  // placement. Within each run of identical servers the used ones are
-  // renumbered from the run's first server, so that the packing meets the
-  // sym_s rows.
+  // placement. Within a run, first-fit opens the unhosted servers in index
+  // order, which meets the sym_s rows. Where it leaves a hosting server
+  // idle while it uses an unhosted one, the run's last used unhosted
+  // server hands its cells to the idle one: no cell leaves its previous
+  // server, so the packing is no worse, and it meets the dom_s rows.
   const PlacementResult ffd =
       FirstFitPlacer(problem.previous.has_value()).place(problem);
   if (ffd.feasible) {
-    std::vector<int> label(S);
     std::vector<bool> used(S, false);
     for (const int s : ffd.server_of_cell)
       used[static_cast<std::size_t>(s)] = true;
-    std::size_t next_label = 0;
-    for (std::size_t s = 0; s < S; ++s) {
-      if (s == 0 || !same_spec(s - 1, s)) next_label = s;
-      if (used[s]) label[s] = static_cast<int>(next_label++);
+    std::vector<std::size_t> label(S);
+    std::iota(label.begin(), label.end(), std::size_t{0});
+    for (std::size_t begin = 0, end = 0; begin < S; begin = end) {
+      end = run_end(begin);
+      std::vector<std::size_t> idle_hosts, used_free;
+      for (std::size_t s = begin; s < end; ++s) {
+        if (hosted[s] && !used[s]) idle_hosts.push_back(s);
+        if (!hosted[s] && used[s]) used_free.push_back(s);
+      }
+      while (!idle_hosts.empty() && !used_free.empty()) {
+        label[used_free.back()] = idle_hosts.back();
+        idle_hosts.pop_back();
+        used_free.pop_back();
+      }
     }
     std::vector<double> start(C * S + S, 0.0);
     for (std::size_t c = 0; c < C; ++c) {
-      const auto s =
-          static_cast<std::size_t>(label[static_cast<std::size_t>(
-              ffd.server_of_cell[c])]);
+      const std::size_t s =
+          label[static_cast<std::size_t>(ffd.server_of_cell[c])];
       start[c * S + s] = 1.0;
       start[C * S + s] = 1.0;
     }

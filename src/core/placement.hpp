@@ -14,10 +14,16 @@
 /// Formally, with cells c of sustained demand d_c (giga-operations per
 /// TTI), servers s of per-TTI budget B_s and headroom factor h:
 ///
-///     minimise   sum_s y_s + w * sum_c move_c
+///     minimise   W * sum_s y_s + sum_c move_c
 ///     subject to sum_s x_{c,s} = 1                      (every cell placed)
 ///                sum_c d_c x_{c,s} <= h B_s y_s         (capacity)
-///                x, y binary; move_c >= x changed vs. the previous epoch
+///                x, y binary; move_c = 1 - x_{c,prev_c} for each cell c
+///                that had a server prev_c last epoch
+///
+/// With a previous placement W = |cells| + 1, so one server outweighs every
+/// migration: the placement powers as few servers as possible first and
+/// moves as few cells as possible second. Without one, W = 1 and there are
+/// no move terms.
 ///
 /// This is variable-cost bin packing — NP-hard (the calibration's
 /// "workshop-grade ILP"). MilpPlacer solves it exactly with the in-repo
@@ -50,11 +56,9 @@ struct PlacementProblem {
   /// Target utilisation ceiling per server (slack absorbs burstiness so
   /// EDF can meet deadlines).
   double headroom = 0.8;
-  /// Placement from the previous epoch (same cell order), if any.
+  /// Placement from the previous epoch (same cell order), if any. Moving
+  /// a cell off its previous server costs one migration.
   std::optional<std::vector<int>> previous;
-  /// Objective weight of one migration, in units of "servers". Must be
-  /// < 1/|cells| to keep server count lexicographically dominant.
-  double migration_weight = 0.0;
   /// Survivable mode: reserve enough spare headroom that any single
   /// server's cells can be re-packed into the surviving *hosting* servers
   /// (idle servers are powered down / returned to the cloud, so they do

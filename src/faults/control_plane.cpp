@@ -44,7 +44,6 @@ ControlDelivery ControlPlaneChannel::send(sim::Time now) {
   if (scripted || loss_draw < config_.loss_probability) {
     out.lost = true;
     ++lost_;
-    log_.push_back(out);
     return out;
   }
 
@@ -58,7 +57,6 @@ ControlDelivery ControlPlaneChannel::send(sim::Time now) {
     delay += config_.reorder_delay;
   }
   out.deliver_at = now + delay;
-  log_.push_back(out);
   return out;
 }
 

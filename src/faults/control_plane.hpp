@@ -88,10 +88,6 @@ class ControlPlaneChannel {
   std::uint64_t messages_sent() const noexcept { return sent_; }
   std::uint64_t messages_lost() const noexcept { return lost_; }
 
-  /// Every send outcome so far, in send order (tests assert retry/backoff
-  /// schedules from the send times embedded in deliver_at - delays).
-  const std::vector<ControlDelivery>& log() const noexcept { return log_; }
-
  private:
   ControlPlaneImpairmentConfig config_;
   Rng loss_rng_;
@@ -99,7 +95,6 @@ class ControlPlaneChannel {
   Rng reorder_rng_;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
-  std::vector<ControlDelivery> log_;
 };
 
 }  // namespace pran::faults

@@ -34,8 +34,6 @@ enum class FaultKind {
   kDegrade,
 };
 
-const char* fault_kind_name(FaultKind kind) noexcept;
-
 /// One scripted fault. At `at`, every server in `servers` crashes
 /// (kCrash) or starts running at `degrade_factor` of nominal speed
 /// (kDegrade). A positive `duration` schedules recovery that much
@@ -45,7 +43,7 @@ struct FaultEvent {
   sim::Time at = 0;
   sim::Time duration = 0;
   std::vector<int> servers;
-  double degrade_factor = 0.5;  ///< kDegrade only; in (0, 1].
+  double degrade_factor = 0.5;  ///< kDegrade only; in (0, 1).
 };
 
 /// Per-server stochastic crash process: exponential time-to-failure with
@@ -55,14 +53,6 @@ struct StochasticFaultConfig {
   double mttr_seconds = 0.25;  ///< Mean time to repair.
 
   bool enabled() const noexcept { return mtbf_seconds > 0.0; }
-};
-
-/// One delivered server fault, for KPI extraction and tests.
-struct FaultRecord {
-  FaultKind kind = FaultKind::kCrash;
-  int server_id = -1;
-  sim::Time at = 0;
-  sim::Time recovered_at = -1;  ///< -1 while the fault is still in effect.
 };
 
 }  // namespace pran::faults

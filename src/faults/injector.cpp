@@ -6,44 +6,12 @@
 
 namespace pran::faults {
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  // Exhaustive on purpose — no default: -Werror=switch turns a new
-  // FaultKind into a compile error here instead of a silent "?".
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kDegrade:
-      return "degrade";
-  }
-  return "?";  // Unreachable; keeps -Wreturn-type quiet.
-}
-
 FaultInjector::FaultInjector(sim::Engine& engine, cluster::Executor& executor,
                              std::uint64_t seed)
     : engine_(engine), executor_(executor), rng_root_(seed) {
   const std::size_t n = static_cast<std::size_t>(executor_.num_servers());
-  states_.assign(n, State::kHealthy);
-  open_record_.assign(n, -1);
   streams_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) streams_.push_back(rng_root_.stream(s));
-}
-
-FaultInjector::State& FaultInjector::state(int server_id) {
-  PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
-               "fault injector: unknown server id");
-  return states_[static_cast<std::size_t>(server_id)];
-}
-
-bool FaultInjector::is_down(int server_id) const {
-  PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
-               "fault injector: unknown server id");
-  return states_[static_cast<std::size_t>(server_id)] == State::kDown;
-}
-
-bool FaultInjector::is_degraded(int server_id) const {
-  PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
-               "fault injector: unknown server id");
-  return states_[static_cast<std::size_t>(server_id)] == State::kDegraded;
 }
 
 void FaultInjector::schedule(const FaultEvent& event) {
@@ -51,8 +19,8 @@ void FaultInjector::schedule(const FaultEvent& event) {
   PRAN_REQUIRE(event.at >= engine_.now(), "fault event time is in the past");
   PRAN_REQUIRE(event.duration >= 0, "fault duration must be non-negative");
   if (event.kind == FaultKind::kDegrade)
-    PRAN_REQUIRE(event.degrade_factor > 0.0 && event.degrade_factor <= 1.0,
-                 "degrade factor outside (0, 1]");
+    PRAN_REQUIRE(event.degrade_factor > 0.0 && event.degrade_factor < 1.0,
+                 "degrade factor outside (0, 1)");
   for (int server_id : event.servers) {
     PRAN_REQUIRE(server_id >= 0 && server_id < executor_.num_servers(),
                  "fault event names an unknown server");
@@ -74,59 +42,37 @@ void FaultInjector::schedule_restore(sim::Time at, int server_id) {
 
 void FaultInjector::deliver_fault(int server_id, FaultKind kind,
                                   double degrade_factor) {
-  State& st = state(server_id);
-  if (st == State::kDown) return;  // already down: idempotent no-op
+  if (executor_.is_failed(server_id)) return;  // already down: no-op
   switch (kind) {
     case FaultKind::kDegrade:
-      if (st == State::kDegraded) return;  // already degraded
+      if (executor_.is_degraded(server_id)) return;  // already degraded
       if (on_fault_) on_fault_(server_id, kind);
       executor_.degrade_server(server_id, degrade_factor);
-      st = State::kDegraded;
       ++degrade_faults_;
       break;
     case FaultKind::kCrash:
-      // A crash supersedes any degradation in effect: close that record.
-      if (st == State::kDegraded) {
-        executor_.restore_speed(server_id);
-        log_[static_cast<std::size_t>(
-                 open_record_[static_cast<std::size_t>(server_id)])]
-            .recovered_at = engine_.now();
-      }
+      // A crash supersedes any degradation in effect.
+      if (executor_.is_degraded(server_id)) executor_.restore_speed(server_id);
       // Listener first (oracle-mode re-placement), then the actual loss, so
       // the executor reports each dropped job under the post-failover
       // placement.
       if (on_fault_) on_fault_(server_id, kind);
       executor_.fail_server(server_id);
-      st = State::kDown;
       ++crash_faults_;
       break;
   }
-  ++faults_delivered_;
-  open_record_[static_cast<std::size_t>(server_id)] =
-      static_cast<int>(log_.size());
-  log_.push_back(FaultRecord{kind, server_id, engine_.now(), -1});
 }
 
 void FaultInjector::deliver_restore(int server_id) {
-  State& st = state(server_id);
-  if (st == State::kHealthy) return;  // already healthy: idempotent no-op
-  const int rec = open_record_[static_cast<std::size_t>(server_id)];
-  PRAN_CHECK(rec >= 0 && rec < static_cast<int>(log_.size()),
-             "faulted server has no open fault record");
-  const FaultKind kind = log_[static_cast<std::size_t>(rec)].kind;
-  switch (st) {
-    case State::kHealthy:
-      return;  // Handled above; case kept so the switch stays exhaustive.
-    case State::kDown:
-      executor_.restore_server(server_id);
-      break;
-    case State::kDegraded:
-      executor_.restore_speed(server_id);
-      break;
+  FaultKind kind = FaultKind::kCrash;
+  if (executor_.is_failed(server_id)) {
+    executor_.restore_server(server_id);
+  } else if (executor_.is_degraded(server_id)) {
+    executor_.restore_speed(server_id);
+    kind = FaultKind::kDegrade;
+  } else {
+    return;  // already healthy: idempotent no-op
   }
-  log_[static_cast<std::size_t>(rec)].recovered_at = engine_.now();
-  open_record_[static_cast<std::size_t>(server_id)] = -1;
-  st = State::kHealthy;
   if (on_recovery_) on_recovery_(server_id, kind);
 }
 

@@ -3,10 +3,12 @@
 /// \file injector.hpp
 /// FaultInjector: the single authority for delivering faults to the
 /// compute cluster. Scripted plans and stochastic MTBF/MTTR processes both
-/// funnel through it, so every crash/degrade/restore is idempotent, logged
-/// and counted in one place. Nothing else in the tree may call
+/// funnel through it, so every crash/degrade/restore is idempotent and
+/// counted in one place. Nothing else in the tree may call
 /// `Executor::fail_server` / `restore_server` / `degrade_server` directly
-/// (enforced by the pran-lint `fault-bypass` rule).
+/// (enforced by the pran-lint `fault-bypass` rule), so the executor's own
+/// server state is the one record of which servers are down or degraded,
+/// and the injector reads it there.
 ///
 /// Delivery contract: the fault callback fires *before* the executor state
 /// changes, so a listener running in oracle mode can re-place the victim's
@@ -36,7 +38,9 @@ class FaultInjector {
   FaultInjector(sim::Engine& engine, cluster::Executor& executor,
                 std::uint64_t seed);
 
-  /// Schedules a scripted fault (and its recovery when duration > 0).
+  /// Schedules a scripted fault (and its recovery when duration > 0). A
+  /// degrade factor must lie in (0, 1): a factor of 1 would leave the
+  /// server at full speed, indistinguishable from a healthy one.
   void schedule(const FaultEvent& event);
 
   /// Schedules recovery of a crashed or degraded server at time `at`.
@@ -51,40 +55,27 @@ class FaultInjector {
     on_recovery_ = std::move(cb);
   }
 
-  bool is_down(int server_id) const;
-  bool is_degraded(int server_id) const;
-
   /// Faults actually delivered (idempotent skips excluded).
-  int faults_delivered() const noexcept { return faults_delivered_; }
+  int faults_delivered() const noexcept {
+    return crash_faults_ + degrade_faults_;
+  }
   int crash_faults() const noexcept { return crash_faults_; }
   int degrade_faults() const noexcept { return degrade_faults_; }
 
-  /// Every delivered fault in delivery order (idempotent skips excluded).
-  /// A record's `recovered_at` is set when its restore is delivered.
-  const std::vector<FaultRecord>& log() const noexcept { return log_; }
-
  private:
-  enum class State { kHealthy, kDown, kDegraded };
-
   void deliver_fault(int server_id, FaultKind kind, double degrade_factor);
   void deliver_restore(int server_id);
   void schedule_next_stochastic_fault(int server_id);
   void stochastic_fault(int server_id);
-  State& state(int server_id);
 
   sim::Engine& engine_;
   cluster::Executor& executor_;
   Rng rng_root_;
   std::vector<Rng> streams_;  ///< One substream per server (stochastic).
-  std::vector<State> states_;
-  /// log_ index of the fault currently holding each server down/degraded.
-  std::vector<int> open_record_;
   StochasticFaultConfig stochastic_;
   bool stochastic_armed_ = false;
-  int faults_delivered_ = 0;
   int crash_faults_ = 0;
   int degrade_faults_ = 0;
-  std::vector<FaultRecord> log_;
   FaultCallback on_fault_;
   RecoveryCallback on_recovery_;
 };

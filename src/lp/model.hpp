@@ -3,8 +3,8 @@
 /// \file model.hpp
 /// Mixed-integer linear program container. Plays the role CPLEX's model API
 /// played in the paper's experiments: formulations are built through
-/// add_variable / add_constraint and handed to SimplexSolver (LP relaxation)
-/// or MilpSolver (branch and bound). A model may carry a start point (a MIP
+/// add_variable / add_constraint and handed to Simplex (LP relaxation) or
+/// MilpSolver (branch and bound). A model may carry a start point (a MIP
 /// start), which MilpSolver takes as its first incumbent when it is
 /// feasible.
 

@@ -405,8 +405,4 @@ void Simplex::pivot(std::size_t row, std::size_t col) {
   ++pivots_since_reset_;
 }
 
-LpResult SimplexSolver::solve(const Model& model) const {
-  return Simplex(model).solve();
-}
-
 }  // namespace pran::lp

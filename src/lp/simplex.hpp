@@ -115,11 +115,4 @@ class Simplex {
   long pivots_since_reset_ = 0;
 };
 
-/// Cold-solves the LP relaxation of a model.
-class SimplexSolver {
- public:
-  /// Solves the LP relaxation of `model`.
-  LpResult solve(const Model& model) const;
-};
-
 }  // namespace pran::lp

@@ -61,6 +61,18 @@ TEST(Samples, QuantilesInterpolate) {
   EXPECT_DOUBLE_EQ(s.quantile(1.0 / 3.0), 20.0);
 }
 
+TEST(Samples, AddAfterAQueryResorts) {
+  Samples s;
+  s.add(3.0);
+  s.add(1.0);
+  EXPECT_DOUBLE_EQ(s.median(), 2.0);
+  s.add(0.5);
+  s.add(0.25);
+  EXPECT_DOUBLE_EQ(s.min(), 0.25);
+  EXPECT_DOUBLE_EQ(s.max(), 3.0);
+  EXPECT_DOUBLE_EQ(s.median(), 0.75);
+}
+
 TEST(Samples, SingleSample) {
   Samples s({7.0});
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 7.0);

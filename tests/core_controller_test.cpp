@@ -65,16 +65,14 @@ TEST(Controller, SafetyFactorInflatesEstimate) {
 }
 
 TEST(Controller, MilpReplanConsolidatesWhenLoadDrops) {
-  auto config = relaxed();
-  config.migration_weight = 0.01;
-  Controller ctrl(config, std::make_unique<MilpPlacer>(),
+  Controller ctrl(relaxed(), std::make_unique<MilpPlacer>(),
                   {server(1.0), server(1.0)}, demands({0.6, 0.6}));
   auto r0 = ctrl.replan();
   ASSERT_TRUE(r0.feasible);
   EXPECT_EQ(r0.active_servers, 2);
 
-  // Load collapses: both cells fit on one server now, and the migration
-  // weight (0.01 per move < 1 server) makes consolidation worthwhile.
+  // Load collapses: both cells fit on one server now, and one server
+  // outweighs every migration, so consolidation is worthwhile.
   for (int i = 0; i < kSettleObservations; ++i) {
     ctrl.observe(0, 0.2);
     ctrl.observe(1, 0.2);
@@ -229,9 +227,7 @@ TEST(Controller, EpochTotalsCountInfeasibleAndServerlessReplans) {
 }
 
 TEST(Controller, MilpPlacerIntegration) {
-  auto config = relaxed();
-  config.migration_weight = 0.01;
-  Controller ctrl(config, std::make_unique<MilpPlacer>(),
+  Controller ctrl(relaxed(), std::make_unique<MilpPlacer>(),
                   {server(1.0), server(1.0), server(1.0)},
                   demands({0.5, 0.3, 0.2}));
   const auto report = ctrl.replan();

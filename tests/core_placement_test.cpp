@@ -110,7 +110,6 @@ TEST(MilpPlacer, MigrationWeightPrefersStability) {
   // optimum could permute servers freely. With migration cost, it must
   // keep the previous assignment (which is already optimal).
   p.previous = std::vector<int>{0, 1, 1, 0};
-  p.migration_weight = 0.01;
   const auto r = MilpPlacer{}.place(p);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.migrations_from(*p.previous), 0);
@@ -118,14 +117,32 @@ TEST(MilpPlacer, MigrationWeightPrefersStability) {
 }
 
 TEST(MilpPlacer, MigrationWeightDoesNotSacrificeServers) {
-  // Previous placement wastes servers; migration weight is small enough
-  // that consolidation still wins.
+  // Previous placement wastes servers; a server outweighs every
+  // migration, so consolidation still wins.
   auto p = small_problem();
   p.previous = std::vector<int>{0, 1, 2, 3};
-  p.migration_weight = 0.01;
   const auto r = MilpPlacer{}.place(p);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.active_servers(), 2);
+}
+
+TEST(MilpPlacer, KeepsCellsOnAHostServerBesideIdenticalIdleOnes) {
+  // Four small cells sit on server 3 of four identical servers. Moving
+  // them to server 0 powers as many servers and migrates all four, so
+  // the optimum leaves them where they are. Symmetry rows y_0 >= ... >=
+  // y_3 over the whole run would cut that optimum off: the hosting server
+  // is not interchangeable with the idle ones.
+  auto p = small_problem();
+  p.cells = {{0, 0.2, 1.0}, {1, 0.2, 1.0}, {2, 0.2, 1.0}, {3, 0.2, 1.0}};
+  p.previous = std::vector<int>{3, 3, 3, 3};
+  const auto sticky = FirstFitPlacer(true).place(p);
+  ASSERT_EQ(sticky.server_of_cell, *p.previous);
+  const auto r = MilpPlacer{}.place(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.server_of_cell, *p.previous);
+  EXPECT_EQ(r.migrations_from(*p.previous), 0);
+  EXPECT_EQ(r.active_servers(), 1);
 }
 
 TEST(MilpPlacer, MigrationWeightedOverflowIsProvenInFewNodes) {
@@ -140,7 +157,6 @@ TEST(MilpPlacer, MigrationWeightedOverflowIsProvenInFewNodes) {
     p.cells.push_back({static_cast<int>(p.cells.size()), d, 0.3339});
   for (int s = 0; s < 6; ++s) p.servers.push_back(cluster::ServerSpec{"s", 8});
   p.previous = std::vector<int>(p.cells.size(), 0);
-  p.migration_weight = 0.02;
   const auto r = MilpPlacer{}.place(p);
   ASSERT_TRUE(r.feasible);
   EXPECT_TRUE(r.proven_optimal);
@@ -226,22 +242,82 @@ TEST(BuildModel, ShapesMatchFormulation) {
     EXPECT_NE(v.type, lp::VarType::kContinuous);
 }
 
-TEST(BuildModel, StartIsFirstFitRenumberedForSymmetry) {
+TEST(BuildModel, StartIsStickyFirstFitAndMeetsTheSymmetryRows) {
   auto p = small_problem();
   // Sticky first-fit keeps cells 0 and 2 on server 3 and cells 1 and 3 on
-  // server 1; the start renumbers them to servers 1 and 0, since y_0 >= y_1
-  // >= y_2 >= y_3 among identical servers.
+  // server 1. Those two hosted a cell last epoch, so the symmetry rows
+  // left are y_0 >= y_2 between the idle ones, and y_1 >= y_0 and
+  // y_3 >= y_0 for the hosting ones. The packing meets them as it stands.
   p.previous = std::vector<int>{3, 1, 3, 1};
   ASSERT_EQ(FirstFitPlacer(true).place(p).server_of_cell,
             (std::vector<int>{3, 1, 3, 1}));
   const auto model = build_placement_model(p);
+  // 4 assignment + 4 capacity + 3 symmetry rows.
+  EXPECT_EQ(model.num_constraints(), 11);
   const auto& start = model.start();
   ASSERT_EQ(start.size(), 20u);
   EXPECT_TRUE(model.is_feasible(start));
   const std::vector<double> y(start.begin() + 16, start.end());
-  EXPECT_EQ(y, (std::vector<double>{1.0, 1.0, 0.0, 0.0}));
-  EXPECT_EQ(start[0 * 4 + 1], 1.0);  // cell 0 on server 1
-  EXPECT_EQ(start[1 * 4 + 0], 1.0);  // cell 1 on server 0
+  EXPECT_EQ(y, (std::vector<double>{0.0, 1.0, 0.0, 1.0}));
+  EXPECT_EQ(start[0 * 4 + 3], 1.0);  // cell 0 on server 3
+  EXPECT_EQ(start[1 * 4 + 1], 1.0);  // cell 1 on server 1
+}
+
+TEST(BuildModel, StartHandsUnhostedCellsToAnIdleHostingServer) {
+  // Cell 0, last on server 1, no longer fits a unit server and goes to the
+  // large server 2; cell 1 then opens server 0. Server 1 hosted a cell
+  // last epoch and server 0 did not, so the row y_1 >= y_0 holds at an
+  // optimum; the start moves cell 1 to server 1 to meet it.
+  PlacementProblem p;
+  p.headroom = 1.0;
+  p.cells = {{0, 1.5, 1.5}, {1, 0.6, 0.6}};
+  p.servers = {server(1.0), server(1.0), server(2.0)};
+  p.previous = std::vector<int>{1, -1};
+  ASSERT_EQ(FirstFitPlacer(true).place(p).server_of_cell,
+            (std::vector<int>{2, 0}));
+  const auto model = build_placement_model(p);
+  const auto& start = model.start();
+  ASSERT_EQ(start.size(), 9u);
+  EXPECT_TRUE(model.is_feasible(start));
+  EXPECT_EQ(start[0 * 3 + 2], 1.0);  // cell 0 on server 2
+  EXPECT_EQ(start[1 * 3 + 1], 1.0);  // cell 1 on server 1
+  const auto r = MilpPlacer{}.place(p);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.active_servers(), 2);
+  EXPECT_EQ(r.migrations_from(*p.previous), 1);
+}
+
+TEST(BuildModel, OneServerOutweighsEveryMigrationAt128Cells) {
+  // 128 cells split over two half-size servers fit together on the third,
+  // larger one. Moving all of them there powers one server fewer, and
+  // that must price below staying: a per-move weight of 0.01 (128 x 0.01
+  // > 1) would not.
+  constexpr int kCells = 128;
+  PlacementProblem p;
+  p.headroom = 1.0;
+  for (int c = 0; c < kCells; ++c) p.cells.push_back({c, 0.005, 0.01});
+  p.servers = {server(0.5), server(0.5), server(1.0)};
+  std::vector<int> stay(kCells);
+  for (int c = 0; c < kCells; ++c) stay[static_cast<std::size_t>(c)] = c % 2;
+  p.previous = stay;
+  const std::vector<int> moved(kCells, 2);
+
+  const auto model = build_placement_model(p);
+  auto objective_at = [&](const std::vector<int>& placement) {
+    std::vector<double> x(static_cast<std::size_t>(model.num_variables()),
+                          0.0);
+    for (std::size_t c = 0; c < placement.size(); ++c) {
+      const auto s = static_cast<std::size_t>(placement[c]);
+      x[c * 3 + s] = 1.0;
+      x[kCells * 3 + s] = 1.0;
+    }
+    EXPECT_TRUE(model.is_feasible(x));
+    return model.objective_value(x);
+  };
+  // Staying: two servers, no move. Moving: one server, 128 moves.
+  EXPECT_EQ(objective_at(stay), 2.0 * (kCells + 1));
+  EXPECT_EQ(objective_at(moved), 1.0 * (kCells + 1) + kCells);
+  EXPECT_LT(objective_at(moved), objective_at(stay));
 }
 
 TEST(BuildModel, ValidatesInput) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/deployment.hpp"
@@ -51,6 +52,36 @@ struct Rig {
         injector(engine, executor, seed) {}
 };
 
+/// Every delivered fault as (kind, server, at, recovered_at), in delivery
+/// order, recorded from the injector's fault and recovery callbacks.
+/// recovered_at stays -1 while the fault holds; a crash on a degraded
+/// server ends the degradation's row.
+struct FaultTrace {
+  using Row = std::tuple<int, int, sim::Time, sim::Time>;
+  std::vector<Row> rows;
+
+  explicit FaultTrace(Rig& rig) {
+    rig.injector.set_fault_callback(
+        [this, &rig](int server, faults::FaultKind kind) {
+          close(server, rig.engine.now());
+          rows.emplace_back(static_cast<int>(kind), server, rig.engine.now(),
+                            -1);
+        });
+    rig.injector.set_recovery_callback(
+        [this, &rig](int server, faults::FaultKind) {
+          close(server, rig.engine.now());
+        });
+  }
+
+  void close(int server, sim::Time at) {
+    for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+      if (std::get<1>(*it) != server) continue;
+      if (std::get<3>(*it) < 0) std::get<3>(*it) = at;
+      return;
+    }
+  }
+};
+
 TEST(FaultInjector, ScriptedCrashRoundTrip) {
   Rig rig(2);
   faults::FaultEvent ev;
@@ -59,19 +90,17 @@ TEST(FaultInjector, ScriptedCrashRoundTrip) {
   ev.duration = 20 * sim::kMillisecond;
   ev.servers = {1};
   rig.injector.schedule(ev);
+  const FaultTrace trace(rig);
 
   rig.engine.run_until(15 * sim::kMillisecond);
-  EXPECT_TRUE(rig.injector.is_down(1));
   EXPECT_TRUE(rig.executor.is_failed(1));
-  EXPECT_FALSE(rig.injector.is_down(0));
+  EXPECT_FALSE(rig.executor.is_failed(0));
 
   rig.engine.run_until(40 * sim::kMillisecond);
-  EXPECT_FALSE(rig.injector.is_down(1));
   EXPECT_FALSE(rig.executor.is_failed(1));
-  ASSERT_EQ(rig.injector.log().size(), 1u);
-  EXPECT_EQ(rig.injector.log()[0].server_id, 1);
-  EXPECT_EQ(rig.injector.log()[0].at, 10 * sim::kMillisecond);
-  EXPECT_EQ(rig.injector.log()[0].recovered_at, 30 * sim::kMillisecond);
+  EXPECT_EQ(trace.rows, (std::vector<FaultTrace::Row>{
+                            {0, 1, 10 * sim::kMillisecond,
+                             30 * sim::kMillisecond}}));
   EXPECT_EQ(rig.injector.faults_delivered(), 1);
   EXPECT_EQ(rig.injector.crash_faults(), 1);
 }
@@ -87,15 +116,16 @@ TEST(FaultInjector, DoubleCrashAndDoubleRestoreAreTracedNoOps) {
   rig.injector.schedule(ev);
   rig.injector.schedule_restore(3 * sim::kMillisecond, 0);
   rig.injector.schedule_restore(4 * sim::kMillisecond, 0);  // already healthy
+  const FaultTrace trace(rig);
   rig.engine.run_until(5 * sim::kMillisecond);
 
   EXPECT_EQ(rig.injector.faults_delivered(), 1);
   EXPECT_FALSE(rig.executor.is_failed(0));
-  // The ignored crash and the ignored restore leave no record: one fault,
+  // The ignored crash and the ignored restore fire no callback: one fault,
   // closed by the first restore.
-  ASSERT_EQ(rig.injector.log().size(), 1u);
-  EXPECT_EQ(rig.injector.log()[0].at, sim::kMillisecond);
-  EXPECT_EQ(rig.injector.log()[0].recovered_at, 3 * sim::kMillisecond);
+  EXPECT_EQ(trace.rows, (std::vector<FaultTrace::Row>{
+                            {0, 0, sim::kMillisecond,
+                             3 * sim::kMillisecond}}));
 }
 
 TEST(FaultInjector, CallbackFiresBeforeExecutorStateChanges) {
@@ -130,6 +160,9 @@ TEST(FaultInjector, DegradeSlowsNewJobsOnly) {
                                   40 * sim::kMillisecond, 0, 1));
   rig.executor.submit(0, job_with(0.1, 60 * sim::kMillisecond,
                                   90 * sim::kMillisecond, 0, 2));
+  std::vector<faults::FaultKind> recoveries;
+  rig.injector.set_recovery_callback(
+      [&](int, faults::FaultKind kind) { recoveries.push_back(kind); });
   rig.engine.run_until(100 * sim::kMillisecond);
 
   const auto& outs = rig.executor.outcomes();
@@ -138,6 +171,9 @@ TEST(FaultInjector, DegradeSlowsNewJobsOnly) {
   EXPECT_EQ(outs[1].finish - outs[1].start, 2 * sim::kMillisecond);
   EXPECT_EQ(outs[2].finish - outs[2].start, sim::kMillisecond);
   EXPECT_EQ(rig.injector.degrade_faults(), 1);
+  // The restore read the fault's kind from the executor's speed factor.
+  EXPECT_EQ(recoveries,
+            std::vector<faults::FaultKind>{faults::FaultKind::kDegrade});
 }
 
 TEST(FaultInjector, CrashSupersedesDegrade) {
@@ -154,15 +190,41 @@ TEST(FaultInjector, CrashSupersedesDegrade) {
   crash.servers = {0};
   rig.injector.schedule(crash);
   rig.injector.schedule_restore(3 * sim::kMillisecond, 0);
+  bool degraded_at_crash = true;
+  rig.injector.set_fault_callback([&](int server, faults::FaultKind kind) {
+    if (kind == faults::FaultKind::kCrash)
+      degraded_at_crash = rig.executor.is_degraded(server);
+  });
+  std::vector<faults::FaultKind> recoveries;
+  rig.injector.set_recovery_callback(
+      [&](int, faults::FaultKind kind) { recoveries.push_back(kind); });
   rig.engine.run_until(4 * sim::kMillisecond);
 
-  // The degrade record was closed by the crash; the restore ends the
-  // crash and returns the server at full speed.
+  // The crash ended the degradation before it took effect; the one
+  // restore ends the crash, reports it as one, and returns the server at
+  // full speed.
+  EXPECT_FALSE(degraded_at_crash);
+  EXPECT_EQ(rig.injector.degrade_faults(), 1);
+  EXPECT_EQ(rig.injector.crash_faults(), 1);
+  EXPECT_EQ(rig.injector.faults_delivered(), 2);
+  EXPECT_EQ(recoveries,
+            std::vector<faults::FaultKind>{faults::FaultKind::kCrash});
   EXPECT_FALSE(rig.executor.is_failed(0));
   EXPECT_FALSE(rig.executor.is_degraded(0));
-  ASSERT_EQ(rig.injector.log().size(), 2u);
-  EXPECT_GE(rig.injector.log()[0].recovered_at, 0);
-  EXPECT_GE(rig.injector.log()[1].recovered_at, 0);
+}
+
+TEST(FaultInjector, RefusesADegradeFactorOfOne) {
+  // A factor of 1 leaves the server at full speed: nothing would tell the
+  // fault from a healthy server, so no restore could end it.
+  Rig rig(1);
+  faults::FaultEvent ev;
+  ev.kind = faults::FaultKind::kDegrade;
+  ev.at = sim::kMillisecond;
+  ev.servers = {0};
+  ev.degrade_factor = 1.0;
+  EXPECT_THROW(rig.injector.schedule(ev), ContractViolation);
+  ev.degrade_factor = 0.0;
+  EXPECT_THROW(rig.injector.schedule(ev), ContractViolation);
 }
 
 TEST(FaultInjector, CorrelatedEventTakesDownTheGroup) {
@@ -174,29 +236,28 @@ TEST(FaultInjector, CorrelatedEventTakesDownTheGroup) {
   ev.at = sim::kMillisecond;
   ev.servers = {0, 1};
   rig.injector.schedule(ev);
+  const FaultTrace trace(rig);
   rig.engine.run_until(2 * sim::kMillisecond);
-  EXPECT_TRUE(rig.injector.is_down(0));
-  EXPECT_TRUE(rig.injector.is_down(1));
-  EXPECT_FALSE(rig.injector.is_down(2));
+  EXPECT_TRUE(rig.executor.is_failed(0));
+  EXPECT_TRUE(rig.executor.is_failed(1));
+  EXPECT_FALSE(rig.executor.is_failed(2));
   EXPECT_EQ(rig.injector.crash_faults(), 2);
-  ASSERT_EQ(rig.injector.log().size(), 2u);
-  EXPECT_EQ(rig.injector.log()[0].at, rig.injector.log()[1].at);
+  EXPECT_EQ(trace.rows, (std::vector<FaultTrace::Row>{
+                            {0, 0, sim::kMillisecond, -1},
+                            {0, 1, sim::kMillisecond, -1}}));
 }
 
 TEST(FaultInjector, StochasticTimelineIsDeterministic) {
-  using Record = std::tuple<int, int, sim::Time, sim::Time>;
+  using Record = FaultTrace::Row;
   auto run = [](std::uint64_t seed) {
     Rig rig(4, seed);
+    const FaultTrace trace(rig);
     faults::StochasticFaultConfig cfg;
     cfg.mtbf_seconds = 0.2;
     cfg.mttr_seconds = 0.05;
     rig.injector.arm_stochastic(cfg);
     rig.engine.run_until(5 * sim::kSecond);
-    std::vector<Record> log;
-    for (const auto& r : rig.injector.log())
-      log.emplace_back(static_cast<int>(r.kind), r.server_id, r.at,
-                       r.recovered_at);
-    return log;
+    return trace.rows;
   };
   const auto a = run(11);
   const auto b = run(11);

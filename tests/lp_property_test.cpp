@@ -1,15 +1,17 @@
 // Property tests: the simplex and branch-and-bound solvers are
 // cross-validated against exhaustive enumeration on randomly generated
-// small instances. Parameterised over seeds so each instance is a distinct
-// test case.
+// small instances, placements with a previous epoch's assignment among
+// them. Parameterised over seeds so each instance is a distinct test case.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/placement.hpp"
 #include "lp/branch_and_bound.hpp"
 #include "lp/simplex.hpp"
 
@@ -164,6 +166,76 @@ TEST_P(MilpVsBruteForce, PreFixedBinaryFamily) {
   EXPECT_TRUE(inst.model.is_feasible(milp.x));
 }
 
+/// A placement with a previous epoch's assignment: 3-6 cells on 2-4
+/// servers, most of them identical unit servers so that symmetry rows
+/// apply, some cells previously unplaced (-1).
+core::PlacementProblem make_placement_instance(std::uint64_t seed) {
+  pran::Rng rng(seed);
+  core::PlacementProblem p;
+  p.headroom = 1.0;
+  const int cells = 3 + static_cast<int>(rng.uniform_int(0, 3));
+  const int servers = 2 + static_cast<int>(rng.uniform_int(0, 2));
+  for (int c = 0; c < cells; ++c) {
+    const double demand = rng.uniform(0.1, 0.6);
+    p.cells.push_back({c, demand, demand});
+  }
+  for (int s = 0; s < servers; ++s) {
+    const double budget = rng.bernoulli(0.25) ? 1.5 : 1.0;
+    p.servers.push_back(cluster::ServerSpec{"s", 1, budget * 1e3});
+  }
+  std::vector<int> previous;
+  for (int c = 0; c < cells; ++c)
+    previous.push_back(static_cast<int>(rng.uniform_int(-1, servers - 1)));
+  p.previous = previous;
+  return p;
+}
+
+/// Exhaustive lexicographic optimum over all |servers|^|cells| placements
+/// that fit: fewest powered servers, then fewest migrations.
+std::optional<std::pair<int, int>> brute_force(
+    const core::PlacementProblem& p) {
+  const std::size_t C = p.cells.size();
+  const int S = static_cast<int>(p.servers.size());
+  std::optional<std::pair<int, int>> best;
+  std::vector<int> placement(C, 0);
+  for (;;) {
+    if (core::placement_fits(p, placement)) {
+      core::PlacementResult r;
+      r.server_of_cell = placement;
+      const std::pair<int, int> value{r.active_servers(),
+                                      r.migrations_from(*p.previous)};
+      if (!best || value < *best) best = value;
+    }
+    std::size_t c = 0;
+    while (c < C && ++placement[c] == S) placement[c++] = 0;
+    if (c == C) return best;
+  }
+}
+
+TEST_P(MilpVsBruteForce, PlacementWithAPreviousPlacement) {
+  const std::uint64_t seed = GetParam();
+  const auto p = make_placement_instance(seed * 104729 + 3);
+
+  const auto milp = core::MilpPlacer{}.place(p);
+  const auto expected = brute_force(p);
+  // The start is sticky first-fit's packing as it stands: it must meet the
+  // symmetry rows, or the solver would drop it.
+  const Model model = core::build_placement_model(p);
+  if (!model.start().empty()) {
+    EXPECT_TRUE(model.is_feasible(model.start())) << "seed=" << seed;
+  }
+
+  if (!expected) {
+    EXPECT_FALSE(milp.feasible) << "seed=" << seed;
+    return;
+  }
+  ASSERT_TRUE(milp.feasible) << "seed=" << seed;
+  ASSERT_TRUE(milp.proven_optimal) << "seed=" << seed;
+  EXPECT_EQ(milp.active_servers(), expected->first) << "seed=" << seed;
+  EXPECT_EQ(milp.migrations_from(*p.previous), expected->second)
+      << "seed=" << seed;
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpVsBruteForce,
                          ::testing::Range<std::uint64_t>(0, 40));
 
@@ -228,7 +300,7 @@ TEST_P(SimplexDominance, BeatsRandomFeasiblePoints) {
   const auto& rhs = inst.rhs;
   const auto& c = inst.c;
 
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal) << "seed=" << seed;
   ASSERT_TRUE(m.is_feasible(r.x, 1e-6));
 
@@ -367,7 +439,7 @@ void check_warm_resolves(const Model& model, std::uint64_t seed) {
                            upper[static_cast<std::size_t>(j)]);
 
     const LpResult warm = simplex.solve(lower, upper, basis);
-    const LpResult cold = SimplexSolver{}.solve(tightened);
+    const LpResult cold = Simplex(tightened).solve();
     ASSERT_EQ(warm.status, cold.status) << "seed=" << seed << " step=" << step;
     if (cold.status != LpStatus::kOptimal) return;
     EXPECT_NEAR(warm.objective, cold.objective, 1e-9)

@@ -22,7 +22,7 @@ TEST(Simplex, SolvesTextbookMaximization) {
   m.add_constraint("c3", 3.0 * LinearExpr(x) + 2.0 * LinearExpr(y) <= 18.0);
   m.set_objective(Sense::kMaximize, 3.0 * LinearExpr(x) + 5.0 * LinearExpr(y));
 
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 36.0, kTol);
   EXPECT_NEAR(r.x[0], 2.0, kTol);
@@ -39,7 +39,7 @@ TEST(Simplex, SolvesMinimizationWithGreaterEqual) {
   m.add_constraint("minx", LinearExpr(x) >= 2.0);
   m.set_objective(Sense::kMinimize, 2.0 * LinearExpr(x) + 3.0 * LinearExpr(y));
 
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 20.0, kTol);
   EXPECT_NEAR(r.x[0], 10.0, kTol);
@@ -55,7 +55,7 @@ TEST(Simplex, HandlesEqualityConstraints) {
   m.add_constraint("e2", LinearExpr(x) - LinearExpr(y) == 2.0);
   m.set_objective(Sense::kMinimize, LinearExpr(x) + LinearExpr(y));
 
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 4.0, kTol);
   EXPECT_NEAR(r.x[1], 2.0, kTol);
@@ -68,7 +68,7 @@ TEST(Simplex, DetectsInfeasibility) {
   m.add_constraint("lo", LinearExpr(x) >= 5.0);
   m.add_constraint("hi", LinearExpr(x) <= 3.0);
   m.set_objective(Sense::kMinimize, LinearExpr(x));
-  EXPECT_EQ(SimplexSolver{}.solve(m).status, LpStatus::kInfeasible);
+  EXPECT_EQ(Simplex(m).solve().status, LpStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnboundedness) {
@@ -77,7 +77,7 @@ TEST(Simplex, DetectsUnboundedness) {
   const auto y = m.add_continuous("y", 0, kInfinity);
   m.add_constraint("c", LinearExpr(x) - LinearExpr(y) <= 1.0);
   m.set_objective(Sense::kMaximize, LinearExpr(x) + LinearExpr(y));
-  EXPECT_EQ(SimplexSolver{}.solve(m).status, LpStatus::kUnbounded);
+  EXPECT_EQ(Simplex(m).solve().status, LpStatus::kUnbounded);
 }
 
 TEST(Simplex, RespectsVariableBounds) {
@@ -86,7 +86,7 @@ TEST(Simplex, RespectsVariableBounds) {
   const auto x = m.add_continuous("x", 1.0, 3.0);
   const auto y = m.add_continuous("y", 2.0, 5.0);
   m.set_objective(Sense::kMaximize, LinearExpr(x) + LinearExpr(y));
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 3.0, kTol);
   EXPECT_NEAR(r.x[1], 5.0, kTol);
@@ -99,7 +99,7 @@ TEST(Simplex, HandlesNegativeLowerBounds) {
   const auto y = m.add_continuous("y", 0.0, 1.0);
   m.add_constraint("c", LinearExpr(x) + LinearExpr(y) >= 0.0);
   m.set_objective(Sense::kMinimize, LinearExpr(x));
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], -1.0, kTol);
 }
@@ -123,7 +123,7 @@ TEST(Simplex, HandlesDegenerateProblem) {
     obj += std::pow(2.0, n - 1 - i) * LinearExpr(v[i]);
   }
   m.set_objective(Sense::kMaximize, obj);
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, std::pow(5.0, n), 1e-3);
 }
@@ -132,7 +132,7 @@ TEST(Simplex, ConstantInObjectiveIsCarried) {
   Model m;
   const auto x = m.add_continuous("x", 0.0, 2.0);
   m.set_objective(Sense::kMaximize, LinearExpr(x) + LinearExpr(7.0));
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 9.0, kTol);
 }
@@ -146,7 +146,7 @@ TEST(Simplex, RedundantEqualityRowsAreHandled) {
   m.add_constraint("e1", LinearExpr(x) + LinearExpr(y) == 4.0);
   m.add_constraint("e2", LinearExpr(x) + LinearExpr(y) == 4.0);
   m.set_objective(Sense::kMaximize, LinearExpr(x));
-  const auto r = SimplexSolver{}.solve(m);
+  const auto r = Simplex(m).solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 4.0, kTol);
 }

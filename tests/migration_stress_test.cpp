@@ -98,13 +98,8 @@ Kpi run_one(std::uint64_t seed, bool two_phase) {
   out.dual = k.migration_dual_executions;
   out.harq_retx = k.harq_retransmissions;
   out.handoff_ms = k.mean_handoff_latency_ms;
-  if (const core::MigrationManager* m = d.migration()) {
-    const sim::Time grace = 200 * sim::kMillisecond;
-    for (const auto& r : m->history())
-      if (r.resolved_at < 0 &&
-          r.started_at + m->config().deadline + grace < d.now())
-        ++out.orphans;
-  }
+  if (const core::MigrationManager* m = d.migration())
+    out.orphans = static_cast<std::uint64_t>(m->overdue());
   return out;
 }
 

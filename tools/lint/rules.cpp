@@ -216,8 +216,9 @@ void rule_fault_bypass(const std::string& path, const Toks& t,
     out.push_back({path, t[i].line, "fault-bypass",
                    t[i].text +
                        " called directly; deliver faults through "
-                       "faults::FaultInjector so they are logged, "
-                       "idempotent and monitor-visible"});
+                       "faults::FaultInjector so they are idempotent, "
+                       "counted and monitor-visible, and the injector "
+                       "stays the executor's only fault writer"});
   }
 }
 

@@ -8,7 +8,8 @@ struct Executor {
 };
 
 void knock_one_out(Executor& executor, Executor* remote) {
-  // Direct executor mutation: bypasses the injector's fault log + idempotence.
+  // Direct executor mutation: bypasses the injector's idempotence and fault
+  // counts, and changes server state behind the injector that reads it.
   executor.fail_server(3);
   executor.degrade_server(1, 0.5);
   remote->restore_server(3);
